@@ -24,6 +24,7 @@ from . import serialize
 from .engine import construction_steps, verify_rccs
 from .errors import InputError, PreconditionError
 from .events import IntervalEvent
+from .finite import DEFAULT_MAX_POINTS
 
 DEMO_A = IntervalEvent((("0", "1/2"),))
 DEMO_B = IntervalEvent((("1/10", "1/2"), ("9/10", "1")))
@@ -243,7 +244,12 @@ def _build_parser() -> _Parser:
     search = sub.add_parser("search", help="exhaustively search a finite space for size-n systems")
     search.add_argument("input", help="JSON with fields 'space', 'a', 'b', 'n'")
     search.add_argument("--json", action="store_true")
-    search.add_argument("--max-points", type=int, default=14, help="refuse larger spaces (default 14)")
+    search.add_argument(
+        "--max-points",
+        type=int,
+        default=DEFAULT_MAX_POINTS,
+        help=f"refuse larger spaces (default {DEFAULT_MAX_POINTS})",
+    )
     search.set_defaults(handler=_run_search)
 
     bell = sub.add_parser("bell", help="evaluate the Bell witness")

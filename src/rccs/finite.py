@@ -2,9 +2,10 @@
 
 A :class:`FiniteSpace` is a list of strictly positive rational weights
 summing to one; events are subsets of the sample points.  This is the
-brute-force instrument of the package: partitions into a given number of
-cells can be enumerated exhaustively, which turns nonexistence claims
-about small common cause systems into finite checks.
+exhaustive instrument of the package: every partition into a given number
+of cells can be enumerated, and ``search_rccs`` covers all of them, which
+turns nonexistence claims about small common cause systems into finite
+checks.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import InputError, PreconditionError
 from .events import as_fraction
 from .lattice import Partition, correlation
 
-DEFAULT_MAX_POINTS = 14  # Bell-number growth makes larger spaces explode
+DEFAULT_MAX_POINTS = 14  # the search tabulates all 2^m subsets of the points
 
 
 @dataclass(frozen=True)
@@ -164,28 +166,6 @@ def enumerate_partitions(space: FiniteSpace, n: int) -> Iterator[Partition]:
     yield from walk(0, 0)
 
 
-def _satisfies_system_conditions(a: FiniteEvent, b: FiniteEvent, partition: Partition) -> bool:
-    # Deliberately independent of the engine verifier so the two can
-    # cross-check each other.
-    a_and_b = a.meet(b)
-    conditionals = []
-    for cell in partition.cells:
-        weight = cell.measure()
-        cond_a = a.meet(cell).measure() / weight
-        cond_b = b.meet(cell).measure() / weight
-        cond_ab = a_and_b.meet(cell).measure() / weight
-        if cond_ab != cond_a * cond_b:
-            return False
-        conditionals.append((cond_a, cond_b))
-    for i in range(len(conditionals)):
-        for j in range(i + 1, len(conditionals)):
-            da = conditionals[i][0] - conditionals[j][0]
-            db = conditionals[i][1] - conditionals[j][1]
-            if da * db <= 0:
-                return False
-    return True
-
-
 def search_rccs(
     space: FiniteSpace,
     a: FiniteEvent,
@@ -196,14 +176,23 @@ def search_rccs(
 ) -> list[Partition]:
     """Exhaustively find every size-n common cause system for a correlated pair.
 
-    Checks, exactly, the per-cell screening-off condition and the strict
-    same-sign cross-difference condition on every partition of the space
-    into n cells.  An empty result is therefore a proof that no such
-    system exists in the space.
+    Solves an exact-cover problem over the screening-off subsets of the
+    points.  With the weights scaled to integers, the measure of every
+    subset is tabulated, so its meets with a, b and a&b are lookups too;
+    only subsets that screen off (``w * w_ab == w_a * w_b``) can be
+    cells.  Partitions are then built cell by cell, always covering the
+    lowest unassigned point next, and a cell is kept only if it meets the
+    strict same-sign cross-difference condition against every cell
+    already chosen.  All decisions are exact integer comparisons, and
+    every partition of the space into n cells is covered, so an empty
+    result is a proof that no such system exists in the space.
+
+    Hits come in the order of :func:`enumerate_partitions` (restricted
+    growth order of the cell labels), cells ordered by smallest member.
 
     The pair must be correlated (positive joint excess); spaces larger
-    than ``max_points`` are refused because the candidate count grows
-    like a Stirling number.
+    than ``max_points`` are refused because the subset table has 2^m
+    entries.
     """
     if a.space != space or b.space != space:
         raise InputError("events do not belong to the given space")
@@ -215,8 +204,8 @@ def search_rccs(
         )
     if m > DEFAULT_MAX_POINTS:
         warnings.warn(
-            f"exhaustive search over {m} points enumerates a Stirling-number of "
-            "candidates and may take a very long time",
+            f"exhaustive search over {m} points tabulates all 2^{m} subsets "
+            "and may take a very long time",
             stacklevel=2,
         )
     excess = correlation(a, b)
@@ -225,4 +214,64 @@ def search_rccs(
             f"events are not correlated (joint excess {excess}); "
             "a common cause system explains only positive correlations"
         )
-    return [p for p in enumerate_partitions(space, n) if _satisfies_system_conditions(a, b, p)]
+    if not 1 <= n <= m:
+        raise InputError(f"cell count {n} out of range 1..{m}")
+
+    scale = lcm(*(w.denominator for w in space.weights))
+    point_weight = [w.numerator * (scale // w.denominator) for w in space.weights]
+    mask_a = sum(1 << i for i in a.members)
+    mask_b = sum(1 << i for i in b.members)
+    mask_ab = mask_a & mask_b
+    full = (1 << m) - 1
+    # weight[s] is the scaled measure of subset s; a meet is a mask away
+    weight = [0] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        weight[s] = weight[s ^ low] + point_weight[low.bit_length() - 1]
+    cell: list[tuple[int, int, int] | None] = [None] * (full + 1)
+    by_lowest: list[list[int]] = [[] for _ in range(m)]
+    for s in range(1, full + 1):
+        w, wa, wb = weight[s], weight[s & mask_a], weight[s & mask_b]
+        if w * weight[s & mask_ab] == wa * wb:
+            cell[s] = (w, wa, wb)
+            by_lowest[(s & -s).bit_length() - 1].append(s)
+
+    def crosses(s: int, chosen: list[int]) -> bool:
+        w, wa, wb = cell[s]
+        for t in chosen:
+            v, va, vb = cell[t]
+            if (wa * v - va * w) * (wb * v - vb * w) <= 0:
+                return False
+        return True
+
+    found: list[list[int]] = []
+
+    def cover(rest: int, chosen: list[int]) -> None:
+        need = n - len(chosen)
+        if need == 1:
+            if cell[rest] is not None and crosses(rest, chosen):
+                found.append(chosen + [rest])
+            return
+        for s in by_lowest[(rest & -rest).bit_length() - 1]:
+            if s & rest == s and (rest ^ s).bit_count() >= need - 1 and crosses(s, chosen):
+                cover(rest ^ s, chosen + [s])
+
+    cover(full, [])
+
+    def labels(cells: list[int]) -> list[int]:
+        out = [0] * m
+        for k, s in enumerate(cells):
+            for i in range(m):
+                if s >> i & 1:
+                    out[i] = k
+        return out
+
+    found.sort(key=labels)
+    # valid by construction: the cells are disjoint, nonempty, and cover all points
+    return [
+        Partition(
+            tuple(space.event([i for i in range(m) if s >> i & 1]) for s in cells),
+            validate=False,
+        )
+        for cells in found
+    ]

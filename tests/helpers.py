@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths they are used to
 check.  The set-operation oracle works pointwise on the elementary
 subintervals induced by all endpoints; the Stirling numbers come from the
-standard recurrence.
+standard recurrence; the search oracle scores every enumerated partition
+with Fraction conditionals.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from rccs import FiniteSpace, IntervalEvent
+from rccs import FiniteSpace, IntervalEvent, enumerate_partitions
 
 
 def iv(*points: str) -> IntervalEvent:
@@ -106,3 +107,33 @@ def random_space(rng: random.Random, points: int) -> FiniteSpace:
 def random_subset(rng: random.Random, space: FiniteSpace):
     members = [i for i in range(len(space)) if rng.random() < 0.5]
     return space.event(members)
+
+
+def brute_force_search(space: FiniteSpace, a, b, n: int) -> list:
+    """Every size-n common cause system, by scoring all S(m, n) partitions.
+
+    Deliberately independent of the engine verifier and of the integer
+    exact-cover search in ``search_rccs``: each cell's conditionals are
+    Fraction quotients of event measures.
+    """
+    a_and_b = a.meet(b)
+
+    def satisfies(partition) -> bool:
+        conditionals = []
+        for cell in partition.cells:
+            weight = cell.measure()
+            cond_a = a.meet(cell).measure() / weight
+            cond_b = b.meet(cell).measure() / weight
+            cond_ab = a_and_b.meet(cell).measure() / weight
+            if cond_ab != cond_a * cond_b:
+                return False
+            conditionals.append((cond_a, cond_b))
+        for i in range(len(conditionals)):
+            for j in range(i + 1, len(conditionals)):
+                da = conditionals[i][0] - conditionals[j][0]
+                db = conditionals[i][1] - conditionals[j][1]
+                if da * db <= 0:
+                    return False
+        return True
+
+    return [p for p in enumerate_partitions(space, n) if satisfies(p)]

@@ -9,13 +9,14 @@ from rccs import (
     FiniteSpace,
     InputError,
     PreconditionError,
+    correlation,
     enumerate_partitions,
     finite_measure,
     search_rccs,
     verify_rccs,
 )
 
-from .helpers import random_space, stirling2
+from .helpers import brute_force_search, random_space, stirling2
 
 
 def uniform_space(m: int) -> FiniteSpace:
@@ -28,6 +29,28 @@ def uniform_space(m: int) -> FiniteSpace:
 EMBEDDED_WEIGHTS = ("3/16", "6/17", "17/80", "1/10", "1/10", "4/85")
 EMBEDDED_A = (0, 2, 3)
 EMBEDDED_B = (0, 2, 4)
+
+
+def assert_relabeling_invariant(space, a, b, n, seed):
+    """Search, search again with the points permuted, compare; return the hits."""
+    m = len(space)
+    perm = list(range(m))
+    random.Random(seed).shuffle(perm)
+    # perm maps old index k to new index perm[k]
+    perm_space = FiniteSpace(tuple(space.weights[perm.index(i)] for i in range(m)))
+    pa = perm_space.event([perm[i] for i in a.members])
+    pb = perm_space.event([perm[i] for i in b.members])
+    base = search_rccs(space, a, b, n)
+    relabeled = search_rccs(perm_space, pa, pb, n)
+
+    def canon(parts, mapping):
+        return {
+            tuple(sorted(tuple(sorted(mapping[i] for i in c.members)) for c in p.cells))
+            for p in parts
+        }
+
+    assert canon(base, perm) == canon(relabeled, range(m))
+    return base
 
 
 class TestSpaceAndEvents:
@@ -146,29 +169,9 @@ class TestSearch:
             assert verify_rccs(a, b, p).verdict
 
     def test_search_results_invariant_under_relabeling(self):
-        rng = random.Random(55)
         space = FiniteSpace(("1/16", "3/16", "5/16", "2/16", "4/16", "1/16"))
         a, b = space.event([0, 1, 2]), space.event([1, 2, 3])
-        perm = list(range(6))
-        rng.shuffle(perm)
-        perm_space = FiniteSpace(tuple(space.weights[perm.index(i)] for i in range(6)))
-        # perm maps old index k to new index perm[k]
-        pa = perm_space.event([perm[i] for i in a.members])
-        pb = perm_space.event([perm[i] for i in b.members])
-        base = search_rccs(space, a, b, 3)
-        relabeled = search_rccs(perm_space, pa, pb, 3)
-
-        def canon(parts, mapping=None):
-            out = set()
-            for p in parts:
-                cells = []
-                for cell in p.cells:
-                    members = [mapping[i] for i in cell.members] if mapping else list(cell.members)
-                    cells.append(tuple(sorted(members)))
-                out.add(tuple(sorted(cells)))
-            return out
-
-        assert canon(base, perm) == canon(relabeled)
+        assert_relabeling_invariant(space, a, b, 3, seed=55)
 
     def test_cutoff_refuses_large_space(self):
         space = uniform_space(15)
@@ -181,3 +184,47 @@ class TestSearch:
         a, b = space.event([0]), space.event([0, 1])
         with pytest.warns(UserWarning):
             search_rccs(space, a, b, 15, max_points=15)
+
+    def test_cell_count_out_of_range(self):
+        space = uniform_space(4)
+        a, b = space.event([0, 1]), space.event([0, 1, 2])
+        for n in (0, 5):
+            with pytest.raises(InputError):
+                search_rccs(space, a, b, n)
+
+    def test_uncorrelated_pair_checked_before_cell_count(self):
+        space = uniform_space(4)
+        a, b = space.event([0, 1]), space.event([0, 2])
+        for n in (0, 5):
+            with pytest.raises(PreconditionError):
+                search_rccs(space, a, b, n)
+
+    def test_single_cell_never_screens_off_a_correlation(self):
+        space = uniform_space(6)
+        a, b = space.event([0, 1, 2]), space.event([1, 2, 3])
+        assert search_rccs(space, a, b, 1) == []
+
+    def test_relabeling_invariance_beyond_brute_force_reach(self):
+        # S(12, 3) = 86526 candidates: too many to score in the suite, so
+        # the search is checked against itself under a permutation.
+        space = uniform_space(12)
+        a, b = space.event(range(0, 6)), space.event(range(2, 8))
+        assert assert_relabeling_invariant(space, a, b, 3, seed=12)
+
+    def test_matches_brute_force_on_random_pairs(self):
+        rng = random.Random(2004)
+        cases = nonempty = 0
+        while cases < 300:
+            m = rng.randint(2, 8)
+            space = uniform_space(m) if cases % 2 else random_space(rng, m)
+            a = space.event([i for i in range(m) if rng.random() < 0.5])
+            b = space.event([i for i in range(m) if rng.random() < 0.5])
+            if correlation(a, b) <= 0:
+                continue
+            n = rng.randint(1, min(4, m))
+            got = [[c.members for c in p.cells] for p in search_rccs(space, a, b, n)]
+            want = [[c.members for c in p.cells] for p in brute_force_search(space, a, b, n)]
+            assert got == want, (space.weights, a.members, b.members, n)
+            cases += 1
+            nonempty += bool(want)
+        assert nonempty >= 50

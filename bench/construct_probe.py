@@ -1,0 +1,100 @@
+"""Time ``construction_steps`` on seeded interval pairs of growing size.
+
+Two kinds of pair, each correlated and logically independent:
+
+* ``grid``: every endpoint is k/den for one denominator den drawn near
+  10**6 per pair, as in the interval-pipeline benchmark workload;
+* ``diverse``: every endpoint draws its own denominator uniformly from
+  2..10**6, so almost no two endpoints share one.
+
+Each row is the median (and the fastest) of ``--repeats`` timed calls on
+one pair.  The inputs depend only on the kind, the size and ``--seed``,
+so two checkouts can be compared on identical pairs:
+
+    python3 bench/construct_probe.py --src src > after.json
+    python3 bench/construct_probe.py --src ../parent/src > before.json
+
+Output is one JSON object on stdout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import random
+import statistics
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+SIZES = {"grid": (10, 100, 1000), "diverse": (40, 150, 1000)}
+
+
+def _grid_points(rng: random.Random, count: int) -> list[Fraction]:
+    den = rng.randint(999_000, 1_001_000)
+    return [Fraction(k, den) for k in sorted(rng.sample(range(1, den), count))]
+
+
+def _diverse_points(rng: random.Random, count: int) -> list[Fraction]:
+    points: set[Fraction] = set()
+    while len(points) < count:
+        den = rng.randint(2, 10**6)
+        points.add(Fraction(rng.randint(1, den - 1), den))
+    return sorted(points)
+
+
+def probe_pair(kind: str, count: int, seed: int):
+    """A correlated, logically independent pair with ``count`` intervals per event."""
+    from rccs import IntervalEvent, correlation, logically_independent
+
+    rng = random.Random(f"construct-probe/{kind}/{count}/{seed}")
+    draw = _grid_points if kind == "grid" else _diverse_points
+    while True:
+        a, b = (
+            IntervalEvent(tuple(zip(pts[0::2], pts[1::2])))
+            for pts in (draw(rng, 2 * count), draw(rng, 2 * count))
+        )
+        if correlation(a, b) < 0:
+            b = b.complement()
+        if correlation(a, b) > 0 and logically_independent(a, b):
+            return a, b
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    from rccs.engine import construction_steps
+
+    rows = []
+    for kind, sizes in SIZES.items():
+        for count in sizes:
+            a, b = probe_pair(kind, count, args.seed)
+            times = []
+            for _ in range(args.repeats):
+                start = time.perf_counter()
+                construction_steps(a, b)
+                times.append(time.perf_counter() - start)
+            rows.append(
+                {
+                    "kind": kind,
+                    "intervals": count,
+                    "median_ms": statistics.median(times) * 1e3,
+                    "min_ms": min(times) * 1e3,
+                }
+            )
+            print(json.dumps(rows[-1]), file=sys.stderr)
+    print(
+        json.dumps(
+            {"python": platform.python_version(), "seed": args.seed, "repeats": args.repeats, "rows": rows}
+        )
+    )
+
+
+if __name__ == "__main__":
+    main()

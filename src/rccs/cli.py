@@ -7,7 +7,8 @@ object.  Reports go to stdout, diagnostics to stderr.
 Exit codes are a stable contract:
 
 * 0  success, or candidate accepted
-* 1  input error (malformed JSON, bad rational, non-partition, bad flags)
+* 1  input error (malformed JSON, bad rational, non-partition, input past a
+     limit in docs/formats.md, bad flags)
 * 2  precondition failure (not correlated, not logically independent, ...)
 * 3  verification rejected a structurally valid candidate
 """
@@ -44,15 +45,31 @@ def _fmt(value: Fraction) -> str:
 
 
 def _read_payload(source: str):
-    if source == "-":
-        text = sys.stdin.read()
-    elif Path(source).exists():
-        text = Path(source).read_text()
-    elif source.lstrip().startswith("{"):
+    # inline JSON first: a long literal is not a valid path and must not reach the filesystem
+    if source.lstrip().startswith("{"):
         text = source
+    elif source == "-":
+        text = sys.stdin.read()
     else:
-        raise InputError(f"no such input file: {source}")
+        try:
+            text = Path(source).read_text()
+        except FileNotFoundError:
+            raise InputError(f"no such input file: {source}") from None
+        except OSError as exc:
+            raise InputError(f"cannot read input file: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise InputError("input file is not text in the locale's encoding") from None
     return serialize.loads(text)
+
+
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_lam(raw: str | None) -> Fraction:
@@ -246,7 +263,7 @@ def _build_parser() -> _Parser:
     search.add_argument("--json", action="store_true")
     search.add_argument(
         "--max-points",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_POINTS,
         help=f"refuse larger spaces (default {DEFAULT_MAX_POINTS})",
     )

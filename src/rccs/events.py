@@ -4,8 +4,18 @@ Events are finite unions of half-open rational subintervals of ``[0, 1)``
 kept in a unique canonical form: intervals are sorted, pairwise disjoint,
 and separated by gaps of positive length.  Under Lebesgue measure this is
 an atomless classical probability space with a faithful measure, and every
-operation is exact: endpoints are :class:`fractions.Fraction` values and no
-rounding happens anywhere.
+operation is exact: no rounding happens anywhere.
+
+An event stores its endpoints as one flat tuple of Python ints, four per
+interval: ``(lo_num, lo_den, hi_num, hi_den)``, each endpoint a reduced
+fraction with a positive denominator of its own.  Endpoints are never
+rescaled to a common denominator, so their size does not grow with the
+number of distinct denominators in play.  ``meet``, ``join`` and
+``complement`` decide every comparison by cross-multiplying
+(``n1 * d2 < n2 * d1``) and copy endpoint pairs from their operands (or
+use 0 and 1), so they create no new rationals.  ``measure`` returns an
+exact :class:`fractions.Fraction`, and ``intervals`` presents the
+endpoints as Fraction pairs.
 
 Half-open intervals make the representation closed under complement and
 union without any point-mass bookkeeping, and merging adjacent intervals
@@ -15,11 +25,12 @@ representations are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from operator import lt, mul
 from typing import Iterable
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalInvariantError, PreconditionError
 
 RationalLike = Fraction | int | str
 
@@ -58,7 +69,47 @@ def _coerce_pairs(pairs: Iterable) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+def _rational_str(num: int, den: int) -> str:
+    """The text ``str(Fraction(num, den))`` gives for a reduced pair."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _quads(ends: tuple[int, ...]):
+    """Iterate ``(lo_num, lo_den, hi_num, hi_den)`` over the intervals of a flat endpoint tuple."""
+    return zip(ends[0::4], ends[1::4], ends[2::4], ends[3::4])
+
+
+def _checked(ends: tuple[int, ...]) -> tuple[int, ...]:
+    """Return ``ends`` if it is canonical, else raise InputError.
+
+    Canonical means 0 <= lo < hi <= 1 for every interval and every
+    interval starts strictly after the previous one ends, that is, the
+    whole endpoint sequence rises strictly from at least 0 to at most 1.
+    """
+    nums, dens = ends[0::2], ends[1::2]
+    if not ends or (
+        nums[0] >= 0
+        and nums[-1] <= dens[-1]
+        and all(map(lt, map(mul, nums, dens[1:]), map(mul, nums[1:], dens)))
+    ):
+        return ends
+    # find the first violation, interval by interval, to name it
+    prev_num, prev_den = -1, 1  # below any valid lo
+    for k, (lo_n, lo_d, hi_n, hi_d) in enumerate(_quads(ends)):
+        if lo_n < 0 or hi_n * lo_d <= lo_n * hi_d or hi_n > hi_d:
+            raise InputError(
+                f"interval {k} must satisfy 0 <= lo < hi <= 1, "
+                f"got [{_rational_str(lo_n, lo_d)}, {_rational_str(hi_n, hi_d)})"
+            )
+        if lo_n * prev_den <= prev_num * lo_d:
+            raise InputError(
+                f"intervals {k - 1} and {k} overlap, touch, or are out of order; "
+                "canonical form needs strictly separated ascending intervals"
+            )
+        prev_num, prev_den = hi_n, hi_d
+    raise InternalInvariantError("endpoint sequence not rising, yet no interval is at fault")
+
+
 class IntervalEvent:
     """A canonical finite union of half-open intervals [lo, hi) inside [0, 1).
 
@@ -66,23 +117,23 @@ class IntervalEvent:
     rejects any list that is not already canonical (unsorted, overlapping,
     touching, empty, or out-of-range intervals).  Use :meth:`normalized`
     to build an event from an arbitrary interval list instead.
+    Instances are immutable and hashable.
     """
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("_ends",)
 
-    def __post_init__(self) -> None:
-        cleaned = _coerce_pairs(self.intervals)
-        object.__setattr__(self, "intervals", cleaned)
-        prev_hi: Fraction | None = None
-        for k, (lo, hi) in enumerate(cleaned):
-            if not 0 <= lo < hi <= 1:
-                raise InputError(f"interval {k} must satisfy 0 <= lo < hi <= 1, got [{lo}, {hi})")
-            if prev_hi is not None and lo <= prev_hi:
-                raise InputError(
-                    f"intervals {k - 1} and {k} overlap, touch, or are out of order; "
-                    "canonical form needs strictly separated ascending intervals"
-                )
-            prev_hi = hi
+    def __init__(self, intervals: Iterable = ()) -> None:
+        ends: list[int] = []
+        for lo, hi in _coerce_pairs(intervals):
+            ends += (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        object.__setattr__(self, "_ends", _checked(tuple(ends)))
+
+    @classmethod
+    def _from_ends(cls, ends: tuple[int, ...]) -> "IntervalEvent":
+        """Build an event from a flat tuple of reduced integer endpoints."""
+        event = object.__new__(cls)
+        object.__setattr__(event, "_ends", _checked(ends))
+        return event
 
     @classmethod
     def normalized(cls, pairs: Iterable) -> "IntervalEvent":
@@ -110,48 +161,114 @@ class IntervalEvent:
         return cls(tuple((lo, hi) for lo, hi in merged))
 
     @property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The intervals as ``(lo, hi)`` Fraction pairs, in ascending order."""
+        e = self._ends
+        return tuple(
+            (Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
+            for lo_n, lo_d, hi_n, hi_d in _quads(e)
+        )
+
+    @property
     def is_zero(self) -> bool:
-        return not self.intervals
+        return not self._ends
 
     @property
     def is_one(self) -> bool:
-        return self.intervals == ((Fraction(0), Fraction(1)),)
+        return self._ends == (0, 1, 1, 1)
 
     def measure(self) -> Fraction:
-        """Exact Lebesgue measure: the sum of the interval lengths."""
-        return sum((hi - lo for lo, hi in self.intervals), Fraction(0))
+        """Exact Lebesgue measure: the sum of the interval lengths.
+
+        Numerators are summed per denominator, then the per-denominator
+        terms are added pairwise, level by level, without reducing, and one
+        Fraction is built at the end.  With many distinct denominators the
+        balanced sum keeps the big-int operands of similar size, where a
+        running sum would redo its whole growing numerator at every term.
+        """
+        e = self._ends
+        by_den: dict[int, int] = {}
+        for lo_n, lo_d, hi_n, hi_d in _quads(e):
+            by_den[hi_d] = by_den.get(hi_d, 0) + hi_n
+            by_den[lo_d] = by_den.get(lo_d, 0) - lo_n
+        terms = [(n, d) for d, n in by_den.items()] or [(0, 1)]
+        while len(terms) > 1:
+            paired = [(n1 * d2 + n2 * d1, d1 * d2) for (n1, d1), (n2, d2) in zip(terms[0::2], terms[1::2])]
+            if len(terms) % 2:
+                paired.append(terms[-1])
+            terms = paired
+        num, den = terms[0]
+        return Fraction(num, den)
 
     def meet(self, other: "IntervalEvent") -> "IntervalEvent":
         """Set intersection, returned in canonical form."""
-        res = []
-        a, b = self.intervals, other.intervals
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo < hi:
-                res.append((lo, hi))
-            if a[i][1] <= b[j][1]:
-                i += 1
-            else:
-                j += 1
-        return IntervalEvent(tuple(res))
+        a, b = self._ends, other._ends
+        len_a, len_b = len(a), len(b)
+        res: list[int] = []
+        if len_a and len_b:
+            i = j = 0
+            a_ln, a_ld, a_hn, a_hd = a[0:4]
+            b_ln, b_ld, b_hn, b_hd = b[0:4]
+            while True:
+                # the interval that ends first bounds the overlap and is used up
+                if a_hn * b_hd <= b_hn * a_hd:
+                    if a_ln * b_ld >= b_ln * a_ld:
+                        res += (a_ln, a_ld, a_hn, a_hd)
+                    elif b_ln * a_hd < a_hn * b_ld:
+                        res += (b_ln, b_ld, a_hn, a_hd)
+                    i += 4
+                    if i == len_a:
+                        break
+                    a_ln, a_ld, a_hn, a_hd = a[i : i + 4]
+                else:
+                    if b_ln * a_ld >= a_ln * b_ld:
+                        res += (b_ln, b_ld, b_hn, b_hd)
+                    elif a_ln * b_hd < b_hn * a_ld:
+                        res += (a_ln, a_ld, b_hn, b_hd)
+                    j += 4
+                    if j == len_b:
+                        break
+                    b_ln, b_ld, b_hn, b_hd = b[j : j + 4]
+        return IntervalEvent._from_ends(tuple(res))
 
     def join(self, other: "IntervalEvent") -> "IntervalEvent":
-        """Set union, returned in canonical form (adjacent pieces merged)."""
-        return IntervalEvent.normalized(self.intervals + other.intervals)
+        """Set union, returned in canonical form (adjacent pieces merged).
+
+        A linear merge of the two ascending interval sequences.
+        """
+        a, b = self._ends, other._ends
+        len_a, len_b = len(a), len(b)
+        res: list[int] = []
+        i = j = 0
+        while i < len_a or j < len_b:
+            # take whichever next interval starts first
+            if j >= len_b or (i < len_a and a[i] * b[j + 1] <= b[j] * a[i + 1]):
+                lo_n, lo_d, hi_n, hi_d = a[i], a[i + 1], a[i + 2], a[i + 3]
+                i += 4
+            else:
+                lo_n, lo_d, hi_n, hi_d = b[j], b[j + 1], b[j + 2], b[j + 3]
+                j += 4
+            if res and lo_n * res[-1] <= res[-2] * lo_d:
+                # overlaps or touches the last merged interval: extend it
+                if hi_n * res[-1] > res[-2] * hi_d:
+                    res[-2] = hi_n
+                    res[-1] = hi_d
+            else:
+                res += (lo_n, lo_d, hi_n, hi_d)
+        return IntervalEvent._from_ends(tuple(res))
 
     def complement(self) -> "IntervalEvent":
-        """Complement inside [0, 1)."""
-        res = []
-        cursor = Fraction(0)
-        for lo, hi in self.intervals:
-            if cursor < lo:
-                res.append((cursor, lo))
-            cursor = hi
-        if cursor < 1:
-            res.append((cursor, Fraction(1)))
-        return IntervalEvent(tuple(res))
+        """Complement inside [0, 1).
+
+        The complement's endpoints are 0, this event's endpoints, and 1,
+        less a 0 or 1 that this event already starts or ends at.
+        """
+        e = self._ends
+        if not e:
+            return IntervalEvent._from_ends((0, 1, 1, 1))
+        ends = (0, 1) + e if e[0] > 0 else e[2:]
+        ends = ends + (1, 1) if e[-2] < e[-1] else ends[:-2]
+        return IntervalEvent._from_ends(ends)
 
     def leq(self, other: "IntervalEvent") -> bool:
         """Containment as point sets: true iff meet(self, other) == self."""
@@ -172,19 +289,38 @@ class IntervalEvent:
                 f"carve target must lie strictly between 0 and the event measure: "
                 f"got target {want} for measure {total}"
             )
-        res = []
+        e = self._ends
+        res: list[int] = []
         remaining = want
-        for lo, hi in self.intervals:
-            length = hi - lo
+        for lo_n, lo_d, hi_n, hi_d in _quads(e):
+            length = Fraction(hi_n * lo_d - lo_n * hi_d, hi_d * lo_d)
             if remaining >= length:
-                res.append((lo, hi))
+                res += (lo_n, lo_d, hi_n, hi_d)
                 remaining -= length
             else:
-                res.append((lo, lo + remaining))
+                hi = Fraction(lo_n, lo_d) + remaining
+                res += (lo_n, lo_d, hi.numerator, hi.denominator)
                 remaining = Fraction(0)
             if remaining == 0:
                 break
-        return IntervalEvent(tuple(res))
+        return IntervalEvent._from_ends(tuple(res))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._ends == other._ends
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._ends)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (IntervalEvent._from_ends, (self._ends,))
 
     def __and__(self, other: "IntervalEvent") -> "IntervalEvent":
         return self.meet(other)
@@ -195,10 +331,17 @@ class IntervalEvent:
     def __invert__(self) -> "IntervalEvent":
         return self.complement()
 
+    def __repr__(self) -> str:
+        return f"IntervalEvent(intervals={self.intervals!r})"
+
     def __str__(self) -> str:
         if self.is_zero:
             return "(empty)"
-        return " | ".join(f"[{lo}, {hi})" for lo, hi in self.intervals)
+        e = self._ends
+        return " | ".join(
+            f"[{_rational_str(lo_n, lo_d)}, {_rational_str(hi_n, hi_d)})"
+            for lo_n, lo_d, hi_n, hi_d in _quads(e)
+        )
 
 
 EMPTY = IntervalEvent(())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -33,9 +34,16 @@ def parse_rational(text: Any) -> Fraction:
     match = _RATIONAL_RE.match(text.strip())
     if not match:
         raise InputError(f"malformed rational {text!r}; expected 'p/q' or an integer string")
-    if match.group(1) == "0":
+    if match.group(1) is not None and not match.group(1).strip("0"):
         raise InputError(f"zero denominator in rational {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ValueError:
+        # the interpreter's int-string limit (sys.get_int_max_str_digits(), 4300 by default)
+        raise InputError(
+            f"rational {text[:20]}... has a numerator or denominator longer than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def loads(text: str) -> Any:
@@ -44,6 +52,10 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise InputError(
+            f"JSON nested too deeply; the limit is about {sys.getrecursionlimit()} levels"
+        ) from None
 
 
 def _field(obj: Any, key: str) -> Any:

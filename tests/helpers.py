@@ -68,7 +68,34 @@ def set_oracle(a: IntervalEvent, b: IntervalEvent | None, op) -> IntervalEvent:
     return IntervalEvent(tuple((lo, hi) for lo, hi in merged))
 
 
-def random_event(rng: random.Random, max_parts: int = 3) -> IntervalEvent:
+# Denominators for mixed-denominator events: small ones, the primes 7, 11
+# and 13, and the large prime 999983, so endpoints rarely share one.
+MIXED_DENOMINATORS = (1, 2, 3, 4, 6, 7, 8, 11, 12, 13, 16, 60, 999983)
+
+
+def endpoint_input(value: Fraction, scale: int, as_text: bool):
+    """``value`` as a constructor input: a Fraction, or a possibly unreduced 'p/q' string."""
+    if not as_text:
+        return value
+    return f"{value.numerator * scale}/{value.denominator * scale}"
+
+
+def random_event(rng: random.Random, max_parts: int = 3, mixed: bool = False) -> IntervalEvent:
+    """A random canonical event.
+
+    By default all endpoints share one denominator.  With ``mixed=True``
+    each endpoint draws its own denominator from ``MIXED_DENOMINATORS``
+    and is passed to the constructor either as a Fraction or as an
+    unreduced string such as ``"2/4"``.
+    """
+    if mixed:
+        count = rng.randint(0, max_parts)
+        drawn: set[Fraction] = set()
+        while len(drawn) < 2 * count:
+            den = rng.choice(MIXED_DENOMINATORS)
+            drawn.add(Fraction(rng.randint(0, den), den))
+        ends = [endpoint_input(x, rng.randint(1, 3), rng.random() < 0.5) for x in sorted(drawn)]
+        return IntervalEvent(tuple(zip(ends[0::2], ends[1::2])))
     den = rng.choice([8, 12, 16, 24, 32, 60])
     count = rng.randint(0, max_parts)
     if count == 0:
@@ -80,9 +107,9 @@ def random_event(rng: random.Random, max_parts: int = 3) -> IntervalEvent:
     return IntervalEvent(pairs)
 
 
-def random_nonzero_event(rng: random.Random, max_parts: int = 3) -> IntervalEvent:
+def random_nonzero_event(rng: random.Random, max_parts: int = 3, mixed: bool = False) -> IntervalEvent:
     while True:
-        ev = random_event(rng, max_parts)
+        ev = random_event(rng, max_parts, mixed)
         if not ev.is_zero and not ev.is_one:
             return ev
 

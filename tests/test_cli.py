@@ -313,3 +313,57 @@ class TestOutputs:
         outputs.append(json.loads(out))
         for obj in outputs:
             jsonschema.validate(obj, schema)
+
+
+def _one_line(err: str, prefix: str) -> bool:
+    return err.startswith(prefix) and err.count("\n") == 1
+
+
+class TestResourceLimits:
+    """Inputs past the documented limits end in exit 1 and one diagnostic line."""
+
+    def test_inline_json_longer_than_path_limit(self):
+        bad = {"a": {"intervals": [["0", "1/0"]]}, "b": {"intervals": [["0", "1/2"]]}, "pad": "x" * 5000}
+        code, out, err = run_cli(["construct", json.dumps(bad)])
+        assert code == 1 and not out
+        assert _one_line(err, "input error: zero denominator")
+        good = json.loads(WORKED_INPUT) | {"pad": "x" * 5000}
+        assert run_cli(["construct", json.dumps(good), "--json"])[0] == 0
+
+    def test_rational_past_digit_limit(self):
+        payload = {"a": {"intervals": [["0", "1/" + "3" * 5000]]}, "b": {"intervals": [["0", "1/2"]]}}
+        code, out, err = run_cli(["construct", json.dumps(payload)])
+        assert code == 1 and not out
+        assert _one_line(err, "input error: rational 1/33333")
+        assert "digits" in err
+
+    def test_zero_denominator_is_reported_before_digit_limit(self):
+        for den in ("00", "0" * 5000):
+            payload = {"a": {"intervals": [["0", "1/" + den]]}, "b": {"intervals": [["0", "1/2"]]}}
+            code, _, err = run_cli(["construct", json.dumps(payload)])
+            assert code == 1
+            assert _one_line(err, "input error: zero denominator in rational")
+
+    def test_deeply_nested_json(self):
+        code, out, err = run_cli(["construct", '{"a": ' + "[" * 100_000 + "]" * 100_000 + "}"])
+        assert code == 1 and not out
+        assert _one_line(err, "input error: JSON nested too deeply")
+
+    def test_unreadable_input_path(self, tmp_path):
+        code, _, err = run_cli(["construct", str(tmp_path)])
+        assert code == 1
+        assert _one_line(err, "input error: cannot read input file")
+        binary = tmp_path / "payload.bin"
+        binary.write_bytes(b"\xff\xfe\x00{")
+        code, _, err = run_cli(["construct", str(binary)])
+        assert code == 1
+        assert _one_line(err, "input error: input file is not text")
+
+    def test_max_points_below_one_is_a_usage_error(self):
+        payload = json.dumps(
+            {"space": {"weights": ["1/2", "1/2"]}, "a": {"members": [0]}, "b": {"members": [0]}, "n": 2}
+        )
+        for bad in ("0", "-1"):
+            code, out, err = run_cli(["search", payload, "--max-points", bad])
+            assert code == 1 and not out
+            assert _one_line(err, "usage error: argument --max-points: must be at least 1")

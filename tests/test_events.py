@@ -1,7 +1,10 @@
 """Interval event algebra: canonical form, Boolean laws, measure, carve."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +12,31 @@ from hypothesis import strategies as st
 
 from rccs import EMPTY, FULL, InputError, IntervalEvent, PreconditionError
 
-from .helpers import iv, set_oracle
+from .helpers import (
+    MIXED_DENOMINATORS,
+    endpoint_input,
+    iv,
+    random_event,
+    random_nonzero_event,
+    set_oracle,
+)
+
+_MIXED_ENDPOINT = st.sampled_from(MIXED_DENOMINATORS).flatmap(
+    lambda den: st.integers(0, den).map(lambda num: Fraction(num, den))
+)
 
 
 @st.composite
-def interval_events(draw, max_parts=3):
+def interval_events(draw, max_parts=3, mixed=False):
+    """Canonical events on one denominator, or with ``mixed=True`` one per
+    endpoint, given as Fractions or as unreduced strings such as "2/4"."""
+    if mixed:
+        count = draw(st.integers(min_value=0, max_value=max_parts))
+        points = sorted(
+            draw(st.lists(_MIXED_ENDPOINT, min_size=2 * count, max_size=2 * count, unique=True))
+        )
+        ends = [endpoint_input(x, draw(st.integers(1, 3)), draw(st.booleans())) for x in points]
+        return IntervalEvent(tuple(zip(ends[0::2], ends[1::2])))
     den = draw(st.sampled_from([8, 12, 16, 24, 32, 60]))
     count = draw(st.integers(min_value=0, max_value=max_parts))
     points = sorted(
@@ -144,8 +167,6 @@ class TestOperations:
 
     def test_fuzz_against_set_oracle(self):
         rng = random.Random(101)
-        from .helpers import random_event
-
         for _ in range(300):
             a = random_event(rng)
             b = random_event(rng)
@@ -213,8 +234,6 @@ class TestCarve:
 
     def test_contract_on_random_inputs(self):
         rng = random.Random(7)
-        from .helpers import random_nonzero_event
-
         for _ in range(200):
             a = random_nonzero_event(rng)
             total = a.measure()
@@ -226,3 +245,138 @@ class TestCarve:
             assert piece.leq(a)
             assert piece != a
             assert not piece.is_zero
+
+    def test_contract_on_mixed_denominators(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            a = random_nonzero_event(rng, mixed=True)
+            total = a.measure()
+            x = total * Fraction(rng.randint(1, 15), 16)
+            piece = a.carve(x)
+            assert piece.measure() == x
+            assert piece.leq(a)
+            assert piece != a
+
+
+def _endpoint_pairs(event: IntervalEvent) -> set[tuple[int, int]]:
+    """The stored (numerator, denominator) pairs of an event's endpoints."""
+    ends = event._ends
+    return set(zip(ends[0::2], ends[1::2]))
+
+
+class TestIntegerKernel:
+    """The integer-pair kernel against Fraction oracles, on events whose
+    endpoints each have their own denominator."""
+
+    def test_fuzz_mixed_against_set_oracle(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            a = random_event(rng, max_parts=5, mixed=True)
+            b = random_event(rng, max_parts=5, mixed=True)
+            assert a.meet(b) == set_oracle(a, b, lambda x, y: x and y)
+            assert a.join(b) == set_oracle(a, b, lambda x, y: x or y)
+            assert a.complement() == set_oracle(a, None, lambda x, _: not x)
+
+    @given(interval_events(mixed=True), interval_events(mixed=True))
+    @settings(deadline=None)
+    def test_set_operations_match_oracle(self, a, b):
+        assert a.meet(b) == set_oracle(a, b, lambda x, y: x and y)
+        assert a.join(b) == set_oracle(a, b, lambda x, y: x or y)
+        assert a.complement() == set_oracle(a, None, lambda x, _: not x)
+
+    @given(interval_events(max_parts=6, mixed=True))
+    def test_measure_matches_plain_sum(self, a):
+        expected = sum((hi - lo for lo, hi in a.intervals), Fraction(0))
+        got = a.measure()
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+    @given(interval_events(mixed=True), interval_events(mixed=True))
+    def test_equality_and_hash_match_oracle(self, a, b):
+        same_points = set_oracle(a, b, lambda x, y: x != y).is_zero
+        assert (a == b) == same_points == (a.intervals == b.intervals)
+        if a == b:
+            assert hash(a) == hash(b)
+        rebuilt = IntervalEvent(
+            tuple((endpoint_input(lo, 2, True), endpoint_input(hi, 3, True)) for lo, hi in a.intervals)
+        )
+        assert rebuilt == a
+        assert hash(rebuilt) == hash(a)
+
+    def test_unreduced_strings_equal_reduced(self):
+        half = IntervalEvent((("2/4", "6/8"),))
+        assert half == IntervalEvent((("1/2", "3/4"),))
+        assert half == IntervalEvent(((Fraction(1, 2), Fraction(3, 4)),))
+        assert hash(half) == hash(IntervalEvent((("1/2", "3/4"),)))
+        assert IntervalEvent(((0, "7/7"),)) == FULL
+        assert hash(IntervalEvent((("0/5", 1),))) == hash(FULL)
+        assert half.intervals == ((Fraction(1, 2), Fraction(3, 4)),)
+
+    def test_results_reuse_operand_endpoints(self):
+        # the set operations copy endpoints; they never rescale to a shared denominator
+        rng = random.Random(99)
+        bounds = {(0, 1), (1, 1)}
+        for _ in range(300):
+            a = random_event(rng, max_parts=6, mixed=True)
+            b = random_event(rng, max_parts=6, mixed=True)
+            operands = _endpoint_pairs(a) | _endpoint_pairs(b) | bounds
+            assert _endpoint_pairs(a.meet(b)) <= operands
+            assert _endpoint_pairs(a.join(b)) <= operands
+            assert _endpoint_pairs(a.complement()) <= _endpoint_pairs(a) | bounds
+            for num, den in _endpoint_pairs(a):
+                assert den > 0 and gcd(num, den) == 1
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ((("1/2", "3/2"),), "interval 0 must satisfy 0 <= lo < hi <= 1, got [1/2, 3/2)"),
+            ((("-1/2", "1/2"),), "interval 0 must satisfy 0 <= lo < hi <= 1, got [-1/2, 1/2)"),
+            ((("2/4", "1/2"),), "interval 0 must satisfy 0 <= lo < hi <= 1, got [1/2, 1/2)"),
+            ((("3/4", "1/4"),), "interval 0 must satisfy 0 <= lo < hi <= 1, got [3/4, 1/4)"),
+            ((("0", "1/4"), ("1/2", "5/4")), "interval 1 must satisfy 0 <= lo < hi <= 1, got [1/2, 5/4)"),
+            # the range check of interval 1 comes before its order check
+            ((("1/2", "3/4"), ("1/4", "2")), "interval 1 must satisfy 0 <= lo < hi <= 1, got [1/4, 2)"),
+            (
+                (("0", "2/4"), ("1/2", "1")),
+                "intervals 0 and 1 overlap, touch, or are out of order; "
+                "canonical form needs strictly separated ascending intervals",
+            ),
+            (
+                (("0", "1/7"), ("1/11", "1/2"), ("3/4", "1")),
+                "intervals 0 and 1 overlap, touch, or are out of order; "
+                "canonical form needs strictly separated ascending intervals",
+            ),
+            (
+                (("0", "1/8"), ("1/4", "1/2"), ("1/3", "1")),
+                "intervals 1 and 2 overlap, touch, or are out of order; "
+                "canonical form needs strictly separated ascending intervals",
+            ),
+            (((0.0, 0.5),), "float value 0.0 rejected: scalars must be exact; pass a Fraction or a 'p/q' string"),
+            ((("0", "1/0"),), "zero denominator in rational '1/0'"),
+            ((("0", "a/b"),), "malformed rational 'a/b'"),
+            (((True, "1/2"),), "booleans are not rational scalars"),
+            ((("1/2",),), "each interval must be a (lo, hi) pair"),
+        ],
+    )
+    def test_constructor_rejections_keep_their_messages(self, pairs, message):
+        with pytest.raises(InputError) as err:
+            IntervalEvent(pairs)
+        assert str(err.value) == message
+
+    def test_repr_str_and_read_only_intervals(self):
+        ev = iv("0", "1/2", "9/10", "1")
+        assert repr(ev) == (
+            "IntervalEvent(intervals=((Fraction(0, 1), Fraction(1, 2)), (Fraction(9, 10), Fraction(1, 1))))"
+        )
+        assert repr(EMPTY) == "IntervalEvent(intervals=())"
+        assert str(ev) == "[0, 1/2) | [9/10, 1)"
+        assert IntervalEvent(intervals=ev.intervals) == ev
+        with pytest.raises(AttributeError):
+            ev.intervals = ()
+        with pytest.raises(AttributeError):
+            ev._ends = ()
+
+    def test_copy_and_pickle_round_trip(self):
+        ev = iv("1/7", "1/2", "999982/999983", "1")
+        for clone in (copy.copy(ev), copy.deepcopy(ev), pickle.loads(pickle.dumps(ev))):
+            assert clone == ev and hash(clone) == hash(ev)

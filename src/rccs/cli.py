@@ -11,6 +11,8 @@ Exit codes are a stable contract:
      limit in docs/formats.md, bad flags)
 * 2  precondition failure (not correlated, not logically independent, ...)
 * 3  verification rejected a structurally valid candidate
+* 4  internal error: a bug in the package (InternalInvariantError or any
+     other unexpected exception), reported on one line
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 from . import bell as bell_mod
 from . import serialize
 from .engine import construction_steps, verify_rccs
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, echo
 from .events import IntervalEvent
 from .finite import DEFAULT_MAX_POINTS
 
@@ -155,7 +157,7 @@ def _run_search(args) -> int:
     b = serialize.finite_event_from_obj(serialize._field(payload, "b"), space)
     n = serialize._field(payload, "n")
     if isinstance(n, bool) or not isinstance(n, int):
-        raise InputError(f"'n' must be an integer, got {n!r}")
+        raise InputError(f"'n' must be an integer, got {echo(n)}")
     hits = search_rccs(space, a, b, n, max_points=args.max_points)
     if args.json:
         obj = {
@@ -296,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, never a bad input: keep it apart from codes 1-3
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

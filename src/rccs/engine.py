@@ -42,39 +42,45 @@ def _require_compat_pair(a: LatticeEvent, b: LatticeEvent) -> None:
         raise PreconditionError("events are not compatible")
 
 
-def _conditionals(
-    a: LatticeEvent, b: LatticeEvent, cells: tuple[LatticeEvent, ...]
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
+_Quads = tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]
+_Cross = tuple[tuple[int, int, bool], ...]
+
+
+def _cell_quads(a: LatticeEvent, b: LatticeEvent, cells: tuple[LatticeEvent, ...]) -> _Quads:
+    """``(m, m_a, m_b, m_ab)`` per cell: the measure of the cell and of its meets with a, b, a&b."""
     a_and_b = a.meet(b)
-    measures, cond_a, cond_b, cond_ab = [], [], [], []
+    quads = []
     for k, cell in enumerate(cells):
         weight = cell.measure()
         if weight == 0:
             raise PreconditionError(f"cell {k} has measure zero; conditionals are undefined")
-        if not (compatible(cell, a) and compatible(cell, b)):
-            raise PreconditionError(f"cell {k} is not compatible with both events")
-        measures.append(weight)
-        cond_a.append(a.meet(cell).measure() / weight)
-        cond_b.append(b.meet(cell).measure() / weight)
-        cond_ab.append(a_and_b.meet(cell).measure() / weight)
-    return tuple(measures), tuple(cond_a), tuple(cond_b), tuple(cond_ab)
+        quads.append((weight, a.meet(cell).measure(), b.meet(cell).measure(), a_and_b.meet(cell).measure()))
+    return tuple(quads)
 
 
-def _decomposition_sides(
-    a: LatticeEvent,
-    b: LatticeEvent,
-    measures: tuple[Fraction, ...],
-    cond_a: tuple[Fraction, ...],
-    cond_b: tuple[Fraction, ...],
-) -> tuple[Fraction, Fraction]:
-    lhs = a.meet(b).measure() - a.measure() * b.measure()
+def _conditions(quads: _Quads) -> tuple[tuple[bool, ...], _Cross, tuple[tuple[Fraction, Fraction], ...], Fraction]:
+    """The defining conditions on per-cell quadruples ``(m, m_a, m_b, m_ab)``, without division.
+
+    With P(x|c) = m_x / m and every m > 0, screening-off is
+    ``m m_ab == m_a m_b``; for cells i < j, ``da = a_i m_j - a_j m_i`` is
+    m_i m_j (P(a|c_i) - P(a|c_j)) and ``db`` likewise, so the cross
+    condition is ``da db > 0`` and the decomposition right-hand side is
+    the sum of ``da db / (m_i m_j)``.  Returns the screening-off flags,
+    ``(i, j, ok)`` and ``(da, db)`` per pair, and that right-hand side.
+    """
+    screening = tuple(m * m_ab == m_a * m_b for m, m_a, m_b, m_ab in quads)
+    cross, diffs = [], []
     rhs = Fraction(0)
-    n = len(measures)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                rhs += measures[i] * measures[j] * (cond_a[i] - cond_a[j]) * (cond_b[i] - cond_b[j])
-    return lhs, rhs / 2
+    for i, (m_i, a_i, b_i, _) in enumerate(quads):
+        for j in range(i + 1, len(quads)):
+            m_j, a_j, b_j, _ = quads[j]
+            da = a_i * m_j - a_j * m_i
+            db = b_i * m_j - b_j * m_i
+            product = da * db
+            cross.append((i, j, product > 0))
+            diffs.append((da, db))
+            rhs += product / (m_i * m_j)
+    return screening, tuple(cross), tuple(diffs), rhs
 
 
 @dataclass(frozen=True)
@@ -103,13 +109,10 @@ class CommonCauseSystem:
             for k, value in enumerate(row):
                 if not 0 <= value <= 1:
                     raise InputError(f"{name}[{k}] = {value} is outside [0, 1]")
-        for k in range(n):
-            if self.cond_ab[k] != self.cond_a[k] * self.cond_b[k]:
-                raise InputError(f"screening-off fails on cell {k}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (self.cond_a[i] - self.cond_a[j]) * (self.cond_b[i] - self.cond_b[j]) <= 0:
-                    raise InputError(f"cross-difference condition fails for cells ({i}, {j})")
+        screening, cross, _, _ = _conditions(tuple(zip((1,) * n, self.cond_a, self.cond_b, self.cond_ab)))
+        failure = _first_failure(None, screening, cross)
+        if failure is not None:
+            raise InputError(failure)
 
     @property
     def size(self) -> int:
@@ -144,12 +147,7 @@ class VerificationReport:
     failure: str | None = None
 
 
-def _first_failure(
-    size_note: str | None,
-    screening: tuple[bool, ...],
-    cross: tuple[tuple[int, int, bool], ...],
-    cross_labels: dict[tuple[int, int], str] | None = None,
-) -> str | None:
+def _first_failure(size_note: str | None, screening: tuple[bool, ...], cross: _Cross) -> str | None:
     if size_note is not None:
         return size_note
     for k, ok in enumerate(screening):
@@ -157,45 +155,41 @@ def _first_failure(
             return f"screening-off fails on cell {k}"
     for i, j, ok in cross:
         if not ok:
-            if cross_labels and (i, j) in cross_labels:
-                return cross_labels[(i, j)]
             return f"cross-difference condition fails for cells ({i}, {j})"
     return None
+
+
+def _report(
+    quads: _Quads, screening: tuple[bool, ...], cross: _Cross, lhs: Fraction, rhs: Fraction, failure: str | None
+) -> VerificationReport:
+    return VerificationReport(
+        screening_off_ok=screening,
+        cross_ok=cross,
+        cell_measures=tuple(m for m, _, _, _ in quads),
+        cond_a=tuple(m_a / m for m, m_a, _, _ in quads),
+        cond_b=tuple(m_b / m for m, _, m_b, _ in quads),
+        cond_ab=tuple(m_ab / m for m, _, _, m_ab in quads),
+        decomposition_lhs=lhs,
+        decomposition_rhs=rhs,
+        verdict=failure is None,
+        failure=failure,
+    )
 
 
 def verify_rccs(a: LatticeEvent, b: LatticeEvent, partition: Partition) -> VerificationReport:
     """Check, exactly, whether a partition is a common cause system for (a, b).
 
-    The pair must be correlated; every cell must be compatible with both
-    events and have positive measure.  Partitions of size 1 are
-    structurally valid but are rejected with a "size < 2" diagnostic,
-    since the cross-difference condition quantifies over distinct pairs.
+    The pair must be compatible and correlated, and every cell must have
+    positive measure.  Partitions of size 1 are structurally valid but
+    are rejected with a "size < 2" diagnostic, since the cross-difference
+    condition quantifies over distinct pairs.
     """
     _require_compat_pair(a, b)
-    _require_correlated(a, b)
-    measures, cond_a, cond_b, cond_ab = _conditionals(a, b, partition.cells)
-    screening = tuple(cond_ab[k] == cond_a[k] * cond_b[k] for k in range(partition.size))
-    cross = tuple(
-        (i, j, (cond_a[i] - cond_a[j]) * (cond_b[i] - cond_b[j]) > 0)
-        for i in range(partition.size)
-        for j in range(i + 1, partition.size)
-    )
-    lhs, rhs = _decomposition_sides(a, b, measures, cond_a, cond_b)
+    excess = _require_correlated(a, b)
+    quads = _cell_quads(a, b, partition.cells)
+    screening, cross, _, rhs = _conditions(quads)
     size_note = "size < 2: a single cell admits no cross-difference condition" if partition.size < 2 else None
-    failure = _first_failure(size_note, screening, cross)
-    verdict = failure is None
-    return VerificationReport(
-        screening_off_ok=screening,
-        cross_ok=cross,
-        cell_measures=measures,
-        cond_a=cond_a,
-        cond_b=cond_b,
-        cond_ab=cond_ab,
-        decomposition_lhs=lhs,
-        decomposition_rhs=rhs,
-        verdict=verdict,
-        failure=failure,
-    )
+    return _report(quads, screening, cross, excess, rhs, _first_failure(size_note, screening, cross))
 
 
 def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -> VerificationReport:
@@ -214,32 +208,15 @@ def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -
         raise PreconditionError(
             f"a common cause must have measure strictly between 0 and 1, got {cause_measure}"
         )
-    _require_correlated(a, b)
-    cells = (cause, cause.complement())
-    measures, cond_a, cond_b, cond_ab = _conditionals(a, b, cells)
-    screening = tuple(cond_ab[k] == cond_a[k] * cond_b[k] for k in range(2))
-    raises_a = cond_a[0] > cond_a[1]
-    raises_b = cond_b[0] > cond_b[1]
-    cross = ((0, 1, raises_a and raises_b),)
-    labels = {}
-    if not raises_a:
-        labels[(0, 1)] = "the cause does not raise the conditional probability of the first event"
-    elif not raises_b:
-        labels[(0, 1)] = "the cause does not raise the conditional probability of the second event"
-    lhs, rhs = _decomposition_sides(a, b, measures, cond_a, cond_b)
-    failure = _first_failure(None, screening, cross, labels)
-    return VerificationReport(
-        screening_off_ok=screening,
-        cross_ok=cross,
-        cell_measures=measures,
-        cond_a=cond_a,
-        cond_b=cond_b,
-        cond_ab=cond_ab,
-        decomposition_lhs=lhs,
-        decomposition_rhs=rhs,
-        verdict=failure is None,
-        failure=failure,
-    )
+    excess = _require_correlated(a, b)
+    quads = _cell_quads(a, b, (cause, cause.complement()))
+    screening, _, ((da, db),), rhs = _conditions(quads)
+    failure = _first_failure(None, screening, ())
+    if failure is None and not da > 0:
+        failure = "the cause does not raise the conditional probability of the first event"
+    elif failure is None and not db > 0:
+        failure = "the cause does not raise the conditional probability of the second event"
+    return _report(quads, screening, ((0, 1, da > 0 and db > 0),), excess, rhs, failure)
 
 
 def correlation_decomposition(
@@ -258,13 +235,13 @@ def correlation_decomposition(
     failure raises, naming the offending cell.
     """
     _require_compat_pair(a, b)
-    measures, cond_a, cond_b, cond_ab = _conditionals(a, b, partition.cells)
-    for k in range(partition.size):
-        if cond_ab[k] != cond_a[k] * cond_b[k]:
+    screening, _, _, rhs = _conditions(_cell_quads(a, b, partition.cells))
+    for k, ok in enumerate(screening):
+        if not ok:
             raise PreconditionError(
                 f"screening-off fails on cell {k}; the decomposition identity needs it on every cell"
             )
-    return _decomposition_sides(a, b, measures, cond_a, cond_b)
+    return correlation(a, b), rhs
 
 
 @dataclass(frozen=True)
@@ -325,7 +302,8 @@ def construction_steps(
             "logically dependent events), so the construction cannot succeed"
         )
     joint = a.meet(b)
-    union_gap = Fraction(1) - a.join(b).measure()
+    union = a.join(b)
+    union_gap = Fraction(1) - union.measure()
     if union_gap <= 0:
         raise InternalInvariantError(
             "a correlated pair must leave the union short of the whole space"
@@ -341,7 +319,7 @@ def construction_steps(
     null_target = rest_measure - (
         a.meet(rest_of_space).measure() * b.meet(rest_of_space).measure() / joint_rest
     )
-    neither = a.join(b).complement()
+    neither = union.complement()
     neither_measure = neither.measure()
     if not 0 < null_target <= neither_measure:
         raise InternalInvariantError(
@@ -357,11 +335,10 @@ def construction_steps(
 
     mixed_cell = full_cell.join(null_cell).complement()
     cells = Partition((full_cell, null_cell, mixed_cell))
-    _, cond_a, cond_b, cond_ab = _conditionals(a, b, cells.cells)
-    system = CommonCauseSystem(cells=cells, cond_a=cond_a, cond_b=cond_b, cond_ab=cond_ab)
     report = verify_rccs(a, b, cells)
     if not report.verdict:
         raise InternalInvariantError(f"constructed system failed verification: {report.failure}")
+    system = CommonCauseSystem(cells=cells, cond_a=report.cond_a, cond_b=report.cond_b, cond_ab=report.cond_ab)
     return ConstructionSteps(
         joint_excess=excess,
         carve_bound=bound,

@@ -1,6 +1,12 @@
 """Exception types shared across the package."""
 
 
+def echo(value: object) -> str:
+    """``repr(value)`` for a diagnostic, cut after 60 characters with its full length noted."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 class RccsError(Exception):
     """Base class for every error raised by this package."""
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from operator import lt, mul
 from typing import Iterable
 
-from .errors import InputError, InternalInvariantError, PreconditionError
+from .errors import InputError, InternalInvariantError, PreconditionError, echo
 
 RationalLike = Fraction | int | str
 
@@ -52,9 +52,9 @@ def as_fraction(value: RationalLike) -> Fraction:
         try:
             return Fraction(value)
         except ZeroDivisionError:
-            raise InputError(f"zero denominator in rational {value!r}") from None
+            raise InputError(f"zero denominator in rational {echo(value)}") from None
         except ValueError:
-            raise InputError(f"malformed rational {value!r}") from None
+            raise InputError(f"malformed rational {echo(value)}") from None
     raise InputError(f"cannot interpret {type(value).__name__} as a rational scalar")
 
 

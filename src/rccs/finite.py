@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, echo
 from .events import as_fraction
 from .lattice import Partition, correlation
 
@@ -71,10 +71,10 @@ class FiniteEvent:
         seen = set()
         for idx in self.members:
             if isinstance(idx, bool) or not isinstance(idx, int):
-                raise InputError(f"sample point indices must be integers, got {idx!r}")
+                raise InputError(f"sample point indices must be integers, got {echo(idx)}")
             if not 0 <= idx < len(self.space):
                 raise InputError(
-                    f"sample point {idx} out of range for a {len(self.space)}-point space"
+                    f"sample point {echo(idx)} out of range for a {len(self.space)}-point space"
                 )
             seen.add(idx)
         object.__setattr__(self, "members", tuple(sorted(seen)))
@@ -140,7 +140,7 @@ def enumerate_partitions(space: FiniteSpace, n: int) -> Iterator[Partition]:
     """
     m = len(space)
     if not 1 <= n <= m:
-        raise InputError(f"cell count {n} out of range 1..{m}")
+        raise InputError(f"cell count {echo(n)} out of range 1..{m}")
     labels = [0] * m
 
     def emit() -> Partition:
@@ -215,7 +215,7 @@ def search_rccs(
             "a common cause system explains only positive correlations"
         )
     if not 1 <= n <= m:
-        raise InputError(f"cell count {n} out of range 1..{m}")
+        raise InputError(f"cell count {echo(n)} out of range 1..{m}")
 
     scale = lcm(*(w.denominator for w in space.weights))
     point_weight = [w.numerator * (scale // w.denominator) for w in space.weights]

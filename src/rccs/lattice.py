@@ -7,6 +7,9 @@ small surface: ``meet``, ``join``, ``complement``, the induced order
 Everything in this module is written against that surface only, so the
 predicates work identically for either model and for any future one.
 
+In a Boolean algebra any two events are compatible; the tests check this
+for each shipped model, and the engine checks it once per public call.
+
 Only finite lattice operations appear in the contract.  Every algorithm
 in the package manipulates finitely many events, so countable joins are
 deliberately not part of the interface.
@@ -23,7 +26,7 @@ from .errors import InputError, InternalInvariantError, PreconditionError
 
 
 class LatticeEvent(Protocol):
-    """Structural protocol for events of a Boolean probability model."""
+    """Structural protocol for events of a Boolean probability model (all pairs compatible)."""
 
     def meet(self, other): ...
 
@@ -62,12 +65,6 @@ def compatible(a: E, b: E) -> bool:
             "compatibility test came out asymmetric; the event model is broken"
         )
     return a_side
-
-
-def _require_compatible(*pairs: tuple[E, E]) -> None:
-    for a, b in pairs:
-        if not compatible(a, b):
-            raise PreconditionError(f"events {a} and {b} are not compatible")
 
 
 def logically_independent(a: E, b: E) -> bool:
@@ -119,7 +116,6 @@ def correlation(a: E, b: E) -> Fraction:
 
     A strictly positive value means the events are correlated.
     """
-    _require_compatible((a, b))
     return a.meet(b).measure() - a.measure() * b.measure()
 
 
@@ -130,7 +126,9 @@ def check_product_inequality(a: E, b: E, c: E) -> bool:
     violation is raised loudly as an internal invariant failure.  The
     boolean return exists for property-test harnesses that assert it.
     """
-    _require_compatible((a, b), (a, c), (b, c))
+    for x, y in ((a, b), (a, c), (b, c)):
+        if not compatible(x, y):
+            raise PreconditionError(f"events {x} and {y} are not compatible")
     lhs = a.meet(c).measure() * b.meet(c).measure()
     rhs = a.meet(b).meet(c).measure() * a.join(b).meet(c).measure()
     if lhs < rhs:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any
 
 from .engine import CommonCauseSystem, ConstructionSteps, VerificationReport
-from .errors import InputError
+from .errors import InputError, echo
 from .events import IntervalEvent
 from .finite import FiniteEvent, FiniteSpace
 from .lattice import Partition
@@ -30,12 +30,12 @@ def format_rational(value: Fraction) -> str:
 def parse_rational(text: Any) -> Fraction:
     """Parse a 'p/q' or integer string, rejecting anything else."""
     if not isinstance(text, str):
-        raise InputError(f"rationals must be JSON strings, got {text!r}")
+        raise InputError(f"rationals must be JSON strings, got {echo(text)}")
     match = _RATIONAL_RE.match(text.strip())
     if not match:
-        raise InputError(f"malformed rational {text!r}; expected 'p/q' or an integer string")
+        raise InputError(f"malformed rational {echo(text)}; expected 'p/q' or an integer string")
     if match.group(1) is not None and not match.group(1).strip("0"):
-        raise InputError(f"zero denominator in rational {text!r}")
+        raise InputError(f"zero denominator in rational {echo(text)}")
     try:
         return Fraction(text.strip())
     except ValueError:
@@ -56,6 +56,8 @@ def loads(text: str) -> Any:
         raise InputError(
             f"JSON nested too deeply; the limit is about {sys.getrecursionlimit()} levels"
         ) from None
+    except ValueError:  # an integer literal past the interpreter's int-string limit
+        raise InputError(f"JSON number longer than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _field(obj: Any, key: str) -> Any:
@@ -117,7 +119,7 @@ def finite_event_from_obj(obj: Any, space: FiniteSpace) -> FiniteEvent:
     seen = set()
     for idx in raw:
         if isinstance(idx, bool) or not isinstance(idx, int):
-            raise InputError(f"sample point index {idx!r} is not an integer")
+            raise InputError(f"sample point index {echo(idx)} is not an integer")
         if idx in seen:
             raise InputError(f"duplicate sample point index {idx}")
         seen.add(idx)

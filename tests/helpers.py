@@ -3,13 +3,15 @@
 The oracles here deliberately avoid the code paths they are used to
 check.  The set-operation oracle works pointwise on the elementary
 subintervals induced by all endpoints; the Stirling numbers come from the
-standard recurrence; the search oracle scores every enumerated partition
-with Fraction conditionals.
+standard recurrence; the conditions oracle scores a list of cells with
+Fraction conditionals, and the search oracle applies it to every
+enumerated partition.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -136,31 +138,69 @@ def random_subset(rng: random.Random, space: FiniteSpace):
     return space.event(members)
 
 
+@dataclass(frozen=True)
+class OracleScore:
+    """The defining conditions on a list of cells, scored with Fraction quotients.
+
+    Deliberately independent of the engine's division-free kernel: each
+    conditional is a Fraction quotient of event measures, and ``rhs`` is
+    the textbook decomposition sum over ordered pairs i != j of
+    m_i m_j (P(a|c_i) - P(a|c_j)) (P(b|c_i) - P(b|c_j)), halved.
+    """
+
+    measures: tuple[Fraction, ...]
+    cond_a: tuple[Fraction, ...]
+    cond_b: tuple[Fraction, ...]
+    cond_ab: tuple[Fraction, ...]
+
+    @property
+    def screening(self) -> tuple[bool, ...]:
+        return oracle_conditions(self.cond_a, self.cond_b, self.cond_ab)[0]
+
+    @property
+    def cross(self) -> tuple[tuple[int, int, bool], ...]:
+        return oracle_conditions(self.cond_a, self.cond_b, self.cond_ab)[1]
+
+    @property
+    def accepted(self) -> bool:
+        return all(self.screening) and all(ok for _, _, ok in self.cross)
+
+    @property
+    def rhs(self) -> Fraction:
+        m, ca, cb, n = self.measures, self.cond_a, self.cond_b, len(self.measures)
+        pairs = (m[i] * m[j] * (ca[i] - ca[j]) * (cb[i] - cb[j]) for i in range(n) for j in range(n) if i != j)
+        return sum(pairs, Fraction(0)) / 2
+
+
+def oracle_conditions(cond_a, cond_b, cond_ab) -> tuple[tuple[bool, ...], tuple[tuple[int, int, bool], ...]]:
+    """Screening-off flags and cross-difference flags, straight from the conditionals."""
+    n = len(cond_a)
+    screening = tuple(cond_ab[k] == cond_a[k] * cond_b[k] for k in range(n))
+    cross = tuple(
+        (i, j, (cond_a[i] - cond_a[j]) * (cond_b[i] - cond_b[j]) > 0)
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    return screening, cross
+
+
+def oracle_score(a, b, cells) -> OracleScore:
+    """Measures and Fraction conditionals of ``cells`` for the pair (a, b)."""
+    a_and_b = a.meet(b)
+    measures = tuple(cell.measure() for cell in cells)
+    return OracleScore(
+        measures,
+        tuple(a.meet(cell).measure() / m for cell, m in zip(cells, measures)),
+        tuple(b.meet(cell).measure() / m for cell, m in zip(cells, measures)),
+        tuple(a_and_b.meet(cell).measure() / m for cell, m in zip(cells, measures)),
+    )
+
+
 def brute_force_search(space: FiniteSpace, a, b, n: int) -> list:
     """Every size-n common cause system, by scoring all S(m, n) partitions.
 
     Deliberately independent of the engine verifier and of the integer
-    exact-cover search in ``search_rccs``: each cell's conditionals are
-    Fraction quotients of event measures.
+    exact-cover search in ``search_rccs``: each partition is scored by
+    :func:`oracle_score`.
     """
-    a_and_b = a.meet(b)
-
-    def satisfies(partition) -> bool:
-        conditionals = []
-        for cell in partition.cells:
-            weight = cell.measure()
-            cond_a = a.meet(cell).measure() / weight
-            cond_b = b.meet(cell).measure() / weight
-            cond_ab = a_and_b.meet(cell).measure() / weight
-            if cond_ab != cond_a * cond_b:
-                return False
-            conditionals.append((cond_a, cond_b))
-        for i in range(len(conditionals)):
-            for j in range(i + 1, len(conditionals)):
-                da = conditionals[i][0] - conditionals[j][0]
-                db = conditionals[i][1] - conditionals[j][1]
-                if da * db <= 0:
-                    return False
-        return True
-
-    return [p for p in enumerate_partitions(space, n) if satisfies(p)]
+    return [p for p in enumerate_partitions(space, n) if oracle_score(a, b, p.cells).accepted]

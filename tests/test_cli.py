@@ -3,10 +3,15 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rccs.cli
+from rccs import InternalInvariantError
 from rccs.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -359,6 +364,12 @@ class TestResourceLimits:
         assert code == 1
         assert _one_line(err, "input error: input file is not text")
 
+    def test_json_integer_past_digit_limit(self):
+        payload = '{"space": {"weights": ["1/2", "1/2"]}, "a": {"members": [0]}, "b": {"members": [0]}, "n": '
+        code, out, err = run_cli(["search", payload + "9" * 5000 + "}"])
+        assert code == 1 and not out
+        assert _one_line(err, "input error: JSON number longer than")
+
     def test_max_points_below_one_is_a_usage_error(self):
         payload = json.dumps(
             {"space": {"weights": ["1/2", "1/2"]}, "a": {"members": [0]}, "b": {"members": [0]}, "n": 2}
@@ -367,3 +378,158 @@ class TestResourceLimits:
             code, out, err = run_cli(["search", payload, "--max-points", bad])
             assert code == 1 and not out
             assert _one_line(err, "usage error: argument --max-points: must be at least 1")
+
+
+def _nested(depth: int):
+    value = "0"
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+_SPACE2 = '{"space": {"weights": ["1/2", "1/2"]}, '
+_B = {"intervals": [["0", "1/2"]]}
+
+
+class TestLongInputEcho:
+    """A diagnostic quotes at most the first 60 characters of a long input value."""
+
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["construct", json.dumps({"a": {"intervals": [["0", "1/" + "0" * 5000]]}, "b": _B})],
+             "input error: zero denominator in rational '1/000"),
+            (["construct", json.dumps({"a": {"intervals": [[_nested(900), "1/2"]]}, "b": _B})],
+             "input error: rationals must be JSON strings, got [[[["),
+            (["construct", json.dumps({"a": {"intervals": [["0", "x" * 5000]]}, "b": _B})],
+             "input error: malformed rational 'xxx"),
+            (["search", _SPACE2 + '"a": {"members": [0]}, "b": {"members": [0]}, "n": "' + "9" * 3000 + '"}'],
+             "input error: 'n' must be an integer, got '999"),
+            (["search", _SPACE2 + '"a": {"members": [0]}, "b": {"members": [0]}, "n": ' + "9" * 3000 + "}"],
+             "input error: cell count 999"),
+            (["search", _SPACE2 + '"a": {"members": ["' + "7" * 3000 + '"]}, "b": {"members": [0]}, "n": 2}'],
+             "input error: sample point index '777"),
+            (["search", _SPACE2 + '"a": {"members": [' + "7" * 3000 + ']}, "b": {"members": [0]}, "n": 2}'],
+             "input error: sample point 777"),
+        ],
+        ids=["zero-denominator", "nested-endpoint", "malformed-rational", "n-string", "n-integer",
+             "member-string", "member-integer"],
+    )
+    def test_long_value_is_cut(self, argv, prefix):
+        code, out, err = run_cli(argv)
+        assert code == 1 and not out
+        assert _one_line(err, prefix)
+        assert len(err) < 200
+        assert "characters)" in err
+
+    def test_short_value_keeps_its_exact_text(self):
+        payload = json.dumps({"a": {"intervals": [["0", "1/0"]]}, "b": _B})
+        assert run_cli(["construct", payload]) == (1, "", "input error: zero denominator in rational '1/0'\n")
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize(
+        "exc",
+        [InternalInvariantError("constructed system failed verification"), ZeroDivisionError("line one\nline two")],
+        ids=["invariant", "unexpected"],
+    )
+    def test_internal_error_is_4_on_one_line(self, monkeypatch, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(rccs.cli, "construction_steps", broken)
+        code, out, err = run_cli(["construct", WORKED_INPUT, "--json"])
+        assert code == 4 and not out
+        assert _one_line(err, f"internal error: {type(exc).__name__}: ")
+        assert "Traceback" not in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+_POINTS = st.fractions(min_value=0, max_value=1, max_denominator=12)
+_RARELY = st.sampled_from(range(8)).map(lambda k: k == 7)  # integers() would favour a bound
+
+
+def _mostly(well_formed):
+    """``well_formed`` seven times in eight, otherwise arbitrary JSON."""
+    return _RARELY.flatmap(lambda rare: _JSON if rare else well_formed)
+
+
+def _intervals(points) -> list:
+    ends = sorted(points)[: len(points) // 2 * 2]
+    return [[str(ends[k]), str(ends[k + 1])] for k in range(0, len(ends), 2)]
+
+
+@st.composite
+def _partitions(draw) -> list:
+    """The pieces between random cut points, each given to one of up to four cells."""
+    cuts = draw(st.lists(_POINTS.filter(lambda x: 0 < x < 1), unique=True, max_size=5))
+    ends = [Fraction(0), *sorted(cuts), Fraction(1)]
+    cells: dict[int, list] = {}
+    for lo, hi in zip(ends, ends[1:]):
+        pieces = cells.setdefault(draw(st.sampled_from(range(4))), [])
+        if pieces and pieces[-1][1] == lo:
+            pieces[-1][1] = hi
+        else:
+            pieces.append([lo, hi])
+    return [{"intervals": [[str(lo), str(hi)] for lo, hi in pieces]} for pieces in cells.values()]
+
+
+_EVENTS = st.lists(_POINTS, unique=True, max_size=6).map(lambda ps: {"intervals": _intervals(ps)})
+_WORKED_PAIR = json.loads(WORKED_INPUT)  # correlated and logically independent
+
+
+@st.composite
+def _payloads(draw, command: str) -> dict:
+    if command == "search":
+        m = draw(st.integers(1, 6))  # at most 6 points, so that a search takes milliseconds
+        members = st.lists(st.integers(0, m - 1), min_size=1, unique=True).map(lambda ms: {"members": ms})
+        fields = {"space": st.just({"weights": [f"1/{m}"] * m}), "a": members, "b": members,
+                  "n": st.integers(0, m + 1)}
+    else:
+        worked = not draw(_RARELY)
+        fields = {"a": st.just(_WORKED_PAIR["a"]) if worked else _EVENTS,
+                  "b": st.just(_WORKED_PAIR["b"]) if worked else _EVENTS}
+        if command == "verify":
+            fields["partition"] = _partitions() | st.lists(_EVENTS, max_size=3)
+    payload = draw(st.fixed_dictionaries({key: _mostly(value) for key, value in fields.items()}))
+    if draw(_RARELY):
+        payload.pop(draw(st.sampled_from(sorted(payload))))
+    if draw(_RARELY):
+        payload = draw(st.dictionaries(st.text(max_size=8), _JSON, max_size=4))
+    return payload
+
+
+_FLAGS = {
+    "construct": ["--json", "--explain", "--normalize", "--lambda=1/3"],
+    "verify": ["--json", "--normalize"],
+    "search": ["--json", "--max-points=3"],
+}
+_BAD_FLAGS = ["--bogus", "--lambda=2", "--lambda=x", "--max-points=0", "--explain"]
+
+
+@st.composite
+def _invocations(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    payload = draw(_payloads(command))
+    flags = draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=3, unique=True))
+    if draw(_RARELY):
+        flags.append(draw(st.sampled_from(_BAD_FLAGS)))
+    return [command, json.dumps(payload), *flags]
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(argv=_invocations())
+    def test_every_input_ends_in_a_documented_code(self, argv):
+        code, out, err = run_cli(argv)
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err
+        assert err.count("\n") <= 1
+        if code in (1, 2):
+            assert not out
+        elif "--json" in argv:
+            json.loads(out)

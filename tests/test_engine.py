@@ -8,17 +8,28 @@ import pytest
 from rccs import (
     FULL,
     CommonCauseSystem,
+    FiniteSpace,
     InputError,
+    IntervalEvent,
     Partition,
     PreconditionError,
     construct_size3,
     construction_steps,
     correlation_decomposition,
+    enumerate_partitions,
     verify_common_cause,
     verify_rccs,
 )
 
-from .helpers import iv, random_correlated_independent_pair
+from .helpers import (
+    MIXED_DENOMINATORS,
+    iv,
+    oracle_conditions,
+    oracle_score,
+    random_correlated_independent_pair,
+    random_nonzero_event,
+    random_subset,
+)
 
 WORKED_A = iv("0", "1/2")
 WORKED_B = iv("1/10", "1/2", "9/10", "1")
@@ -263,3 +274,170 @@ class TestSystemType:
                 cond_b=(Fraction(1, 2),),
                 cond_ab=(Fraction(1, 4),),
             )
+
+
+def _expected_failure(screening, cross, size_note=None):
+    if size_note is not None:
+        return size_note
+    for k, ok in enumerate(screening):
+        if not ok:
+            return f"screening-off fails on cell {k}"
+    for i, j, ok in cross:
+        if not ok:
+            return f"cross-difference condition fails for cells ({i}, {j})"
+    return None
+
+
+def _joint_excess(a, b):
+    return a.meet(b).measure() - a.measure() * b.measure()
+
+
+def check_against_oracle(a, b, partition) -> bool:
+    """Every field of verify_rccs and correlation_decomposition against the Fraction oracle.
+
+    Returns the oracle's verdict (False for an uncorrelated pair).
+    """
+    score = oracle_score(a, b, partition.cells)
+    screening, cross = score.screening, score.cross
+    lhs = _joint_excess(a, b)
+    if all(screening):
+        assert correlation_decomposition(a, b, partition) == (lhs, score.rhs)
+    else:
+        bad = screening.index(False)
+        with pytest.raises(PreconditionError, match=rf"^screening-off fails on cell {bad};"):
+            correlation_decomposition(a, b, partition)
+    if lhs <= 0:
+        with pytest.raises(PreconditionError, match="not correlated"):
+            verify_rccs(a, b, partition)
+        return False
+    report = verify_rccs(a, b, partition)
+    size_note = "size < 2: a single cell admits no cross-difference condition" if partition.size < 2 else None
+    failure = _expected_failure(screening, cross, size_note)
+    assert report.cell_measures == score.measures
+    assert (report.cond_a, report.cond_b, report.cond_ab) == (score.cond_a, score.cond_b, score.cond_ab)
+    assert report.screening_off_ok == screening
+    assert report.cross_ok == cross
+    assert (report.decomposition_lhs, report.decomposition_rhs) == (lhs, score.rhs)
+    assert report.failure == failure
+    assert report.verdict is (failure is None)
+    return report.verdict
+
+
+def check_common_cause_against_oracle(a, b, cause) -> None:
+    """Every field of verify_common_cause against the Fraction oracle."""
+    if not 0 < cause.measure() < 1 or _joint_excess(a, b) <= 0:
+        with pytest.raises(PreconditionError):
+            verify_common_cause(a, b, cause)
+        return
+    score = oracle_score(a, b, (cause, cause.complement()))
+    screening = score.screening
+    raises_a = score.cond_a[0] > score.cond_a[1]
+    raises_b = score.cond_b[0] > score.cond_b[1]
+    failure = _expected_failure(screening, ())
+    if failure is None and not raises_a:
+        failure = "the cause does not raise the conditional probability of the first event"
+    elif failure is None and not raises_b:
+        failure = "the cause does not raise the conditional probability of the second event"
+    report = verify_common_cause(a, b, cause)
+    assert report.cell_measures == score.measures
+    assert (report.cond_a, report.cond_b, report.cond_ab) == (score.cond_a, score.cond_b, score.cond_ab)
+    assert report.screening_off_ok == screening
+    assert report.cross_ok == ((0, 1, raises_a and raises_b),)
+    assert (report.decomposition_lhs, report.decomposition_rhs) == (_joint_excess(a, b), score.rhs)
+    assert report.failure == failure
+    assert report.verdict is (failure is None)
+
+
+def random_interval_partition(rng: random.Random, mixed: bool) -> Partition:
+    """The pieces between up to six random cut points, each given to one of up to four cells."""
+    count = rng.randint(0, 6)
+    if mixed:
+        cuts = set()
+        while len(cuts) < count:
+            den = rng.choice(MIXED_DENOMINATORS[1:])
+            cuts.add(Fraction(rng.randint(1, den - 1), den))
+    else:
+        cuts = {Fraction(k, 24) for k in rng.sample(range(1, 24), count)}
+    ends = [Fraction(0), *sorted(cuts), Fraction(1)]
+    pieces: dict[int, list] = {}
+    for lo, hi in zip(ends, ends[1:]):
+        pieces.setdefault(rng.randrange(4), []).append((lo, hi))
+    return Partition(tuple(IntervalEvent.normalized(p) for p in pieces.values()))
+
+
+def tamper(rng: random.Random, partition: Partition) -> Partition:
+    """Move a sliver of one cell into another."""
+    cells = list(partition.cells)
+    i, j = rng.sample(range(len(cells)), 2)
+    sliver = cells[i].carve(cells[i].measure() * Fraction(1, rng.choice([2, 3, 64])))
+    cells[i] = cells[i].meet(sliver.complement())
+    cells[j] = cells[j].join(sliver)
+    return Partition(tuple(cells))
+
+
+class TestKernelAgainstOracle:
+    """The division-free conditions kernel against Fraction quotients, on both models."""
+
+    def test_constructed_and_tampered_systems(self):
+        rng = random.Random(401)
+        rejected = 0
+        for _ in range(40):
+            a, b = random_correlated_independent_pair(rng)
+            system = construct_size3(a, b, rng.choice(["1/3", "1/2", "9/10"]))
+            assert check_against_oracle(a, b, system.cells)
+            rejected += not check_against_oracle(a, b, tamper(rng, system.cells))
+            cells = list(system.cells.cells)
+            rng.shuffle(cells)
+            assert check_against_oracle(a, b, Partition(tuple(cells)))
+            for cause in cells:
+                check_common_cause_against_oracle(a, b, cause)
+        assert rejected >= 30
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_random_interval_partitions(self, mixed):
+        rng = random.Random(402 + mixed)
+        verdicts = []
+        for _ in range(150):
+            a = random_nonzero_event(rng, mixed=mixed)
+            b = random_nonzero_event(rng, mixed=mixed)
+            partition = random_interval_partition(rng, mixed)
+            verdicts.append(check_against_oracle(a, b, partition))
+            check_common_cause_against_oracle(a, b, partition.cells[0])
+            check_common_cause_against_oracle(a, b, a)
+        assert not all(verdicts)
+
+    def test_all_partitions_of_small_uniform_spaces(self):
+        # uniform weights make many cells screen off and many conditionals tie
+        rng = random.Random(404)
+        accepted = 0
+        for m in (3, 4, 5):
+            space = FiniteSpace((Fraction(1, m),) * m)
+            for _ in range(8):
+                a, b = random_subset(rng, space), random_subset(rng, space)
+                for n in range(1, m + 1):
+                    for partition in enumerate_partitions(space, n):
+                        accepted += check_against_oracle(a, b, partition)
+                        check_common_cause_against_oracle(a, b, partition.cells[0])
+        assert accepted >= 20
+
+    def test_system_type_accepts_exactly_what_the_oracle_accepts(self):
+        rng = random.Random(405)
+        values = [Fraction(k, 12) for k in (0, 3, 4, 6, 8, 9, 12)]
+        accepted = 0
+        for _ in range(600):
+            n = rng.randint(2, 4)
+            cond_a = tuple(rng.choice(values) for _ in range(n))
+            cond_b = tuple(rng.choice(values) for _ in range(n))
+            cond_ab = tuple(
+                x * y if rng.random() < 0.9 else rng.choice(values) for x, y in zip(cond_a, cond_b)
+            )
+            cells = Partition(tuple(iv(str(Fraction(k, n)), str(Fraction(k + 1, n))) for k in range(n)))
+            failure = _expected_failure(*oracle_conditions(cond_a, cond_b, cond_ab))
+            if failure is None:
+                CommonCauseSystem(cells=cells, cond_a=cond_a, cond_b=cond_b, cond_ab=cond_ab)
+                accepted += 1
+            else:
+                with pytest.raises(InputError) as err:
+                    CommonCauseSystem(cells=cells, cond_a=cond_a, cond_b=cond_b, cond_ab=cond_ab)
+                assert str(err.value) == failure
+        assert accepted >= 50

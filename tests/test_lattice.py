@@ -22,10 +22,13 @@ from .helpers import iv, random_event, random_space, random_subset
 
 
 class TestCompatibility:
+    # With test_finite_pairs, this carries the Boolean-model guarantee that
+    # lets the engine check compatibility once per call rather than per cell.
     def test_any_interval_pair(self):
         rng = random.Random(3)
-        for _ in range(100):
-            assert compatible(random_event(rng), random_event(rng))
+        for mixed in (False, True):
+            for _ in range(100):
+                assert compatible(random_event(rng, mixed=mixed), random_event(rng, mixed=mixed))
 
     def test_contained_pair(self):
         assert compatible(iv("1/4", "1/2"), iv("0", "1/2"))

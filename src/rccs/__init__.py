@@ -7,20 +7,14 @@ verification and construction engine for common cause systems of size 2
 and 3, an exhaustive finite-space search, and a numeric Bell-inequality
 witness showing why no single system can serve all observable pairs at
 once.
+
+The Bell witness is the only part that needs numpy.  ``rccs.bell`` and
+its names are loaded on first use (PEP 562), so importing the package
+or running a classical computation never loads numpy.
 """
 
-from .bell import (
-    BellWitness,
-    basis_product_state,
-    bell_expectations,
-    bell_value,
-    build_witness,
-    classical_bound_check,
-    commutator_norm,
-    is_partial_isometry,
-    is_projection,
-    no_common_ccs_demo,
-)
+import importlib
+
 from .engine import (
     CommonCauseSystem,
     ConstructionSteps,
@@ -52,6 +46,33 @@ from .lattice import (
 )
 
 __version__ = "0.1.0"
+
+_BELL_NAMES = frozenset(
+    {
+        "BellWitness",
+        "basis_product_state",
+        "bell_expectations",
+        "bell_value",
+        "build_witness",
+        "classical_bound_check",
+        "commutator_norm",
+        "is_partial_isometry",
+        "is_projection",
+        "no_common_ccs_demo",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name == "bell" or name in _BELL_NAMES:
+        bell = importlib.import_module(".bell", __name__)
+        return bell if name == "bell" else getattr(bell, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _BELL_NAMES | {"bell"})
+
 
 __all__ = [
     "BellWitness",

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
-from . import bell as bell_mod
 from . import serialize
 from .engine import construction_steps, verify_rccs
 from .errors import InputError, PreconditionError, echo
@@ -158,7 +158,11 @@ def _run_search(args) -> int:
     n = serialize._field(payload, "n")
     if isinstance(n, bool) or not isinstance(n, int):
         raise InputError(f"'n' must be an integer, got {echo(n)}")
-    hits = search_rccs(space, a, b, n, max_points=args.max_points)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        hits = search_rccs(space, a, b, n, max_points=args.max_points)
+    for warning in caught:  # one diagnostic line each, not the file:line form of warnings.warn
+        print(f"warning: {warning.message}", file=sys.stderr)
     if args.json:
         obj = {
             "points": len(space),
@@ -175,9 +179,11 @@ def _run_search(args) -> int:
 
 
 def _bell_obj() -> dict:
-    witness = bell_mod.build_witness()
-    expectations = bell_mod.bell_expectations(witness.phi, witness)
-    value = bell_mod.bell_value(witness.phi, witness)
+    from . import bell  # numpy is loaded only by the bell and demo subcommands
+
+    witness = bell.build_witness()
+    expectations = bell.bell_expectations(witness.phi, witness)
+    value = bell.bell_value(witness.phi, witness)
     return {"expectations": expectations, "bell_value": value}
 
 
@@ -205,10 +211,12 @@ def _run_bell(args) -> int:
 
 
 def _run_demo(args) -> int:
+    from . import bell
+
     lam = _parse_lam(args.lam)
     steps = construction_steps(DEMO_A, DEMO_B, lam)
     bell_obj = _bell_obj()
-    impossibility = bell_mod.no_common_ccs_demo(samples=10_000)
+    impossibility = bell.no_common_ccs_demo(samples=10_000)
     if args.json:
         print(
             serialize.dumps(

@@ -16,7 +16,7 @@ from typing import Any
 
 from .engine import CommonCauseSystem, ConstructionSteps, VerificationReport
 from .errors import InputError, echo
-from .events import IntervalEvent
+from .events import IntervalEvent, _quads, _rational_str
 from .finite import FiniteEvent, FiniteSpace
 from .lattice import Partition
 
@@ -69,7 +69,13 @@ def _field(obj: Any, key: str) -> Any:
 
 
 def interval_event_to_obj(event: IntervalEvent) -> dict:
-    return {"intervals": [[format_rational(lo), format_rational(hi)] for lo, hi in event.intervals]}
+    # straight from the stored reduced int pairs, without building Fractions
+    return {
+        "intervals": [
+            [_rational_str(lo_n, lo_d), _rational_str(hi_n, hi_d)]
+            for lo_n, lo_d, hi_n, hi_d in _quads(event._ends)
+        ]
+    }
 
 
 def interval_event_from_obj(obj: Any, *, normalize: bool = False) -> IntervalEvent:

@@ -1,6 +1,8 @@
 """Bell witness: operator invariants, the -1/8 value, the classical bound."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,6 +117,17 @@ class TestClassicalBound:
         assert classical_bound_check(1, 1, 1, 1)
         lhs, _ = _identity_sides(1, 1, 1, 1)
         assert lhs == 0
+
+    def test_exact_at_the_sixteen_vertices(self):
+        # Both sides are multilinear in (a1, a2, b1, b2): agreeing at the 16
+        # vertices of [0, 1]^4 makes them one polynomial, and a multilinear
+        # function takes its extremes on the box at vertices, so values of 0
+        # or 1 there prove the bound 0 <= combination <= 1 exactly.
+        for vertex in itertools.product((Fraction(0), Fraction(1)), repeat=4):
+            lhs, rhs = _identity_sides(*vertex)
+            assert type(lhs) is Fraction and type(rhs) is Fraction
+            assert lhs == rhs
+            assert lhs in (0, 1)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(PreconditionError):

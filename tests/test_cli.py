@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rccs.cli
+import rccs.finite
 from rccs import InternalInvariantError
 from rccs.cli import main
 
@@ -265,11 +269,24 @@ class TestOutputs:
             }
         )
         assert run_cli(["search", payload])[0] == 1
-        import warnings
+        assert run_cli(["search", payload, "--max-points", "15"])[0] == 0
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert run_cli(["search", payload, "--max-points", "15"])[0] == 0
+    def test_search_over_cutoff_warns_on_one_line(self, monkeypatch):
+        payload = json.dumps(
+            {"space": {"weights": ["1/4"] * 4}, "a": {"members": [0, 1]}, "b": {"members": [0, 1, 2]}, "n": 2}
+        )
+        expected = run_cli(["search", payload, "--json"])
+        monkeypatch.setattr(rccs.finite, "DEFAULT_MAX_POINTS", 3)
+        code, out, err = run_cli(["search", payload, "--json"])
+        assert (code, out) == expected[:2]
+        assert json.loads(out)["count"] == 2
+        assert err == (
+            "warning: exhaustive search over 4 points tabulates all 2^4 subsets "
+            "and may take a very long time\n"
+        )
+        space = rccs.FiniteSpace(("1/4",) * 4)
+        with pytest.warns(UserWarning, match="exhaustive search over 4 points"):
+            rccs.search_rccs(space, space.event({0, 1}), space.event({0, 1, 2}), 2)
 
     def test_search_human_output_lists_hits(self):
         payload = json.dumps(
@@ -503,26 +520,35 @@ def _payloads(draw, command: str) -> dict:
     return payload
 
 
+_LAMBDAS = _RARELY.flatmap(
+    lambda rare: st.sampled_from(["0", "1", "2", "-1/3", "4/3", "1/0", "0.5", "x", ""]) if rare
+    else st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda x: 0 < x < 1).map(str)
+)
 _FLAGS = {
-    "construct": ["--json", "--explain", "--normalize", "--lambda=1/3"],
+    "construct": ["--json", "--explain", "--normalize", "--lambda"],
     "verify": ["--json", "--normalize"],
     "search": ["--json", "--max-points=3"],
+    "bell": ["--json"],
+    "demo": ["--json", "--lambda"],
 }
-_BAD_FLAGS = ["--bogus", "--lambda=2", "--lambda=x", "--max-points=0", "--explain"]
+_BAD_FLAGS = ["--bogus", "--lambda=2", "--lambda=x", "--max-points=0", "--explain", "stray"]
 
 
 @st.composite
 def _invocations(draw) -> list[str]:
     command = draw(st.sampled_from(sorted(_FLAGS)))
-    payload = draw(_payloads(command))
-    flags = draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=3, unique=True))
+    argv = [command]
+    if command not in ("bell", "demo"):  # the subcommands that read a JSON input
+        argv.append(json.dumps(draw(_payloads(command))))
+    for flag in draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=3, unique=True)):
+        argv.append(f"--lambda={draw(_LAMBDAS)}" if flag == "--lambda" else flag)
     if draw(_RARELY):
-        flags.append(draw(st.sampled_from(_BAD_FLAGS)))
-    return [command, json.dumps(payload), *flags]
+        argv.append(draw(st.sampled_from(_BAD_FLAGS)))
+    return argv
 
 
 class TestFuzz:
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=500, deadline=None, database=None)
     @given(argv=_invocations())
     def test_every_input_ends_in_a_documented_code(self, argv):
         code, out, err = run_cli(argv)
@@ -533,3 +559,54 @@ class TestFuzz:
             assert not out
         elif "--json" in argv:
             json.loads(out)
+
+
+def _fresh_interpreter(code: str, *args: str) -> str:
+    """Run ``code`` in a new interpreter with this checkout's ``src`` on the path; return stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestImportBudget:
+    """numpy (through rccs.bell) is loaded only by the Bell subcommands and names."""
+
+    def test_numpy_is_loaded_only_for_bell(self):
+        code = """
+import contextlib, io, json, sys
+import rccs, rccs.cli
+loaded = []
+for argv in (["construct", sys.argv[1], "--json"], ["bell", "--json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert rccs.cli.main(argv) == 0
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+        assert json.loads(_fresh_interpreter(code, WORKED_INPUT)) == [False, True]
+
+    def test_every_public_name_resolves(self):
+        code = """
+import json, sys
+import rccs
+listed = set(dir(rccs))
+before = "numpy" in sys.modules
+namespace = {}
+exec("from rccs import *", namespace)
+print(json.dumps({
+    "before": before,
+    "missing_from_dir": sorted(set(rccs.__all__) - listed),
+    "unbound": sorted(name for name in rccs.__all__ if namespace.get(name) is not getattr(rccs, name)),
+    "bell_module": rccs.bell is sys.modules["rccs.bell"] and "bell" in listed,
+    "same_objects": rccs.build_witness is rccs.bell.build_witness and rccs.BellWitness is rccs.bell.BellWitness,
+}))
+"""
+        assert json.loads(_fresh_interpreter(code)) == {
+            "before": False,
+            "missing_from_dir": [],
+            "unbound": [],
+            "bell_module": True,
+            "same_objects": True,
+        }
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            rccs.no_such_name  # noqa: B018

@@ -1,5 +1,6 @@
 """JSON boundary: strict rational strings and canonical-form enforcement."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from rccs.serialize import (
     report_to_obj,
 )
 
-from .helpers import iv
+from .helpers import iv, random_event
 
 
 class TestRationals:
@@ -51,6 +52,13 @@ class TestEvents:
     def test_round_trip(self):
         ev = iv("1/10", "1/2", "9/10", "1")
         assert interval_event_from_obj(interval_event_to_obj(ev)) == ev
+
+    def test_endpoints_are_written_as_fraction_text(self):
+        rng = random.Random(7103)
+        for _ in range(300):
+            ev = random_event(rng, max_parts=6, mixed=True)
+            expected = [[str(lo), str(hi)] for lo, hi in ev.intervals]
+            assert interval_event_to_obj(ev) == {"intervals": expected}
 
     def test_strict_parse_rejects_overlap(self):
         obj = {"intervals": [["0", "1/2"], ["1/4", "3/4"]]}

@@ -47,31 +47,17 @@ from .lattice import (
 
 __version__ = "0.1.0"
 
-_BELL_NAMES = frozenset(
-    {
-        "BellWitness",
-        "basis_product_state",
-        "bell_expectations",
-        "bell_value",
-        "build_witness",
-        "classical_bound_check",
-        "commutator_norm",
-        "is_partial_isometry",
-        "is_projection",
-        "no_common_ccs_demo",
-    }
-)
-
 
 def __getattr__(name: str):
-    if name == "bell" or name in _BELL_NAMES:
+    # PEP 562: reached only for names not bound above, that is "bell" and its names in __all__
+    if name == "bell" or name in __all__:
         bell = importlib.import_module(".bell", __name__)
         return bell if name == "bell" else getattr(bell, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _BELL_NAMES | {"bell"})
+    return sorted(set(globals()) | set(__all__) | {"bell"})
 
 
 __all__ = [

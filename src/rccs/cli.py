@@ -13,11 +13,15 @@ Exit codes are a stable contract:
 * 3  verification rejected a structurally valid candidate
 * 4  internal error: a bug in the package (InternalInvariantError or any
      other unexpected exception), reported on one line
+
+A report that cannot be written to stdout ends in 1 with one line; a reader
+that closes stdout early ends it quietly in 141, as SIGPIPE would.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -43,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value: Fraction) -> str:
-    return f"{value} ~ {float(value):.6f}"
+    return f"{serialize.format_rational(value)} ~ {float(value):.6f}"
 
 
 def _read_payload(source: str):
@@ -299,13 +303,24 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a failed write surfaces here also when stdout is block-buffered
+        return code
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a failed write to stdout: unreadable inputs are InputError
+        # the rest of the report goes to the null device, so that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):  # the reader has gone, as in `rccs demo --json | head -1`
+            return 141
+        print(f"output error: cannot write the report to stdout: {exc.strerror}", file=sys.stderr)
+        return 1
     except Exception as exc:  # a bug, never a bad input: keep it apart from codes 1-3
         print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return 4

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .events import IntervalEvent, as_fraction
+from .events import IntervalEvent, as_fraction, format_rational
 from .lattice import LatticeEvent, Partition, compatible, correlation, logically_independent
 
 
@@ -32,7 +32,8 @@ def _require_correlated(a: LatticeEvent, b: LatticeEvent) -> Fraction:
     excess = correlation(a, b)
     if excess <= 0:
         raise PreconditionError(
-            f"events are not correlated (joint excess {excess}); there is no correlation to explain"
+            f"events are not correlated (joint excess {format_rational(excess)}); "
+            "there is no correlation to explain"
         )
     return excess
 
@@ -206,7 +207,7 @@ def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -
     cause_measure = cause.measure()
     if not 0 < cause_measure < 1:
         raise PreconditionError(
-            f"a common cause must have measure strictly between 0 and 1, got {cause_measure}"
+            f"a common cause must have measure strictly between 0 and 1, got {format_rational(cause_measure)}"
         )
     excess = _require_correlated(a, b)
     quads = _cell_quads(a, b, (cause, cause.complement()))
@@ -253,7 +254,8 @@ class ConstructionSteps:
     union.  The first cell takes ``lam`` times that bound.  The second
     cell's measure is forced by requiring screening-off on the third
     cell; ``null_cell_is_whole_remainder`` records the boundary case in
-    which it exhausts the complement of the union.
+    which it exhausts the complement of the union.  Both cell measures
+    are those ``report`` found on the carved cells.
     """
 
     joint_excess: Fraction
@@ -287,13 +289,14 @@ def construction_steps(
     3. The third cell is the complement of the union of the first two;
        its conditionals land strictly between 0 and 1.
 
-    The carve operation takes intervals left to right, so the whole
-    construction is reproducible.  The result is re-verified exactly
-    before being returned.
+    Every measure in the trace is closed-form in m(a), m(b), m(a&b) and
+    f = lam * bound.  Carving takes intervals left to right, so the
+    construction is reproducible; the one exact :func:`verify_rccs` on the
+    carved cells is the check on ``carve`` and gives the cell measures.
     """
     lam = as_fraction(lam)
     if not 0 < lam < 1:
-        raise InputError(f"lam must lie strictly between 0 and 1, got {lam}")
+        raise InputError(f"lam must lie strictly between 0 and 1, got {format_rational(lam)}")
     excess = _require_correlated(a, b)
     if not logically_independent(a, b):
         raise PreconditionError(
@@ -301,31 +304,28 @@ def construction_steps(
             "admits no common cause system of size 3 or more (the no-go result for "
             "logically dependent events), so the construction cannot succeed"
         )
-    joint = a.meet(b)
-    union = a.join(b)
-    union_gap = Fraction(1) - union.measure()
+    m_a, m_b = a.measure(), b.measure()
+    m_ab = excess + m_a * m_b
+    union_gap = 1 - m_a - m_b + m_ab  # 1 - m(a|b), that is m(~a & ~b)
     if union_gap <= 0:
         raise InternalInvariantError(
             "a correlated pair must leave the union short of the whole space"
         )
     bound = excess / union_gap
-    full_cell = joint.carve(lam * bound)
+    full_measure = lam * bound
+    full_cell = a.meet(b).carve(full_measure)
 
-    rest_of_space = full_cell.complement()
-    rest_measure = rest_of_space.measure()
-    joint_rest = joint.meet(rest_of_space).measure()
+    joint_rest = m_ab - full_measure
     if joint_rest <= 0:
         raise InternalInvariantError("the first cell must not exhaust the joint event")
-    null_target = rest_measure - (
-        a.meet(rest_of_space).measure() * b.meet(rest_of_space).measure() / joint_rest
-    )
-    neither = union.complement()
-    neither_measure = neither.measure()
-    if not 0 < null_target <= neither_measure:
+    # screening-off on the rest of the space, which meets a, b and a&b in their measures less full_measure
+    null_target = (1 - full_measure) - (m_a - full_measure) * (m_b - full_measure) / joint_rest
+    if not 0 < null_target <= union_gap:
         raise InternalInvariantError(
-            f"forced second-cell measure {null_target} escaped (0, {neither_measure}]"
+            f"forced second-cell measure {format_rational(null_target)} escaped (0, {format_rational(union_gap)}]"
         )
-    if null_target < neither_measure:
+    neither = a.join(b).complement()
+    if null_target < union_gap:
         null_cell = neither.carve(null_target)
         whole_remainder = False
     else:
@@ -343,8 +343,8 @@ def construction_steps(
         joint_excess=excess,
         carve_bound=bound,
         lam=lam,
-        full_cell_measure=full_cell.measure(),
-        null_cell_measure=null_cell.measure(),
+        full_cell_measure=report.cell_measures[0],
+        null_cell_measure=report.cell_measures[1],
         null_cell_is_whole_remainder=whole_remainder,
         system=system,
         report=report,

@@ -26,6 +26,7 @@ representations are equal.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
+from decimal import Decimal
 from fractions import Fraction
 from operator import lt, mul
 from typing import Iterable
@@ -70,8 +71,16 @@ def _coerce_pairs(pairs: Iterable) -> tuple[tuple[Fraction, Fraction], ...]:
 
 
 def _rational_str(num: int, den: int) -> str:
-    """The text ``str(Fraction(num, den))`` gives for a reduced pair."""
-    return str(num) if den == 1 else f"{num}/{den}"
+    """The text ``str(Fraction(num, den))`` gives for a reduced pair, whatever its size."""
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # the int-string limit guards the parsing of input only; Decimal prints past it
+        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
+
+
+def format_rational(value: Fraction) -> str:
+    """``str(value)``: "p/q", or "n" for a whole number, exact whatever its size."""
+    return _rational_str(value.numerator, value.denominator)
 
 
 def _quads(ends: tuple[int, ...]):
@@ -143,22 +152,16 @@ class IntervalEvent:
         intervals are merged.  Pairs with lo > hi or endpoints outside [0, 1]
         are still rejected.
         """
-        cleaned = _coerce_pairs(pairs)
-        kept = []
-        for k, (lo, hi) in enumerate(cleaned):
+        pieces = []
+        for k, (lo, hi) in enumerate(_coerce_pairs(pairs)):
             if not 0 <= lo <= hi <= 1:
                 raise InputError(f"interval {k} must satisfy 0 <= lo <= hi <= 1, got [{lo}, {hi})")
             if lo < hi:
-                kept.append((lo, hi))
-        kept.sort()
-        merged: list[list[Fraction]] = []
-        for lo, hi in kept:
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1][1] = hi
-            else:
-                merged.append([lo, hi])
-        return cls(tuple((lo, hi) for lo, hi in merged))
+                pieces.append(cls._from_ends((lo.numerator, lo.denominator, hi.numerator, hi.denominator)))
+        # join pairwise, level by level: each level is linear in the intervals, so O(n log n) in all
+        while len(pieces) > 1:
+            pieces = [x.join(y) for x, y in zip(pieces[0::2], pieces[1::2])] + pieces[len(pieces) // 2 * 2 :]
+        return pieces[0] if pieces else cls()
 
     @property
     def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -287,7 +290,7 @@ class IntervalEvent:
         if not 0 < want < total:
             raise PreconditionError(
                 f"carve target must lie strictly between 0 and the event measure: "
-                f"got target {want} for measure {total}"
+                f"got target {format_rational(want)} for measure {format_rational(total)}"
             )
         e = self._ends
         res: list[int] = []

@@ -17,7 +17,7 @@ from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import InputError, PreconditionError, echo
-from .events import as_fraction
+from .events import as_fraction, format_rational
 from .lattice import Partition, correlation
 
 DEFAULT_MAX_POINTS = 14  # the search tabulates all 2^m subsets of the points
@@ -40,10 +40,10 @@ class FiniteSpace:
             raise InputError("a finite space needs at least one point")
         for k, w in enumerate(cleaned):
             if w <= 0:
-                raise InputError(f"weight {k} must be strictly positive, got {w}")
+                raise InputError(f"weight {k} must be strictly positive, got {format_rational(w)}")
         total = sum(cleaned)
         if total != 1:
-            raise InputError(f"weights must sum to exactly 1, got {total}")
+            raise InputError(f"weights must sum to exactly 1, got {format_rational(total)}")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -211,7 +211,7 @@ def search_rccs(
     excess = correlation(a, b)
     if excess <= 0:
         raise PreconditionError(
-            f"events are not correlated (joint excess {excess}); "
+            f"events are not correlated (joint excess {format_rational(excess)}); "
             "a common cause system explains only positive correlations"
         )
     if not 1 <= n <= m:

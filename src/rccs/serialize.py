@@ -14,17 +14,13 @@ import sys
 from fractions import Fraction
 from typing import Any
 
-from .engine import CommonCauseSystem, ConstructionSteps, VerificationReport
+from .engine import ConstructionSteps, VerificationReport
 from .errors import InputError, echo
-from .events import IntervalEvent, _quads, _rational_str
+from .events import IntervalEvent, _quads, _rational_str, format_rational
 from .finite import FiniteEvent, FiniteSpace
 from .lattice import Partition
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
-
-
-def format_rational(value: Fraction) -> str:
-    return str(value)
 
 
 def parse_rational(text: Any) -> Fraction:
@@ -147,18 +143,9 @@ def report_to_obj(report: VerificationReport) -> dict:
     }
 
 
-def system_to_obj(system: CommonCauseSystem) -> dict:
-    return {
-        "cells": [interval_event_to_obj(cell) for cell in system.cells.cells],
-        "cell_measures": [format_rational(m) for m in system.cell_measures],
-        "cond_a": [format_rational(x) for x in system.cond_a],
-        "cond_b": [format_rational(x) for x in system.cond_b],
-        "cond_ab": [format_rational(x) for x in system.cond_ab],
-    }
-
-
 def steps_to_obj(steps: ConstructionSteps) -> dict:
-    obj = {
+    report = report_to_obj(steps.report)
+    return {
         "accepted": True,
         "joint_excess": format_rational(steps.joint_excess),
         "carve_bound": format_rational(steps.carve_bound),
@@ -166,10 +153,10 @@ def steps_to_obj(steps: ConstructionSteps) -> dict:
         "full_cell_measure": format_rational(steps.full_cell_measure),
         "null_cell_measure": format_rational(steps.null_cell_measure),
         "null_cell_is_whole_remainder": steps.null_cell_is_whole_remainder,
-        "report": report_to_obj(steps.report),
+        "report": report,
+        "cells": partition_to_obj(steps.system.cells),
+        **{key: report[key] for key in ("cell_measures", "cond_a", "cond_b", "cond_ab")},
     }
-    obj.update(system_to_obj(steps.system))
-    return obj
 
 
 def dumps(obj: Any) -> str:

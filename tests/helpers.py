@@ -5,12 +5,15 @@ check.  The set-operation oracle works pointwise on the elementary
 subintervals induced by all endpoints; the Stirling numbers come from the
 standard recurrence; the conditions oracle scores a list of cells with
 Fraction conditionals, and the search oracle applies it to every
-enumerated partition.
+enumerated partition.  With the int-string limit lifted, ``str`` is the
+oracle for exact output of any size.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,6 +35,17 @@ def stirling2(m: int, n: int) -> int:
     if n == 0 or n > m:
         return 0
     return n * stirling2(m - 1, n) + stirling2(m - 1, n - 1)
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift the interpreter's int-string limit for the block, then restore it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _contains(event: IntervalEvent, point: Fraction) -> bool:

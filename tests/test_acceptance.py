@@ -166,8 +166,8 @@ def test_criterion_5_no_go_exhaustive_search():
         assert correlation(a, b) > 0
         m = len(space)
         for n in (3, 4):
-            # exhaustiveness cross-check: the candidate stream has exactly
-            # the Stirling count before the search consumes it
+            # exhaustiveness cross-check: the enumeration that the brute-force
+            # search oracle filters yields exactly the Stirling count
             assert len(list(enumerate_partitions(space, n))) == stirling2(m, n)
             assert search_rccs(space, a, b, n) == []
     elapsed = time.perf_counter() - start

@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 
 import rccs.cli
 import rccs.finite
-from rccs import InternalInvariantError
+from rccs import InternalInvariantError, construction_steps
 from rccs.cli import main
+from rccs.serialize import interval_event_from_obj
+
+from .helpers import unlimited_int_digits
 
 DATA = Path(__file__).parent / "data"
 
@@ -395,6 +398,83 @@ class TestResourceLimits:
             code, out, err = run_cli(["search", payload, "--max-points", bad])
             assert code == 1 and not out
             assert _one_line(err, "usage error: argument --max-points: must be at least 1")
+
+
+class TestExactOutput:
+    """Reports and diagnostics print exact rationals past the int-string limit, which guards parsing only."""
+
+    def test_construct_report_past_digit_limit_reads_back(self):
+        q = 10**1500 + 7
+        payload = json.loads(WORKED_INPUT)
+        payload["b"]["intervals"][1][0] = f"{q - q // 10}/{q}"
+        code, out, err = run_cli(["construct", json.dumps(payload), "--json"])
+        assert code == 0 and not err
+        construct = json.loads(out)
+        steps = construction_steps(interval_event_from_obj(payload["a"]), interval_event_from_obj(payload["b"]))
+        with unlimited_int_digits():
+            expected = [str(m) for m in steps.report.cell_measures]
+        assert construct["cell_measures"] == expected
+        assert max(map(len, expected)) > sys.get_int_max_str_digits()
+        code, human, err = run_cli(["construct", json.dumps(payload)])
+        assert code == 0 and not err
+        assert f"cell 3: measure {expected[2]} ~ " in human
+        # every number in the cells is within the limit, so verify reads the report back
+        code, out, err = run_cli(["verify", json.dumps(payload | {"partition": construct["cells"]}), "--json"])
+        assert code == 0 and not err
+        assert json.loads(out) == construct["report"]
+
+    def test_diagnostic_past_digit_limit(self):
+        p1, p2 = 10**2500 + 1, 10**2500 + 3  # each denominator is within the limit, their product is not
+        s, t = p1 // 2, p2 // 2 + 1  # a = [0, s/p1) and b = [t/p2, 1) are disjoint
+        disjoint = {"a": {"intervals": [["0", f"{s}/{p1}"]]}, "b": {"intervals": [[f"{t}/{p2}", "1"]]}}
+        weights = [f"1/{p1}", f"1/{p2}", f"{p1 - 2}/{2 * p1}", f"{p2 - 2}/{2 * p2}"]
+        points = {"space": {"weights": weights}, "a": {"members": [0]}, "b": {"members": [1]}, "n": 3}
+        cases = [
+            (["construct", disjoint], 2, -Fraction(s, p1) * (1 - Fraction(t, p2)),
+             "precondition failed: events are not correlated (joint excess {}); "
+             "there is no correlation to explain"),
+            (["search", points], 2, -Fraction(1, p1 * p2),
+             "precondition failed: events are not correlated (joint excess {}); "
+             "a common cause system explains only positive correlations"),
+            (["search", points | {"space": {"weights": weights[:2]}}], 1, Fraction(1, p1) + Fraction(1, p2),
+             "input error: weights must sum to exactly 1, got {}"),
+        ]
+        for (command, payload), status, value, template in cases:
+            code, out, err = run_cli([command, json.dumps(payload)])
+            with unlimited_int_digits():
+                line = template.format(value)
+            assert (code, out, err) == (status, "", line + "\n")
+
+
+class TestStdout:
+    """A closed or full stdout ends in a documented code, whether stdout is block-buffered or not."""
+
+    @staticmethod
+    def _run(stdout, unbuffered: bool) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "rccs", "construct", WORKED_INPUT, "--json"]
+        return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_is_141_and_quiet(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            done = self._run(write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_full_device_is_1_on_one_line(self, unbuffered):
+        with open("/dev/full", "wb") as full:
+            done = self._run(full, unbuffered)
+        assert done.returncode == 1
+        assert done.stderr.decode() == "output error: cannot write the report to stdout: No space left on device\n"
 
 
 def _nested(depth: int):

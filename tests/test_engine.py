@@ -1,6 +1,7 @@
 """Verification and the size-3 construction, pinned to hand-derived values."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from rccs import (
     verify_common_cause,
     verify_rccs,
 )
+from rccs.serialize import steps_to_obj
 
 from .helpers import (
     MIXED_DENOMINATORS,
@@ -192,6 +194,21 @@ class TestConstruction:
         assert system.cells.cells[0] == WORKED["cell1"]
         assert system.cells.cells[1] == WORKED["cell2"]
         assert steps.report.verdict
+
+    def test_event_operation_budget(self, monkeypatch):
+        # the trace is closed-form in m(a), m(b), m(a&b): event operations build and verify the cells only
+        calls = Counter()
+        for name in ("meet", "measure", "complement"):
+            def counted(self, *args, _name=name, _original=getattr(IntervalEvent, name)):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(IntervalEvent, name, counted)
+        steps = construction_steps(WORKED_A, WORKED_B)
+        assert calls["meet"] <= 24 and calls["measure"] <= 22 and calls["complement"] <= 6, calls
+        calls.clear()
+        steps_to_obj(steps)
+        assert calls["measure"] == 0
 
     def test_lambda_scales_first_cell(self):
         for lam, expected in (("1/3", Fraction(1, 8)), ("9/10", Fraction(27, 80))):

@@ -52,6 +52,42 @@ def interval_events(draw, max_parts=3, mixed=False):
     return IntervalEvent(pairs)
 
 
+def _sort_and_merge(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Reference for ``normalized``: sort the nonempty pairs, then merge each that overlaps or touches."""
+    merged: list[list[Fraction]] = []
+    for lo, hi in sorted((Fraction(lo), Fraction(hi)) for lo, hi in pairs):
+        if lo == hi:
+            continue
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
+def _seeded_interval_lists() -> list[list]:
+    """300 short lists with mixed denominators and degenerate pairs, and one of 6664 shuffled overlaps."""
+    rng = random.Random(1729)
+    lists = []
+    for _ in range(300):
+        pairs = []
+        for _ in range(rng.randint(0, 12)):
+            ends = []
+            for _ in range(2):
+                den = rng.choice(MIXED_DENOMINATORS)
+                point = Fraction(rng.randint(0, den), den)
+                ends.append(endpoint_input(point, rng.randint(1, 3), rng.random() < 0.5))
+            pairs.append(tuple(sorted(ends, key=Fraction)))
+        lists.append(pairs)
+    big = []
+    for _ in range(6664):
+        lo = rng.randint(0, 9990)
+        big.append((Fraction(lo, 10_000), Fraction(lo + rng.randint(0, 10), 10_000)))
+    rng.shuffle(big)
+    lists.append(big)
+    return lists
+
+
 class TestCanonicalForm:
     def test_rejects_overlap(self):
         with pytest.raises(InputError):
@@ -89,6 +125,8 @@ class TestCanonicalForm:
     def test_normalized_merges_overlap_and_sorts(self):
         ev = IntervalEvent.normalized([("1/2", "3/4"), ("0", "1/4"), ("1/8", "5/8")])
         assert ev == iv("0", "3/4")
+        for pairs in _seeded_interval_lists():
+            assert IntervalEvent.normalized(pairs).intervals == _sort_and_merge(pairs)
 
     def test_normalized_drops_degenerate(self):
         assert IntervalEvent.normalized([("1/3", "1/3")]) == EMPTY

@@ -1,5 +1,6 @@
 """Finite spaces: measures, exhaustive partition enumeration, search."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from rccs import (
     correlation,
     enumerate_partitions,
     finite_measure,
+    logically_independent,
     search_rccs,
     verify_rccs,
 )
@@ -157,6 +159,25 @@ class TestSearch:
         space = uniform_space(6)
         a, b = space.event([0, 1]), space.event([0])
         assert search_rccs(space, a, b, 3) == []
+
+    def test_no_go_census_of_uniform_spaces(self):
+        # every correlated, logically dependent pair on 2..9 equally weighted points, one per
+        # vector of quadrant counts (|a&b|, |a&~b|, |~a&b|, |~a&~b|): the pair up to relabeling
+        pairs = searches = 0
+        for m in range(2, 10):
+            space = uniform_space(m)
+            for counts in itertools.product(range(m + 1), repeat=4):
+                both, a_only, b_only, _ = counts
+                if sum(counts) != m or 0 not in counts or both * m <= (both + a_only) * (both + b_only):
+                    continue
+                a = space.event(range(both + a_only))
+                b = space.event([*range(both), *range(both + a_only, both + a_only + b_only)])
+                assert correlation(a, b) > 0 and not logically_independent(a, b)
+                pairs += 1
+                for n in range(3, m + 1):
+                    assert search_rccs(space, a, b, n) == [], (counts, n)
+                    searches += 1
+        assert (pairs, searches) == (204, 1092)
 
     def test_embedded_system_is_found_and_cross_verified(self):
         space = FiniteSpace(EMBEDDED_WEIGHTS)

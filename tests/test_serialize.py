@@ -1,6 +1,7 @@
 """JSON boundary: strict rational strings and canonical-form enforcement."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,13 +22,24 @@ from rccs.serialize import (
     report_to_obj,
 )
 
-from .helpers import iv, random_event
+from .helpers import iv, random_event, unlimited_int_digits
 
 
 class TestRationals:
     def test_round_trip(self):
         for text in ("0", "1", "-3/5", "17/80", "125/272"):
             assert format_rational(parse_rational(text)) == text
+
+    def test_format_is_exact_past_the_int_string_limit(self):
+        # the limit guards parsing only: numbers print in full, in either sign
+        rng = random.Random(4300)
+        values = [Fraction(n) for n in (10**4300, -(10**5000) - 1)]
+        values += [Fraction(rng.getrandbits(bits), rng.getrandbits(bits) | 1) for bits in (15_000, 40_000, 90_000)]
+        values.append(-values[-1])
+        with unlimited_int_digits():
+            expected = [str(value) for value in values]
+        assert max(map(len, expected)) > 2 * sys.get_int_max_str_digits()
+        assert [format_rational(value) for value in values] == expected
 
     def test_integer_and_fraction_forms(self):
         assert parse_rational("2") == Fraction(2)

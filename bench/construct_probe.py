@@ -8,8 +8,11 @@ Two kinds of pair, each correlated and logically independent:
   2..10**6, so almost no two endpoints share one.
 
 Each row is the median (and the fastest) of ``--repeats`` timed calls on
-one pair.  The inputs depend only on the kind, the size and ``--seed``,
-so two checkouts can be compared on identical pairs:
+one pair.  The ``verify_*`` columns time ``verify_rccs`` alone on the
+partition that construction built, which shows how a construction splits
+between building the cells and the one verification it includes.  The
+inputs depend only on the kind, the size and ``--seed``, so two
+checkouts can be compared on identical pairs:
 
     python3 bench/construct_probe.py --src src > after.json
     python3 bench/construct_probe.py --src ../parent/src > before.json
@@ -69,23 +72,31 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     sys.path.insert(0, args.src)
-    from rccs.engine import construction_steps
+    from rccs.engine import construction_steps, verify_rccs
+
+    def timed(call) -> list[float]:
+        times = []
+        for _ in range(args.repeats):
+            start = time.perf_counter()
+            call()
+            times.append(time.perf_counter() - start)
+        return times
 
     rows = []
     for kind, sizes in SIZES.items():
         for count in sizes:
             a, b = probe_pair(kind, count, args.seed)
-            times = []
-            for _ in range(args.repeats):
-                start = time.perf_counter()
-                construction_steps(a, b)
-                times.append(time.perf_counter() - start)
+            times = timed(lambda: construction_steps(a, b))
+            cells = construction_steps(a, b).system.cells
+            verify_times = timed(lambda: verify_rccs(a, b, cells))
             rows.append(
                 {
                     "kind": kind,
                     "intervals": count,
                     "median_ms": statistics.median(times) * 1e3,
                     "min_ms": min(times) * 1e3,
+                    "verify_median_ms": statistics.median(verify_times) * 1e3,
+                    "verify_min_ms": min(verify_times) * 1e3,
                 }
             )
             print(json.dumps(rows[-1]), file=sys.stderr)

@@ -25,16 +25,20 @@ from fractions import Fraction
 
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .events import IntervalEvent, as_fraction, format_rational
-from .lattice import LatticeEvent, Partition, compatible, correlation, logically_independent
+from .lattice import LatticeEvent, Partition, compatible, correlation
+
+
+def _not_correlated(excess: Fraction) -> PreconditionError:
+    return PreconditionError(
+        f"events are not correlated (joint excess {format_rational(excess)}); "
+        "there is no correlation to explain"
+    )
 
 
 def _require_correlated(a: LatticeEvent, b: LatticeEvent) -> Fraction:
     excess = correlation(a, b)
     if excess <= 0:
-        raise PreconditionError(
-            f"events are not correlated (joint excess {format_rational(excess)}); "
-            "there is no correlation to explain"
-        )
+        raise _not_correlated(excess)
     return excess
 
 
@@ -49,13 +53,13 @@ _Cross = tuple[tuple[int, int, bool], ...]
 
 def _cell_quads(a: LatticeEvent, b: LatticeEvent, cells: tuple[LatticeEvent, ...]) -> _Quads:
     """``(m, m_a, m_b, m_ab)`` per cell: the measure of the cell and of its meets with a, b, a&b."""
-    a_and_b = a.meet(b)
     quads = []
     for k, cell in enumerate(cells):
         weight = cell.measure()
         if weight == 0:
             raise PreconditionError(f"cell {k} has measure zero; conditionals are undefined")
-        quads.append((weight, a.meet(cell).measure(), b.meet(cell).measure(), a_and_b.meet(cell).measure()))
+        a_cell = a.meet(cell)
+        quads.append((weight, a_cell.measure(), b.meet(cell).measure(), a_cell.meet(b).measure()))
     return tuple(quads)
 
 
@@ -109,7 +113,7 @@ class CommonCauseSystem:
         for name, row in (("cond_a", self.cond_a), ("cond_b", self.cond_b), ("cond_ab", self.cond_ab)):
             for k, value in enumerate(row):
                 if not 0 <= value <= 1:
-                    raise InputError(f"{name}[{k}] = {value} is outside [0, 1]")
+                    raise InputError(f"{name}[{k}] = {format_rational(value)} is outside [0, 1]")
         screening, cross, _, _ = _conditions(tuple(zip((1,) * n, self.cond_a, self.cond_b, self.cond_ab)))
         failure = _first_failure(None, screening, cross)
         if failure is not None:
@@ -276,7 +280,10 @@ def construction_steps(
     Preconditions: the events must be correlated and logically
     independent.  A correlated pair that is not logically independent
     admits no common cause system of size 3 or more at all, so that case
-    is refused outright.
+    is refused outright.  Both are decided from m(a), m(b) and m(a&b)
+    alone, measured once each: the excess m(a&b) - m(a)m(b) must be
+    positive, and then, the measure being faithful, the pair is logically
+    independent exactly when m(a&b) is below both m(a) and m(b).
 
     The recipe, all in exact arithmetic:
 
@@ -297,15 +304,19 @@ def construction_steps(
     lam = as_fraction(lam)
     if not 0 < lam < 1:
         raise InputError(f"lam must lie strictly between 0 and 1, got {format_rational(lam)}")
-    excess = _require_correlated(a, b)
-    if not logically_independent(a, b):
+    a_and_b = a.meet(b)
+    m_a, m_b, m_ab = a.measure(), b.measure(), a_and_b.measure()
+    excess = m_ab - m_a * m_b
+    if excess <= 0:
+        raise _not_correlated(excess)
+    # with m(a&b) > m(a)m(b) >= 0 and m(~a&~b) = (1 - m(a))(1 - m(b)) + excess > 0, only
+    # a&~b and ~a&b can be empty, and each is empty exactly when m(a) - m(a&b) or m(b) - m(a&b) is 0
+    if not (m_ab < m_a and m_ab < m_b):
         raise PreconditionError(
             "events are not logically independent; a correlation between such events "
             "admits no common cause system of size 3 or more (the no-go result for "
             "logically dependent events), so the construction cannot succeed"
         )
-    m_a, m_b = a.measure(), b.measure()
-    m_ab = excess + m_a * m_b
     union_gap = 1 - m_a - m_b + m_ab  # 1 - m(a|b), that is m(~a & ~b)
     if union_gap <= 0:
         raise InternalInvariantError(
@@ -313,7 +324,7 @@ def construction_steps(
         )
     bound = excess / union_gap
     full_measure = lam * bound
-    full_cell = a.meet(b).carve(full_measure)
+    full_cell = a_and_b.carve(full_measure)
 
     joint_rest = m_ab - full_measure
     if joint_rest <= 0:

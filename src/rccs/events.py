@@ -155,7 +155,10 @@ class IntervalEvent:
         pieces = []
         for k, (lo, hi) in enumerate(_coerce_pairs(pairs)):
             if not 0 <= lo <= hi <= 1:
-                raise InputError(f"interval {k} must satisfy 0 <= lo <= hi <= 1, got [{lo}, {hi})")
+                raise InputError(
+                    f"interval {k} must satisfy 0 <= lo <= hi <= 1, "
+                    f"got [{format_rational(lo)}, {format_rational(hi)})"
+                )
             if lo < hi:
                 pieces.append(cls._from_ends((lo.numerator, lo.denominator, hi.numerator, hi.denominator)))
         # join pairwise, level by level: each level is linear in the intervals, so O(n log n) in all

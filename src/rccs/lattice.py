@@ -23,6 +23,7 @@ from functools import reduce
 from typing import Protocol, TypeVar
 
 from .errors import InputError, InternalInvariantError, PreconditionError
+from .events import format_rational
 
 
 class LatticeEvent(Protocol):
@@ -133,7 +134,8 @@ def check_product_inequality(a: E, b: E, c: E) -> bool:
     rhs = a.meet(b).meet(c).measure() * a.join(b).meet(c).measure()
     if lhs < rhs:
         raise InternalInvariantError(
-            f"measure product inequality violated: {lhs} < {rhs}; the model is broken"
+            f"measure product inequality violated: {format_rational(lhs)} < {format_rational(rhs)}; "
+            "the model is broken"
         )
     return True
 

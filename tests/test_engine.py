@@ -16,8 +16,10 @@ from rccs import (
     PreconditionError,
     construct_size3,
     construction_steps,
+    correlation,
     correlation_decomposition,
     enumerate_partitions,
+    logically_independent,
     verify_common_cause,
     verify_rccs,
 )
@@ -31,6 +33,7 @@ from .helpers import (
     random_correlated_independent_pair,
     random_nonzero_event,
     random_subset,
+    unlimited_int_digits,
 )
 
 WORKED_A = iv("0", "1/2")
@@ -52,6 +55,12 @@ WORKED = {
     "cell1": iv("1/10", "23/80"),
     "cell2": iv("1/2", "29/34"),
 }
+
+NOT_INDEPENDENT = (
+    "events are not logically independent; a correlation between such events admits no common cause "
+    "system of size 3 or more (the no-go result for logically dependent events), so the construction "
+    "cannot succeed"
+)
 
 # Hand-built size-2 common cause: conditionals (3/4, 3/4) on the cause and
 # (1/4, 1/4) on its complement, independence inside each cell.
@@ -196,19 +205,25 @@ class TestConstruction:
         assert steps.report.verdict
 
     def test_event_operation_budget(self, monkeypatch):
-        # the trace is closed-form in m(a), m(b), m(a&b): event operations build and verify the cells only
+        # the trace and both preconditions come from m(a), m(b), m(a&b), each measured once:
+        # the other event operations build and verify the cells
         calls = Counter()
-        for name in ("meet", "measure", "complement"):
+        for name in ("meet", "join", "measure", "complement"):
             def counted(self, *args, _name=name, _original=getattr(IntervalEvent, name)):
                 calls[_name] += 1
                 return _original(self, *args)
 
             monkeypatch.setattr(IntervalEvent, name, counted)
         steps = construction_steps(WORKED_A, WORKED_B)
-        assert calls["meet"] <= 24 and calls["measure"] <= 22 and calls["complement"] <= 6, calls
+        assert calls["meet"] <= 18 and calls["measure"] <= 20 and calls["complement"] <= 4, calls
         calls.clear()
         steps_to_obj(steps)
         assert calls["measure"] == 0
+        # each cell's m(a&b&cell) comes from its a&cell, not from a separate a&b
+        calls.clear()
+        verify_rccs(WORKED_A, WORKED_B, steps.system.cells)
+        assert calls["meet"] <= 14 and calls["measure"] <= 15, calls
+        assert calls["complement"] <= 2 and calls["join"] <= 2, calls
 
     def test_lambda_scales_first_cell(self):
         for lam, expected in (("1/3", Fraction(1, 8)), ("9/10", Fraction(27, 80))):
@@ -220,6 +235,27 @@ class TestConstruction:
         for lam in ("0", "1", "2", "-1/2"):
             with pytest.raises(InputError):
                 construct_size3(WORKED_A, WORKED_B, lam)
+
+    def test_logical_independence_from_three_measures(self):
+        # construction_steps decides logical independence from m(a), m(b), m(a&b); the four-meet
+        # lattice predicate is the oracle, on correlated pairs, nested and equal ones among them
+        rng = random.Random(79)
+        pairs = []
+        for mixed in (False, True):
+            for _ in range(120):
+                a, b = random_nonzero_event(rng, mixed=mixed), random_nonzero_event(rng, mixed=mixed)
+                pairs += [(a, b), (a, b.complement()), (a.meet(b), a), (a, a.meet(b)), (a, a)]
+        pairs = [(a, b) for a, b in pairs if correlation(a, b) > 0]
+        refused = 0
+        for a, b in pairs:
+            if logically_independent(a, b):
+                assert construction_steps(a, b).report.verdict
+                continue
+            refused += 1
+            with pytest.raises(PreconditionError) as err:
+                construction_steps(a, b)
+            assert str(err.value) == NOT_INDEPENDENT
+        assert refused > 300 and len(pairs) - refused > 100, (refused, len(pairs))
 
     def test_contained_pair_refused(self):
         a, b = iv("0", "1/4"), iv("0", "1/2")
@@ -263,6 +299,14 @@ class TestConstruction:
 
 
 class TestSystemType:
+    def test_out_of_range_conditional_past_digit_limit(self):
+        cells = Partition((iv("0", "1/2"), iv("1/2", "1")))
+        value = Fraction(10**5000 + 1, 10**5000)
+        with pytest.raises(InputError) as err:
+            CommonCauseSystem(cells=cells, cond_a=(value, Fraction(0)), cond_b=(1, 0), cond_ab=(1, 0))
+        with unlimited_int_digits():
+            assert str(err.value) == f"cond_a[0] = {value} is outside [0, 1]"
+
     def test_rejects_screening_violation(self):
         cells = Partition((iv("0", "1/2"), iv("1/2", "1")))
         with pytest.raises(InputError):

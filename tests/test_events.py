@@ -19,6 +19,7 @@ from .helpers import (
     random_event,
     random_nonzero_event,
     set_oracle,
+    unlimited_int_digits,
 )
 
 _MIXED_ENDPOINT = st.sampled_from(MIXED_DENOMINATORS).flatmap(
@@ -134,6 +135,13 @@ class TestCanonicalForm:
     def test_normalized_still_rejects_reversed(self):
         with pytest.raises(InputError):
             IntervalEvent.normalized([("3/4", "1/4")])
+
+    def test_normalized_diagnostic_past_digit_limit(self):
+        lo = Fraction(1, 10**5000)
+        with pytest.raises(InputError) as err:
+            IntervalEvent.normalized([(lo, Fraction(0))])
+        with unlimited_int_digits():
+            assert str(err.value) == f"interval 0 must satisfy 0 <= lo <= hi <= 1, got [{lo}, 0)"
 
     @given(interval_events())
     def test_split_and_rejoin_is_identity(self, ev):

@@ -9,6 +9,7 @@ from rccs import (
     EMPTY,
     FULL,
     InputError,
+    InternalInvariantError,
     Partition,
     PreconditionError,
     check_product_inequality,
@@ -17,8 +18,9 @@ from rccs import (
     logical_independence_equiv,
     logically_independent,
 )
+from rccs import lattice
 
-from .helpers import iv, random_event, random_space, random_subset
+from .helpers import iv, random_event, random_space, random_subset, unlimited_int_digits
 
 
 class TestCompatibility:
@@ -147,6 +149,16 @@ class TestProductInequality:
                 random_subset(rng, space), random_subset(rng, space), random_subset(rng, space)
             )
 
+    def test_violation_diagnostic_past_digit_limit(self, monkeypatch):
+        # a broken model whose measures violate the inequality by numbers past the int-string limit
+        monkeypatch.setattr(lattice, "compatible", lambda x, y: True)
+        tiny = Fraction(1, 10**5000)
+        with pytest.raises(InternalInvariantError) as err:
+            check_product_inequality(_Named("a"), _Named("b"), _Named("c", {"(a&c)": tiny, "(b&c)": tiny}))
+        with unlimited_int_digits():
+            expected = f"measure product inequality violated: {tiny * tiny} < 1/4; the model is broken"
+        assert str(err.value) == expected
+
 
 class TestPartition:
     def test_valid_partition(self):
@@ -205,3 +217,19 @@ class _IncompatibleZero(_Incompatible):
 
     def __eq__(self, other):
         return isinstance(other, _IncompatibleZero)
+
+
+class _Named:
+    """Fake event named by the expression that built it; its measure is looked up by that name, else 1/2."""
+
+    def __init__(self, name, measures=None):
+        self.name, self.measures = name, measures or {}
+
+    def meet(self, other):
+        return _Named(f"({self.name}&{other.name})", self.measures | other.measures)
+
+    def join(self, other):
+        return _Named(f"({self.name}|{other.name})", self.measures | other.measures)
+
+    def measure(self):
+        return self.measures.get(self.name, Fraction(1, 2))

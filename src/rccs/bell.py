@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from numbers import Rational
 
 import numpy as np
 
 from .errors import InternalInvariantError, PreconditionError
+from .events import format_rational
 
 TOLERANCE = 1e-12  # matrix and state identities
 IDENTITY_TOLERANCE = 1e-15  # scalar algebraic identity residuals
@@ -193,7 +195,8 @@ def classical_bound_check(a1: float, a2: float, b1: float, b2: float) -> bool:
     """
     for name, v in (("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2)):
         if not 0 <= v <= 1:
-            raise PreconditionError(f"{name} = {v} is outside [0, 1]")
+            text = format_rational(v) if isinstance(v, Rational) else v
+            raise PreconditionError(f"{name} = {text} is outside [0, 1]")
     lhs, rhs = _identity_sides(a1, a2, b1, b2)
     if abs(lhs - rhs) >= IDENTITY_TOLERANCE:
         return False

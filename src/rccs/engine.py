@@ -25,7 +25,10 @@ from fractions import Fraction
 
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .events import IntervalEvent, as_fraction, format_rational
-from .lattice import LatticeEvent, Partition, compatible, correlation
+from .lattice import LatticeEvent, Partition, _split, compatible
+
+# the atoms a&b, a&~b, ~a&b of a compatible pair (a, b)
+_Atoms = tuple[LatticeEvent, LatticeEvent, LatticeEvent]
 
 
 def _not_correlated(excess: Fraction) -> PreconditionError:
@@ -35,31 +38,55 @@ def _not_correlated(excess: Fraction) -> PreconditionError:
     )
 
 
-def _require_correlated(a: LatticeEvent, b: LatticeEvent) -> Fraction:
-    excess = correlation(a, b)
-    if excess <= 0:
-        raise _not_correlated(excess)
-    return excess
-
-
 def _require_compat_pair(a: LatticeEvent, b: LatticeEvent) -> None:
     if not compatible(a, b):
         raise PreconditionError("events are not compatible")
+
+
+def _split_pair(a: LatticeEvent, b: LatticeEvent) -> _Atoms:
+    """Check that (a, b) is compatible, with the lattice's one test, and return its atoms."""
+    is_compatible, *atoms = _split(a, b)
+    if not is_compatible:
+        raise PreconditionError("events are not compatible")
+    return tuple(atoms)
+
+
+def _pair_measures(atoms: _Atoms) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """m(a), m(b), m(a&b) and the joint excess m(a&b) - m(a)m(b), from the three atom measures.
+
+    a is the disjoint join of a&b and a&~b, and b that of a&b and ~a&b,
+    so m(a) and m(b) are sums of atom measures.
+    """
+    m_ab, m_a_only, m_b_only = (atom.measure() for atom in atoms)
+    m_a, m_b = m_ab + m_a_only, m_ab + m_b_only
+    return m_a, m_b, m_ab, m_ab - m_a * m_b
+
+
+def _require_correlated(atoms: _Atoms) -> Fraction:
+    excess = _pair_measures(atoms)[3]
+    if excess <= 0:
+        raise _not_correlated(excess)
+    return excess
 
 
 _Quads = tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]
 _Cross = tuple[tuple[int, int, bool], ...]
 
 
-def _cell_quads(a: LatticeEvent, b: LatticeEvent, cells: tuple[LatticeEvent, ...]) -> _Quads:
-    """``(m, m_a, m_b, m_ab)`` per cell: the measure of the cell and of its meets with a, b, a&b."""
+def _cell_quads(atoms: _Atoms, cells: tuple[LatticeEvent, ...]) -> _Quads:
+    """``(m, m_a, m_b, m_ab)`` per cell: the measure of the cell and of its meets with a, b, a&b.
+
+    Each cell is met with the three atoms: m_ab is m(a&b&cell), and m_a
+    and m_b add m(a&~b&cell) and m(~a&b&cell) to it.
+    """
+    both, a_only, b_only = atoms
     quads = []
     for k, cell in enumerate(cells):
         weight = cell.measure()
         if weight == 0:
             raise PreconditionError(f"cell {k} has measure zero; conditionals are undefined")
-        a_cell = a.meet(cell)
-        quads.append((weight, a_cell.measure(), b.meet(cell).measure(), a_cell.meet(b).measure()))
+        m_ab = both.meet(cell).measure()
+        quads.append((weight, m_ab + a_only.meet(cell).measure(), m_ab + b_only.meet(cell).measure(), m_ab))
     return tuple(quads)
 
 
@@ -188,10 +215,18 @@ def verify_rccs(a: LatticeEvent, b: LatticeEvent, partition: Partition) -> Verif
     positive measure.  Partitions of size 1 are structurally valid but
     are rejected with a "size < 2" diagnostic, since the cross-difference
     condition quantifies over distinct pairs.
+
+    The compatibility test splits the pair into its atoms a&b, a&~b and
+    ~a&b; the joint excess and every cell's measures are taken from them,
+    so a is never met with b again.
     """
-    _require_compat_pair(a, b)
-    excess = _require_correlated(a, b)
-    quads = _cell_quads(a, b, partition.cells)
+    atoms = _split_pair(a, b)
+    return _verify(atoms, _require_correlated(atoms), partition)
+
+
+def _verify(atoms: _Atoms, excess: Fraction, partition: Partition) -> VerificationReport:
+    """:func:`verify_rccs` on a pair already split into its atoms, with its positive joint excess."""
+    quads = _cell_quads(atoms, partition.cells)
     screening, cross, _, rhs = _conditions(quads)
     size_note = "size < 2: a single cell admits no cross-difference condition" if partition.size < 2 else None
     return _report(quads, screening, cross, excess, rhs, _first_failure(size_note, screening, cross))
@@ -205,7 +240,7 @@ def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -
     P(a | cause) > P(a | not-cause) and likewise for b.  These are the
     size-2 system conditions with a fixed orientation.
     """
-    _require_compat_pair(a, b)
+    atoms = _split_pair(a, b)
     _require_compat_pair(a, cause)
     _require_compat_pair(b, cause)
     cause_measure = cause.measure()
@@ -213,8 +248,8 @@ def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -
         raise PreconditionError(
             f"a common cause must have measure strictly between 0 and 1, got {format_rational(cause_measure)}"
         )
-    excess = _require_correlated(a, b)
-    quads = _cell_quads(a, b, (cause, cause.complement()))
+    excess = _require_correlated(atoms)
+    quads = _cell_quads(atoms, (cause, cause.complement()))
     screening, _, ((da, db),), rhs = _conditions(quads)
     failure = _first_failure(None, screening, ())
     if failure is None and not da > 0:
@@ -236,17 +271,20 @@ def correlation_decomposition(
               m_i m_j (P(a|c_i) - P(a|c_j)) (P(b|c_i) - P(b|c_j))
 
     The two sides are computed independently and returned as a pair; they
-    must be equal exactly.  Screening-off is a precondition and its
-    failure raises, naming the offending cell.
+    must be equal exactly.  The left side comes from the measures of the
+    atoms a&b, a&~b and ~a&b that the compatibility test splits the pair
+    into, the right side from the cells' meets with those atoms.
+    Screening-off is a precondition and its failure raises, naming the
+    offending cell.
     """
-    _require_compat_pair(a, b)
-    screening, _, _, rhs = _conditions(_cell_quads(a, b, partition.cells))
+    atoms = _split_pair(a, b)
+    screening, _, _, rhs = _conditions(_cell_quads(atoms, partition.cells))
     for k, ok in enumerate(screening):
         if not ok:
             raise PreconditionError(
                 f"screening-off fails on cell {k}; the decomposition identity needs it on every cell"
             )
-    return correlation(a, b), rhs
+    return _pair_measures(atoms)[3], rhs
 
 
 @dataclass(frozen=True)
@@ -281,9 +319,11 @@ def construction_steps(
     independent.  A correlated pair that is not logically independent
     admits no common cause system of size 3 or more at all, so that case
     is refused outright.  Both are decided from m(a), m(b) and m(a&b)
-    alone, measured once each: the excess m(a&b) - m(a)m(b) must be
-    positive, and then, the measure being faithful, the pair is logically
-    independent exactly when m(a&b) is below both m(a) and m(b).
+    alone, taken from the atoms a&b, a&~b and ~a&b that the compatibility
+    test splits the pair into, each measured once: the excess
+    m(a&b) - m(a)m(b) must be positive, and then, the measure being
+    faithful, the pair is logically independent exactly when m(a&b) is
+    below both m(a) and m(b).
 
     The recipe, all in exact arithmetic:
 
@@ -298,15 +338,15 @@ def construction_steps(
 
     Every measure in the trace is closed-form in m(a), m(b), m(a&b) and
     f = lam * bound.  Carving takes intervals left to right, so the
-    construction is reproducible; the one exact :func:`verify_rccs` on the
-    carved cells is the check on ``carve`` and gives the cell measures.
+    construction is reproducible; one exact verification of the carved
+    cells, the one :func:`verify_rccs` runs, on the same atoms, is the
+    check on ``carve`` and gives the cell measures.
     """
     lam = as_fraction(lam)
     if not 0 < lam < 1:
         raise InputError(f"lam must lie strictly between 0 and 1, got {format_rational(lam)}")
-    a_and_b = a.meet(b)
-    m_a, m_b, m_ab = a.measure(), b.measure(), a_and_b.measure()
-    excess = m_ab - m_a * m_b
+    atoms = _split_pair(a, b)
+    m_a, m_b, m_ab, excess = _pair_measures(atoms)
     if excess <= 0:
         raise _not_correlated(excess)
     # with m(a&b) > m(a)m(b) >= 0 and m(~a&~b) = (1 - m(a))(1 - m(b)) + excess > 0, only
@@ -324,7 +364,7 @@ def construction_steps(
         )
     bound = excess / union_gap
     full_measure = lam * bound
-    full_cell = a_and_b.carve(full_measure)
+    full_cell = atoms[0].carve(full_measure)
 
     joint_rest = m_ab - full_measure
     if joint_rest <= 0:
@@ -346,7 +386,7 @@ def construction_steps(
 
     mixed_cell = full_cell.join(null_cell).complement()
     cells = Partition((full_cell, null_cell, mixed_cell))
-    report = verify_rccs(a, b, cells)
+    report = _verify(atoms, excess, cells)
     if not report.verdict:
         raise InternalInvariantError(f"constructed system failed verification: {report.failure}")
     system = CommonCauseSystem(cells=cells, cond_a=report.cond_a, cond_b=report.cond_b, cond_ab=report.cond_ab)

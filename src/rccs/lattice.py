@@ -9,6 +9,11 @@ predicates work identically for either model and for any future one.
 
 In a Boolean algebra any two events are compatible; the tests check this
 for each shipped model, and the engine checks it once per public call.
+The engine runs the test through ``_split``, which also hands back the
+atoms a&b, a&~b and ~a&b that the test has just built.  For a compatible
+pair, a is the disjoint join of a&b and a&~b and b that of a&b and ~a&b,
+so the engine measures and meets those atoms and never meets a with b
+again.
 
 Only finite lattice operations appear in the contract.  Every algorithm
 in the package manipulates finitely many events, so countable joins are
@@ -49,23 +54,37 @@ class LatticeEvent(Protocol):
 E = TypeVar("E", bound=LatticeEvent)
 
 
-def compatible(a: E, b: E) -> bool:
-    """Check a = (a and b) or (a and not-b), the two-sided compatibility test.
+def _split(a: E, b: E) -> tuple[bool, E, E, E]:
+    """The two-sided compatibility test, with the atoms it is built from.
 
-    The test is symmetric in any orthomodular lattice, so both sides are
-    evaluated and a disagreement is raised as an internal invariant
-    failure rather than returned.  In the Boolean models shipped here the
-    result is always True.
+    Returns the verdict of a = (a and b) or (a and not-b) and its mirror
+    b = (a and b) or (not-a and b), together with the three meets a&b,
+    a&~b and ~a&b.  Meet commutes, so a&b serves both sides.  The test is
+    symmetric in any orthomodular lattice, so a disagreement between the
+    sides is raised as an internal invariant failure rather than returned.
     """
     not_b = b.complement()
     not_a = a.complement()
-    a_side = a.meet(b).join(a.meet(not_b)) == a
-    b_side = b.meet(a).join(b.meet(not_a)) == b
+    a_and_b = a.meet(b)
+    a_not_b = a.meet(not_b)
+    not_a_b = b.meet(not_a)
+    a_side = a_and_b.join(a_not_b) == a
+    b_side = a_and_b.join(not_a_b) == b
     if a_side != b_side:
         raise InternalInvariantError(
             "compatibility test came out asymmetric; the event model is broken"
         )
-    return a_side
+    return a_side, a_and_b, a_not_b, not_a_b
+
+
+def compatible(a: E, b: E) -> bool:
+    """Check a = (a and b) or (a and not-b), the two-sided compatibility test.
+
+    Both sides are evaluated, and a disagreement is raised as an internal
+    invariant failure.  In the Boolean models shipped here the result is
+    always True.
+    """
+    return _split(a, b)[0]
 
 
 def logically_independent(a: E, b: E) -> bool:

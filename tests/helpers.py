@@ -1,4 +1,4 @@
-"""Shared test utilities: independent oracles and random generators.
+"""Shared test utilities: independent oracles, random generators and fake events.
 
 The oracles here deliberately avoid the code paths they are used to
 check.  The set-operation oracle works pointwise on the elementary
@@ -6,7 +6,8 @@ subintervals induced by all endpoints; the Stirling numbers come from the
 standard recurrence; the conditions oracle scores a list of cells with
 Fraction conditionals, and the search oracle applies it to every
 enumerated partition.  With the int-string limit lifted, ``str`` is the
-oracle for exact output of any size.
+oracle for exact output of any size.  The fake events at the end are
+models in which the compatibility test fails, which no shipped model does.
 """
 
 from __future__ import annotations
@@ -208,6 +209,56 @@ def oracle_score(a, b, cells) -> OracleScore:
         tuple(b.meet(cell).measure() / m for cell, m in zip(cells, measures)),
         tuple(a_and_b.meet(cell).measure() / m for cell, m in zip(cells, measures)),
     )
+
+
+class Incompatible:
+    """Minimal fake event whose compatibility test fails symmetrically."""
+
+    is_zero = False
+    is_one = False
+
+    def meet(self, other):
+        return IncompatibleZero()
+
+    def join(self, other):
+        return self
+
+    def complement(self):
+        return IncompatibleZero()
+
+    def leq(self, other):
+        return False
+
+    def measure(self):
+        return Fraction(1, 2)
+
+    def __eq__(self, other):
+        return isinstance(other, Incompatible)
+
+
+class IncompatibleZero(Incompatible):
+    is_zero = True
+
+    def __eq__(self, other):
+        return isinstance(other, IncompatibleZero)
+
+
+class Absorbing(Incompatible):
+    """Fake event that absorbs every meet and join and equals only itself.
+
+    Against an ``Incompatible`` b, the a side of the compatibility test
+    holds (a&b and a&~b are both a) while the b side fails (a | (~a&b) is
+    a, not b): the asymmetry only a broken model can show.
+    """
+
+    def meet(self, other):
+        return self
+
+    def join(self, other):
+        return self
+
+    def __eq__(self, other):
+        return self is other
 
 
 def brute_force_search(space: FiniteSpace, a, b, n: int) -> list:

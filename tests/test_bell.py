@@ -21,6 +21,8 @@ from rccs import (
 )
 from rccs.bell import IDENTITY_TOLERANCE, TOLERANCE, _identity_sides
 
+from .helpers import unlimited_int_digits
+
 
 @pytest.fixture(scope="module")
 def witness():
@@ -133,6 +135,16 @@ class TestClassicalBound:
         with pytest.raises(PreconditionError):
             classical_bound_check(1.5, 0, 0, 0)
         with pytest.raises(PreconditionError):
+            classical_bound_check(0, 0, -0.1, 0)
+
+    def test_out_of_range_diagnostic_past_digit_limit(self):
+        # a rational past the int-string limit is named exactly; a float keeps its usual text
+        big = Fraction(10**5000 + 1, 10**5000)
+        with pytest.raises(PreconditionError) as err:
+            classical_bound_check(0, big, 0, 0)
+        with unlimited_int_digits():
+            assert str(err.value) == f"a2 = {big} is outside [0, 1]"
+        with pytest.raises(PreconditionError, match=r"^b1 = -0\.1 is outside \[0, 1\]$"):
             classical_bound_check(0, 0, -0.1, 0)
 
     def test_random_quadruples(self):

@@ -11,9 +11,11 @@ from rccs import (
     CommonCauseSystem,
     FiniteSpace,
     InputError,
+    InternalInvariantError,
     IntervalEvent,
     Partition,
     PreconditionError,
+    compatible,
     construct_size3,
     construction_steps,
     correlation,
@@ -27,11 +29,14 @@ from rccs.serialize import steps_to_obj
 
 from .helpers import (
     MIXED_DENOMINATORS,
+    Absorbing,
+    Incompatible,
     iv,
     oracle_conditions,
     oracle_score,
     random_correlated_independent_pair,
     random_nonzero_event,
+    random_space,
     random_subset,
     unlimited_int_digits,
 )
@@ -164,6 +169,31 @@ class TestVerifySystem:
         ).verdict
 
 
+def _entry_points(a, b):
+    """Each public engine call on the pair (a, b), ready to run."""
+    partition = Partition((FULL,))
+    return (
+        lambda: verify_rccs(a, b, partition),
+        lambda: verify_common_cause(a, b, a),
+        lambda: correlation_decomposition(a, b, partition),
+        lambda: construction_steps(a, b),
+    )
+
+
+class TestCompatibilityChecked:
+    # the shipped models are Boolean, so only a fake model can fail the test every call runs first
+
+    def test_incompatible_pair_refused(self):
+        for call in _entry_points(Incompatible(), Incompatible()):
+            with pytest.raises(PreconditionError, match=r"^events are not compatible$"):
+                call()
+
+    def test_asymmetric_test_is_an_invariant_failure(self):
+        for call in _entry_points(Absorbing(), Incompatible()):
+            with pytest.raises(InternalInvariantError, match="asymmetric"):
+                call()
+
+
 class TestDecomposition:
     def test_worked_example(self):
         system = construct_size3(WORKED_A, WORKED_B)
@@ -205,8 +235,9 @@ class TestConstruction:
         assert steps.report.verdict
 
     def test_event_operation_budget(self, monkeypatch):
-        # the trace and both preconditions come from m(a), m(b), m(a&b), each measured once:
-        # the other event operations build and verify the cells
+        # the compatibility test splits the pair into a&b, a&~b, ~a&b, measured once each; the
+        # trace, both preconditions and the joint excess come from those three measures, every
+        # cell is met with the three atoms, and the other event operations build the cells
         calls = Counter()
         for name in ("meet", "join", "measure", "complement"):
             def counted(self, *args, _name=name, _original=getattr(IntervalEvent, name)):
@@ -215,15 +246,18 @@ class TestConstruction:
 
             monkeypatch.setattr(IntervalEvent, name, counted)
         steps = construction_steps(WORKED_A, WORKED_B)
-        assert calls["meet"] <= 18 and calls["measure"] <= 20 and calls["complement"] <= 4, calls
+        assert calls["meet"] <= 15 and calls["measure"] <= 17 and calls["complement"] <= 4, calls
         calls.clear()
         steps_to_obj(steps)
         assert calls["measure"] == 0
-        # each cell's m(a&b&cell) comes from its a&cell, not from a separate a&b
         calls.clear()
         verify_rccs(WORKED_A, WORKED_B, steps.system.cells)
-        assert calls["meet"] <= 14 and calls["measure"] <= 15, calls
+        assert calls["meet"] <= 12 and calls["measure"] <= 15, calls
         assert calls["complement"] <= 2 and calls["join"] <= 2, calls
+        # the two-sided test meets a with b once, for both of its sides
+        calls.clear()
+        assert compatible(WORKED_A, WORKED_B)
+        assert calls["meet"] <= 3 and calls["join"] <= 2 and calls["complement"] <= 2, calls
 
     def test_lambda_scales_first_cell(self):
         for lam, expected in (("1/3", Fraction(1, 8)), ("9/10", Fraction(27, 80))):
@@ -468,18 +502,28 @@ class TestKernelAgainstOracle:
         assert not all(verdicts)
 
     def test_all_partitions_of_small_uniform_spaces(self):
-        # uniform weights make many cells screen off and many conditionals tie
+        # uniform weights make many cells screen off and many conditionals tie; integer weights
+        # 1..9 give cells of unequal weight, on which the engine's atom sums such as
+        # m(a&b&c) + m(a&~b&c) must still equal the oracle's m(a&c)
+        def check_all_partitions(rng, space):
+            a, b = random_subset(rng, space), random_subset(rng, space)
+            accepted = 0
+            for n in range(1, len(space) + 1):
+                for partition in enumerate_partitions(space, n):
+                    accepted += check_against_oracle(a, b, partition)
+                    check_common_cause_against_oracle(a, b, partition.cells[0])
+            return accepted
+
         rng = random.Random(404)
         accepted = 0
         for m in (3, 4, 5):
             space = FiniteSpace((Fraction(1, m),) * m)
             for _ in range(8):
-                a, b = random_subset(rng, space), random_subset(rng, space)
-                for n in range(1, m + 1):
-                    for partition in enumerate_partitions(space, n):
-                        accepted += check_against_oracle(a, b, partition)
-                        check_common_cause_against_oracle(a, b, partition.cells[0])
+                accepted += check_all_partitions(rng, space)
         assert accepted >= 20
+        rng = random.Random(406)
+        accepted = sum(check_all_partitions(rng, random_space(rng, m)) for m in (3, 4, 5, 6) for _ in range(8))
+        assert accepted >= 40
 
     def test_system_type_accepts_exactly_what_the_oracle_accepts(self):
         rng = random.Random(405)

@@ -20,7 +20,15 @@ from rccs import (
 )
 from rccs import lattice
 
-from .helpers import iv, random_event, random_space, random_subset, unlimited_int_digits
+from .helpers import (
+    Absorbing,
+    Incompatible,
+    iv,
+    random_event,
+    random_space,
+    random_subset,
+    unlimited_int_digits,
+)
 
 
 class TestCompatibility:
@@ -44,6 +52,12 @@ class TestCompatibility:
         space = random_space(rng, 6)
         for _ in range(100):
             assert compatible(random_subset(rng, space), random_subset(rng, space))
+
+    def test_broken_models(self):
+        # a symmetric failure is a verdict; sides that disagree mean the model is broken
+        assert not compatible(Incompatible(), Incompatible())
+        with pytest.raises(InternalInvariantError, match="asymmetric"):
+            compatible(Absorbing(), Incompatible())
 
 
 class TestOrthomodularLaw:
@@ -184,39 +198,7 @@ class TestPartition:
     def test_precondition_error_on_incompatible_claim(self):
         # logical_independence_equiv demands compatibility up front
         with pytest.raises(PreconditionError):
-            logical_independence_equiv(_Incompatible(), _Incompatible())
-
-
-class _Incompatible:
-    """Minimal fake event whose compatibility test fails symmetrically."""
-
-    is_zero = False
-    is_one = False
-
-    def meet(self, other):
-        return _IncompatibleZero()
-
-    def join(self, other):
-        return self
-
-    def complement(self):
-        return _IncompatibleZero()
-
-    def leq(self, other):
-        return False
-
-    def measure(self):
-        return Fraction(1, 2)
-
-    def __eq__(self, other):
-        return isinstance(other, _Incompatible)
-
-
-class _IncompatibleZero(_Incompatible):
-    is_zero = True
-
-    def __eq__(self, other):
-        return isinstance(other, _IncompatibleZero)
+            logical_independence_equiv(Incompatible(), Incompatible())
 
 
 class _Named:

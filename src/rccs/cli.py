@@ -31,7 +31,7 @@ from . import serialize
 from .engine import construction_steps, verify_rccs
 from .errors import InputError, PreconditionError, echo
 from .events import IntervalEvent
-from .finite import DEFAULT_MAX_POINTS
+from .finite import DEFAULT_MAX_POINTS, search_rccs
 
 DEMO_A = IntervalEvent((("0", "1/2"),))
 DEMO_B = IntervalEvent((("1/10", "1/2"), ("9/10", "1")))
@@ -122,8 +122,6 @@ def _run_construct(args) -> int:
         print(f"lambda: {_fmt(steps.lam)}")
         print(f"first cell carved from a & b with measure {_fmt(steps.full_cell_measure)}")
         print(f"second cell measure forced by screening-off: {_fmt(steps.null_cell_measure)}")
-        if steps.null_cell_is_whole_remainder:
-            print("second cell exhausts ~a & ~b (boundary case)")
         print("third cell is the complement of the union of the first two")
     print("size-3 common cause system:")
     for k, cell in enumerate(steps.system.cells.cells):
@@ -153,8 +151,6 @@ def _run_verify(args) -> int:
 
 
 def _run_search(args) -> int:
-    from .finite import search_rccs
-
     payload = _read_payload(args.input)
     space = serialize.finite_space_from_obj(serialize._field(payload, "space"))
     a = serialize.finite_event_from_obj(serialize._field(payload, "a"), space)

@@ -31,13 +31,6 @@ from .lattice import LatticeEvent, Partition, _split, compatible
 _Atoms = tuple[LatticeEvent, LatticeEvent, LatticeEvent]
 
 
-def _not_correlated(excess: Fraction) -> PreconditionError:
-    return PreconditionError(
-        f"events are not correlated (joint excess {format_rational(excess)}); "
-        "there is no correlation to explain"
-    )
-
-
 def _require_compat_pair(a: LatticeEvent, b: LatticeEvent) -> None:
     if not compatible(a, b):
         raise PreconditionError("events are not compatible")
@@ -62,11 +55,16 @@ def _pair_measures(atoms: _Atoms) -> tuple[Fraction, Fraction, Fraction, Fractio
     return m_a, m_b, m_ab, m_ab - m_a * m_b
 
 
-def _require_correlated(atoms: _Atoms) -> Fraction:
-    excess = _pair_measures(atoms)[3]
+def _require_correlated(atoms: _Atoms) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """:func:`_pair_measures`, after checking that the joint excess is positive."""
+    measures = _pair_measures(atoms)
+    excess = measures[3]
     if excess <= 0:
-        raise _not_correlated(excess)
-    return excess
+        raise PreconditionError(
+            f"events are not correlated (joint excess {format_rational(excess)}); "
+            "there is no correlation to explain"
+        )
+    return measures
 
 
 _Quads = tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]
@@ -221,7 +219,7 @@ def verify_rccs(a: LatticeEvent, b: LatticeEvent, partition: Partition) -> Verif
     so a is never met with b again.
     """
     atoms = _split_pair(a, b)
-    return _verify(atoms, _require_correlated(atoms), partition)
+    return _verify(atoms, _require_correlated(atoms)[3], partition)
 
 
 def _verify(atoms: _Atoms, excess: Fraction, partition: Partition) -> VerificationReport:
@@ -248,7 +246,7 @@ def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -
         raise PreconditionError(
             f"a common cause must have measure strictly between 0 and 1, got {format_rational(cause_measure)}"
         )
-    excess = _require_correlated(atoms)
+    excess = _require_correlated(atoms)[3]
     quads = _cell_quads(atoms, (cause, cause.complement()))
     screening, _, ((da, db),), rhs = _conditions(quads)
     failure = _first_failure(None, screening, ())
@@ -295,9 +293,9 @@ class ConstructionSteps:
     measure, joint excess divided by the measure of the complement of the
     union.  The first cell takes ``lam`` times that bound.  The second
     cell's measure is forced by requiring screening-off on the third
-    cell; ``null_cell_is_whole_remainder`` records the boundary case in
-    which it exhausts the complement of the union.  Both cell measures
-    are those ``report`` found on the carved cells.
+    cell, and it always falls strictly inside the complement of the
+    union (see :func:`construction_steps`).  Both cell measures are those
+    ``report`` found on the carved cells.
     """
 
     joint_excess: Fraction
@@ -305,9 +303,18 @@ class ConstructionSteps:
     lam: Fraction
     full_cell_measure: Fraction
     null_cell_measure: Fraction
-    null_cell_is_whole_remainder: bool
     system: CommonCauseSystem
     report: VerificationReport
+
+    @property
+    def null_cell_is_whole_remainder(self) -> bool:
+        """Always False: the forced second cell never exhausts ~a & ~b.
+
+        Its measure is m(~a&~b) - m(a&~b)m(~a&b)/(m(a&b) - lam*bound), and
+        both atoms of the product are non-empty for a logically independent
+        pair.  The attribute and its report key stay for format stability.
+        """
+        return False
 
 
 def construction_steps(
@@ -337,18 +344,20 @@ def construction_steps(
        its conditionals land strictly between 0 and 1.
 
     Every measure in the trace is closed-form in m(a), m(b), m(a&b) and
-    f = lam * bound.  Carving takes intervals left to right, so the
-    construction is reproducible; one exact verification of the carved
-    cells, the one :func:`verify_rccs` runs, on the same atoms, is the
-    check on ``carve`` and gives the cell measures.
+    f = lam * bound, and that closed form puts both carved measures
+    strictly inside the events they are carved from, so there is no
+    boundary case.  Carving takes intervals left to right, so the
+    construction is reproducible.  The runtime checks are both carves'
+    own range checks, the partition's validation and one exact
+    verification of the carved cells, the one :func:`verify_rccs` runs,
+    on the same atoms; it is the check on ``carve`` and gives the cell
+    measures.
     """
     lam = as_fraction(lam)
     if not 0 < lam < 1:
         raise InputError(f"lam must lie strictly between 0 and 1, got {format_rational(lam)}")
     atoms = _split_pair(a, b)
-    m_a, m_b, m_ab, excess = _pair_measures(atoms)
-    if excess <= 0:
-        raise _not_correlated(excess)
+    m_a, m_b, m_ab, excess = _require_correlated(atoms)
     # with m(a&b) > m(a)m(b) >= 0 and m(~a&~b) = (1 - m(a))(1 - m(b)) + excess > 0, only
     # a&~b and ~a&b can be empty, and each is empty exactly when m(a) - m(a&b) or m(b) - m(a&b) is 0
     if not (m_ab < m_a and m_ab < m_b):
@@ -357,33 +366,15 @@ def construction_steps(
             "admits no common cause system of size 3 or more (the no-go result for "
             "logically dependent events), so the construction cannot succeed"
         )
-    union_gap = 1 - m_a - m_b + m_ab  # 1 - m(a|b), that is m(~a & ~b)
-    if union_gap <= 0:
-        raise InternalInvariantError(
-            "a correlated pair must leave the union short of the whole space"
-        )
-    bound = excess / union_gap
+    # No boundary case: with f = lam * bound and both of those atoms non-empty,
+    # (m(a&b) - f) m(~a&~b) > (m(a) - m(a&b))(m(b) - m(a&b)) > 0, so 0 < f < m(a&b).
+    # Screening-off on the rest of the space, which meets a, b and a&b in their measures
+    # less f, forces the second cell's measure (1 - lam) excess / (m(a&b) - f), which is
+    # m(~a&~b) - m(a&~b) m(~a&b) / (m(a&b) - f): strictly inside (0, m(~a&~b)).
+    bound = excess / (1 - m_a - m_b + m_ab)
     full_measure = lam * bound
     full_cell = atoms[0].carve(full_measure)
-
-    joint_rest = m_ab - full_measure
-    if joint_rest <= 0:
-        raise InternalInvariantError("the first cell must not exhaust the joint event")
-    # screening-off on the rest of the space, which meets a, b and a&b in their measures less full_measure
-    null_target = (1 - full_measure) - (m_a - full_measure) * (m_b - full_measure) / joint_rest
-    if not 0 < null_target <= union_gap:
-        raise InternalInvariantError(
-            f"forced second-cell measure {format_rational(null_target)} escaped (0, {format_rational(union_gap)}]"
-        )
-    neither = a.join(b).complement()
-    if null_target < union_gap:
-        null_cell = neither.carve(null_target)
-        whole_remainder = False
-    else:
-        # boundary case: the forced measure exhausts ~a & ~b, so take all of it
-        null_cell = neither
-        whole_remainder = True
-
+    null_cell = a.join(b).complement().carve((1 - lam) * excess / (m_ab - full_measure))
     mixed_cell = full_cell.join(null_cell).complement()
     cells = Partition((full_cell, null_cell, mixed_cell))
     report = _verify(atoms, excess, cells)
@@ -396,7 +387,6 @@ def construction_steps(
         lam=lam,
         full_cell_measure=report.cell_measures[0],
         null_cell_measure=report.cell_measures[1],
-        null_cell_is_whole_remainder=whole_remainder,
         system=system,
         report=report,
     )

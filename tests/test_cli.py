@@ -218,11 +218,19 @@ class TestOutputs:
         assert run_cli(["construct", payload])[0] == 1
         assert run_cli(["construct", payload, "--normalize"])[0] == 0
 
-    def test_construct_explain_mentions_bound(self):
-        code, out, _ = run_cli(["construct", WORKED_INPUT, "--explain"])
-        assert code == 0
-        assert "3/8" in out
-        assert "lambda" in out
+    @pytest.mark.parametrize(
+        "extra, golden",
+        [
+            ([], "construct_worked_explain.golden.txt"),
+            (["--lambda", "1/3"], "construct_worked_explain_lambda_1_3.golden.txt"),
+        ],
+        ids=["default-lambda", "lambda-1-3"],
+    )
+    def test_construct_explain_matches_golden(self, extra, golden):
+        # byte for byte: the trace lines (bound 3/8, lambda, both forced measures) and the report
+        code, out, err = run_cli(["construct", WORKED_INPUT, "--explain", *extra])
+        assert (code, err) == (0, "")
+        assert out.encode() == (DATA / golden).read_bytes()
 
     def test_construct_lambda_variant(self):
         code, out, _ = run_cli(["construct", WORKED_INPUT, "--json", "--lambda", "1/3"])

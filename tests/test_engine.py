@@ -322,6 +322,33 @@ class TestConstruction:
             assert 0 < steps.system.cond_a[2] < 1
             assert 0 < steps.system.cond_b[2] < 1
 
+    def test_closed_form_cells_at_extreme_lambdas(self):
+        # the construction carries no range check of its own on the forced second cell; its closed
+        # form, recomputed here from the pair's four atoms, keeps both cells strictly inside
+        rng = random.Random(80)
+        lams = (Fraction(1, 10**6), Fraction(1, 3), Fraction(1, 2), 1 - Fraction(1, 10**6))
+        for mixed in (False, True):
+            checked = 0
+            while checked < 250:
+                a, b = random_nonzero_event(rng, mixed=mixed), random_nonzero_event(rng, mixed=mixed)
+                if correlation(a, b) < 0:
+                    b = b.complement()
+                excess = correlation(a, b)
+                if not (excess > 0 and logically_independent(a, b)):
+                    continue
+                m_ab, m_a_only = a.meet(b).measure(), a.meet(b.complement()).measure()
+                m_b_only, m_neither = a.complement().meet(b).measure(), a.join(b).complement().measure()
+                for lam in lams:
+                    steps = construction_steps(a, b, lam)
+                    f = lam * excess / m_neither
+                    assert steps.carve_bound * lam == f
+                    assert 0 < steps.full_cell_measure == f < m_ab
+                    assert 0 < steps.null_cell_measure < m_neither
+                    assert steps.null_cell_measure == (1 - lam) * excess / (m_ab - f)
+                    assert steps.null_cell_measure == m_neither - m_a_only * m_b_only / (m_ab - f)
+                    assert steps.null_cell_is_whole_remainder is False
+                checked += 1
+
     def test_soundness_on_random_pairs(self):
         rng = random.Random(78)
         for _ in range(100):

@@ -10,7 +10,10 @@ Two kinds of pair, each correlated and logically independent:
 Each row is the median (and the fastest) of ``--repeats`` timed calls on
 one pair.  The ``verify_*`` columns time ``verify_rccs`` alone on the
 partition that construction built, which shows how a construction splits
-between building the cells and the one verification it includes.  The
+between building the cells and the one verification it includes.  Every
+timed call is cold: where the engine memoizes the split of a pair
+(``rccs.engine._pair``), that memo is cleared before each call, so the
+probe times the same work on checkouts with and without it.  The
 inputs depend only on the kind, the size and ``--seed``, so two
 checkouts can be compared on identical pairs:
 
@@ -72,11 +75,15 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     sys.path.insert(0, args.src)
+    import rccs.engine
     from rccs.engine import construction_steps, verify_rccs
+
+    clear_pair_memo = getattr(getattr(rccs.engine, "_pair", None), "cache_clear", lambda: None)
 
     def timed(call) -> list[float]:
         times = []
         for _ in range(args.repeats):
+            clear_pair_memo()
             start = time.perf_counter()
             call()
             times.append(time.perf_counter() - start)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .events import IntervalEvent, as_fraction, format_rational
@@ -36,28 +37,35 @@ def _require_compat_pair(a: LatticeEvent, b: LatticeEvent) -> None:
         raise PreconditionError("events are not compatible")
 
 
-def _split_pair(a: LatticeEvent, b: LatticeEvent) -> _Atoms:
-    """Check that (a, b) is compatible, with the lattice's one test, and return its atoms."""
+_Measures = tuple[Fraction, Fraction, Fraction, Fraction]
+
+
+@lru_cache(maxsize=1)
+def _pair(a: LatticeEvent, b: LatticeEvent) -> tuple[_Atoms, _Measures]:
+    """The atoms of a compatible pair (a, b), and m(a), m(b), m(a&b) and the joint excess.
+
+    The pair is checked with the lattice's one compatibility test, which
+    splits it into a&b, a&~b and ~a&b.  a is the disjoint join of a&b and
+    a&~b, and b that of a&b and ~a&b, so m(a) and m(b) are sums of the
+    three atom measures, and the excess is m(a&b) - m(a)m(b).
+
+    Memoized for the last pair: events are immutable and hashable, so an
+    equal pair has equal atoms and measures, and repeated engine calls on
+    one pair split and measure it once.  One entry serves a construction
+    and the verifications that follow it; a larger memo only holds on to
+    more events.  An exception is never cached, so a pair that fails the
+    test is tested again, and refused, on every call.
+    """
     is_compatible, *atoms = _split(a, b)
     if not is_compatible:
         raise PreconditionError("events are not compatible")
-    return tuple(atoms)
-
-
-def _pair_measures(atoms: _Atoms) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """m(a), m(b), m(a&b) and the joint excess m(a&b) - m(a)m(b), from the three atom measures.
-
-    a is the disjoint join of a&b and a&~b, and b that of a&b and ~a&b,
-    so m(a) and m(b) are sums of atom measures.
-    """
     m_ab, m_a_only, m_b_only = (atom.measure() for atom in atoms)
     m_a, m_b = m_ab + m_a_only, m_ab + m_b_only
-    return m_a, m_b, m_ab, m_ab - m_a * m_b
+    return tuple(atoms), (m_a, m_b, m_ab, m_ab - m_a * m_b)
 
 
-def _require_correlated(atoms: _Atoms) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """:func:`_pair_measures`, after checking that the joint excess is positive."""
-    measures = _pair_measures(atoms)
+def _require_correlated(measures: _Measures) -> _Measures:
+    """The pair measures from :func:`_pair`, after checking that the joint excess is positive."""
     excess = measures[3]
     if excess <= 0:
         raise PreconditionError(
@@ -216,10 +224,13 @@ def verify_rccs(a: LatticeEvent, b: LatticeEvent, partition: Partition) -> Verif
 
     The compatibility test splits the pair into its atoms a&b, a&~b and
     ~a&b; the joint excess and every cell's measures are taken from them,
-    so a is never met with b again.
+    so a is never met with b again.  The split and the atom measures are
+    memoized per pair, so a later call on an equal pair, such as the
+    verification of a partition that :func:`construction_steps` built for
+    it, reuses them; every precondition is still checked on every call.
     """
-    atoms = _split_pair(a, b)
-    return _verify(atoms, _require_correlated(atoms)[3], partition)
+    atoms, measures = _pair(a, b)
+    return _verify(atoms, _require_correlated(measures)[3], partition)
 
 
 def _verify(atoms: _Atoms, excess: Fraction, partition: Partition) -> VerificationReport:
@@ -238,7 +249,7 @@ def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -
     P(a | cause) > P(a | not-cause) and likewise for b.  These are the
     size-2 system conditions with a fixed orientation.
     """
-    atoms = _split_pair(a, b)
+    atoms, measures = _pair(a, b)
     _require_compat_pair(a, cause)
     _require_compat_pair(b, cause)
     cause_measure = cause.measure()
@@ -246,7 +257,7 @@ def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -
         raise PreconditionError(
             f"a common cause must have measure strictly between 0 and 1, got {format_rational(cause_measure)}"
         )
-    excess = _require_correlated(atoms)[3]
+    excess = _require_correlated(measures)[3]
     quads = _cell_quads(atoms, (cause, cause.complement()))
     screening, _, ((da, db),), rhs = _conditions(quads)
     failure = _first_failure(None, screening, ())
@@ -275,14 +286,14 @@ def correlation_decomposition(
     Screening-off is a precondition and its failure raises, naming the
     offending cell.
     """
-    atoms = _split_pair(a, b)
+    atoms, measures = _pair(a, b)
     screening, _, _, rhs = _conditions(_cell_quads(atoms, partition.cells))
     for k, ok in enumerate(screening):
         if not ok:
             raise PreconditionError(
                 f"screening-off fails on cell {k}; the decomposition identity needs it on every cell"
             )
-    return _pair_measures(atoms)[3], rhs
+    return measures[3], rhs
 
 
 @dataclass(frozen=True)
@@ -327,10 +338,13 @@ def construction_steps(
     admits no common cause system of size 3 or more at all, so that case
     is refused outright.  Both are decided from m(a), m(b) and m(a&b)
     alone, taken from the atoms a&b, a&~b and ~a&b that the compatibility
-    test splits the pair into, each measured once: the excess
-    m(a&b) - m(a)m(b) must be positive, and then, the measure being
-    faithful, the pair is logically independent exactly when m(a&b) is
-    below both m(a) and m(b).
+    test splits the pair into: the excess m(a&b) - m(a)m(b) must be
+    positive, and then, the measure being faithful, the pair is logically
+    independent exactly when m(a&b) is below both m(a) and m(b).  The
+    split and the three atom measures are memoized per pair, so a later
+    :func:`verify_rccs` on the same pair, such as a check of the
+    round-tripped partition, reuses them; its preconditions are still
+    checked.
 
     The recipe, all in exact arithmetic:
 
@@ -356,8 +370,8 @@ def construction_steps(
     lam = as_fraction(lam)
     if not 0 < lam < 1:
         raise InputError(f"lam must lie strictly between 0 and 1, got {format_rational(lam)}")
-    atoms = _split_pair(a, b)
-    m_a, m_b, m_ab, excess = _require_correlated(atoms)
+    atoms, measures = _pair(a, b)
+    m_a, m_b, m_ab, excess = _require_correlated(measures)
     # with m(a&b) > m(a)m(b) >= 0 and m(~a&~b) = (1 - m(a))(1 - m(b)) + excess > 0, only
     # a&~b and ~a&b can be empty, and each is empty exactly when m(a) - m(a&b) or m(b) - m(a&b) is 0
     if not (m_ab < m_a and m_ab < m_b):

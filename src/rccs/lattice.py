@@ -8,11 +8,14 @@ Everything in this module is written against that surface only, so the
 predicates work identically for either model and for any future one.
 
 In a Boolean algebra any two events are compatible; the tests check this
-for each shipped model, and the engine checks it once per public call.
+for each shipped model, and the engine checks it once per pair, memoized.
 The engine runs the test through ``_split``, which also hands back the
 atoms a&b, a&~b and ~a&b that the test has just built.  For a compatible
 pair, a is the disjoint join of a&b and a&~b and b that of a&b and ~a&b,
 so the engine measures and meets those atoms and never meets a with b
+again.  It keeps the verdict, the atoms and their measures for the last
+pair, keyed on equality, which is sound because events are immutable; a
+pair that fails the test is never kept, so every call on it is refused
 again.
 
 Only finite lattice operations appear in the contract.  Every algorithm
@@ -32,7 +35,11 @@ from .events import format_rational
 
 
 class LatticeEvent(Protocol):
-    """Structural protocol for events of a Boolean probability model (all pairs compatible)."""
+    """Structural protocol for events of a Boolean probability model (all pairs compatible).
+
+    Events are immutable and hashable, with equal events hashing alike:
+    the engine memoizes work on a pair keyed on the two events.
+    """
 
     def meet(self, other): ...
 

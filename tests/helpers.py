@@ -7,7 +7,9 @@ standard recurrence; the conditions oracle scores a list of cells with
 Fraction conditionals, and the search oracle applies it to every
 enumerated partition.  With the int-string limit lifted, ``str`` is the
 oracle for exact output of any size.  The fake events at the end are
-models in which the compatibility test fails, which no shipped model does.
+models in which the compatibility test fails, which no shipped model does;
+like the shipped events they are hashable, since the engine memoizes the
+split of each pair.
 """
 
 from __future__ import annotations
@@ -235,12 +237,17 @@ class Incompatible:
     def __eq__(self, other):
         return isinstance(other, Incompatible)
 
+    def __hash__(self):
+        return 0  # equal fakes must hash alike; one constant serves this class and IncompatibleZero
+
 
 class IncompatibleZero(Incompatible):
     is_zero = True
 
     def __eq__(self, other):
         return isinstance(other, IncompatibleZero)
+
+    __hash__ = Incompatible.__hash__
 
 
 class Absorbing(Incompatible):
@@ -259,6 +266,8 @@ class Absorbing(Incompatible):
 
     def __eq__(self, other):
         return self is other
+
+    __hash__ = object.__hash__
 
 
 def brute_force_search(space: FiniteSpace, a, b, n: int) -> list:

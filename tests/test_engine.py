@@ -25,7 +25,8 @@ from rccs import (
     verify_common_cause,
     verify_rccs,
 )
-from rccs.serialize import steps_to_obj
+from rccs.engine import _pair
+from rccs.serialize import dumps, interval_event_from_obj, interval_event_to_obj, loads, steps_to_obj
 
 from .helpers import (
     MIXED_DENOMINATORS,
@@ -181,17 +182,26 @@ def _entry_points(a, b):
 
 
 class TestCompatibilityChecked:
-    # the shipped models are Boolean, so only a fake model can fail the test every call runs first
+    # the shipped models are Boolean, so only a fake model can fail the test every call runs first;
+    # a refusal is never memoized, so a repeated identical call is refused again
 
     def test_incompatible_pair_refused(self):
-        for call in _entry_points(Incompatible(), Incompatible()):
-            with pytest.raises(PreconditionError, match=r"^events are not compatible$"):
-                call()
+        _pair.cache_clear()
+        a, b = Incompatible(), Incompatible()
+        for _ in range(3):
+            for call in _entry_points(a, b):
+                with pytest.raises(PreconditionError, match=r"^events are not compatible$"):
+                    call()
+        assert _pair.cache_info().currsize == 0
 
     def test_asymmetric_test_is_an_invariant_failure(self):
-        for call in _entry_points(Absorbing(), Incompatible()):
-            with pytest.raises(InternalInvariantError, match="asymmetric"):
-                call()
+        _pair.cache_clear()
+        a, b = Absorbing(), Incompatible()
+        for _ in range(3):
+            for call in _entry_points(a, b):
+                with pytest.raises(InternalInvariantError, match="asymmetric"):
+                    call()
+        assert _pair.cache_info().currsize == 0
 
 
 class TestDecomposition:
@@ -238,6 +248,7 @@ class TestConstruction:
         # the compatibility test splits the pair into a&b, a&~b, ~a&b, measured once each; the
         # trace, both preconditions and the joint excess come from those three measures, every
         # cell is met with the three atoms, and the other event operations build the cells
+        _pair.cache_clear()
         calls = Counter()
         for name in ("meet", "join", "measure", "complement"):
             def counted(self, *args, _name=name, _original=getattr(IntervalEvent, name)):
@@ -250,6 +261,13 @@ class TestConstruction:
         calls.clear()
         steps_to_obj(steps)
         assert calls["measure"] == 0
+        # the construction split the pair, so verifying on it only meets and measures the cells
+        calls.clear()
+        verify_rccs(WORKED_A, WORKED_B, steps.system.cells)
+        assert calls["meet"] <= 9 and calls["measure"] <= 12, calls
+        assert calls["complement"] == 0 and calls["join"] == 0, calls
+        # a cold verification splits and measures the pair as well
+        _pair.cache_clear()
         calls.clear()
         verify_rccs(WORKED_A, WORKED_B, steps.system.cells)
         assert calls["meet"] <= 12 and calls["measure"] <= 15, calls
@@ -573,3 +591,67 @@ class TestKernelAgainstOracle:
                     CommonCauseSystem(cells=cells, cond_a=cond_a, cond_b=cond_b, cond_ab=cond_ab)
                 assert str(err.value) == failure
         assert accepted >= 50
+
+
+def _answers(a, b, partition, cold: bool = False) -> list:
+    """Each public engine call on the pair and the partition: its result, or its precondition text.
+
+    With ``cold`` the memoized split is cleared before every call.
+    """
+    calls = (
+        lambda: construction_steps(a, b),
+        lambda: verify_rccs(a, b, partition),
+        lambda: verify_common_cause(a, b, partition.cells[0]),
+        lambda: correlation_decomposition(a, b, partition),
+    )
+    answers = []
+    for call in calls:
+        if cold:
+            _pair.cache_clear()
+        try:
+            answers.append(call())
+        except PreconditionError as err:
+            answers.append(str(err))
+    return answers
+
+
+class TestPairCache:
+    """The memoized split of a pair gives every answer a fresh split gives."""
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_cold_warm_and_rebuilt_pairs_agree(self, mixed):
+        rng = random.Random(410 + mixed)
+        constructed = 0
+        for _ in range(50):
+            a = random_nonzero_event(rng, mixed=mixed)
+            b = random_nonzero_event(rng, mixed=mixed)
+            partitions = [random_interval_partition(rng, mixed)]
+            if logically_independent(a, b) and correlation(a, b) > 0:
+                partitions.append(construct_size3(a, b).cells)
+                constructed += 1
+            # equal to the originals, but new objects, as a JSON round trip gives them
+            rebuilt_a, rebuilt_b = (interval_event_from_obj(loads(dumps(interval_event_to_obj(x)))) for x in (a, b))
+            assert (rebuilt_a, rebuilt_b) == (a, b) and rebuilt_a is not a and rebuilt_b is not b
+            # pairs that share an event, so a memo that mixed them up would answer for the wrong one
+            pairs = ((a, b), (b, a), (a, b.complement()))
+            for partition in partitions:
+                cold = [_answers(x, y, partition, cold=True) for x, y in pairs]
+                for (x, y), answers in zip(pairs, cold):
+                    assert _answers(x, y, partition) == answers
+                    hits, misses = _pair.cache_info()[:2]
+                    assert _answers(x, y, partition) == answers
+                    assert _pair.cache_info()[:2] == (hits + 4, misses)
+                assert _answers(a, b, partition) == cold[0]
+                hits, misses = _pair.cache_info()[:2]
+                assert _answers(rebuilt_a, rebuilt_b, partition) == cold[0]
+                assert _pair.cache_info()[:2] == (hits + 4, misses)
+                steps = cold[0][0]
+                if not isinstance(steps, str) and steps.system.cells == partition:
+                    assert steps.report == cold[0][1]
+                    assert steps.joint_excess == correlation(a, b)
+                    assert steps.carve_bound == steps.joint_excess / a.join(b).complement().measure()
+                # the warm answers, field by field, against the Fraction oracle
+                for x, y in pairs:
+                    check_against_oracle(x, y, partition)
+                    check_common_cause_against_oracle(x, y, partition.cells[0])
+        assert constructed >= 10

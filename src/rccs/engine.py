@@ -361,11 +361,11 @@ def construction_steps(
     f = lam * bound, and that closed form puts both carved measures
     strictly inside the events they are carved from, so there is no
     boundary case.  Carving takes intervals left to right, so the
-    construction is reproducible.  The runtime checks are both carves'
-    own range checks, the partition's validation and one exact
-    verification of the carved cells, the one :func:`verify_rccs` runs,
-    on the same atoms; it is the check on ``carve`` and gives the cell
-    measures.
+    construction is reproducible.  The cells partition the space by
+    construction, so the partition is not validated again.  The runtime
+    checks are both carves' own range checks and one exact verification
+    of the cells, the one :func:`verify_rccs` runs, on the same atoms;
+    it is the check on ``carve`` and gives the cell measures.
     """
     lam = as_fraction(lam)
     if not 0 < lam < 1:
@@ -380,6 +380,11 @@ def construction_steps(
             "admits no common cause system of size 3 or more (the no-go result for "
             "logically dependent events), so the construction cannot succeed"
         )
+    if not (isinstance(a, IntervalEvent) and isinstance(b, IntervalEvent)):
+        raise InputError(
+            "the size-3 construction needs an atomless model such as interval events; "
+            "a finite space has atoms, so search it with search_rccs"
+        )
     # No boundary case: with f = lam * bound and both of those atoms non-empty,
     # (m(a&b) - f) m(~a&~b) > (m(a) - m(a&b))(m(b) - m(a&b)) > 0, so 0 < f < m(a&b).
     # Screening-off on the rest of the space, which meets a, b and a&b in their measures
@@ -390,7 +395,7 @@ def construction_steps(
     full_cell = atoms[0].carve(full_measure)
     null_cell = a.join(b).complement().carve((1 - lam) * excess / (m_ab - full_measure))
     mixed_cell = full_cell.join(null_cell).complement()
-    cells = Partition((full_cell, null_cell, mixed_cell))
+    cells = Partition((full_cell, null_cell, mixed_cell), validate=False)
     report = _verify(atoms, excess, cells)
     if not report.verdict:
         raise InternalInvariantError(f"constructed system failed verification: {report.failure}")

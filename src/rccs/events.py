@@ -18,9 +18,9 @@ exact :class:`fractions.Fraction`, and ``intervals`` presents the
 endpoints as Fraction pairs.
 
 Half-open intervals make the representation closed under complement and
-union without any point-mass bookkeeping, and merging adjacent intervals
-means two events are equal as point sets exactly when their
-representations are equal.
+union, and merged adjacent intervals make equal point sets equal
+representations.  The constructor and unpickling check canonical form;
+kernel results are canonical by construction, and the tests check them.
 """
 
 from __future__ import annotations
@@ -124,9 +124,9 @@ class IntervalEvent:
 
     The constructor is strict: it coerces endpoints to fractions but
     rejects any list that is not already canonical (unsorted, overlapping,
-    touching, empty, or out-of-range intervals).  Use :meth:`normalized`
-    to build an event from an arbitrary interval list instead.
-    Instances are immutable and hashable.
+    touching, empty, or out-of-range intervals); so does unpickling.  Use
+    :meth:`normalized` for an arbitrary interval list.  Kernel results
+    skip the check.  Instances are immutable and hashable.
     """
 
     __slots__ = ("_ends",)
@@ -139,9 +139,9 @@ class IntervalEvent:
 
     @classmethod
     def _from_ends(cls, ends: tuple[int, ...]) -> "IntervalEvent":
-        """Build an event from a flat tuple of reduced integer endpoints."""
+        """Build an event from a flat tuple of reduced integer endpoints already in canonical form."""
         event = object.__new__(cls)
-        object.__setattr__(event, "_ends", _checked(ends))
+        object.__setattr__(event, "_ends", ends)
         return event
 
     @classmethod
@@ -326,7 +326,7 @@ class IntervalEvent:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return (IntervalEvent._from_ends, (self._ends,))
+        return (IntervalEvent, (self.intervals,))
 
     def __and__(self, other: "IntervalEvent") -> "IntervalEvent":
         return self.meet(other)

@@ -172,7 +172,7 @@ class Partition:
 
     ``validate=False`` skips the structural checks; it is reserved for
     callers that produce partitions that are valid by construction, such
-    as the exhaustive enumerator.
+    as the exhaustive enumerator and the size-3 construction.
     """
 
     cells: tuple[LatticeEvent, ...]

@@ -20,6 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from rccs import FiniteSpace, IntervalEvent, enumerate_partitions
 
@@ -49,6 +50,29 @@ def unlimited_int_digits():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def assert_canonical(event: IntervalEvent) -> IntervalEvent:
+    """Check the stored endpoints of ``event`` against canonical form, and return the event.
+
+    Kernel results skip the library's own check, so this is their guard,
+    written independently of it in Fractions: four ints per interval, each
+    endpoint a reduced pair with a positive denominator, 0 <= lo < hi <= 1
+    for every interval, and each interval starting strictly after the
+    previous one ends.
+    """
+    ends = event._ends
+    assert type(ends) is tuple and len(ends) % 4 == 0, ends
+    prev_hi = None
+    for k in range(0, len(ends), 4):
+        num_lo, den_lo, num_hi, den_hi = ends[k : k + 4]
+        for num, den in ((num_lo, den_lo), (num_hi, den_hi)):
+            assert type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1, ends
+        lo, hi = Fraction(num_lo, den_lo), Fraction(num_hi, den_hi)
+        assert 0 <= lo < hi <= 1, ends
+        assert prev_hi is None or prev_hi < lo, ends
+        prev_hi = hi
+    return event
 
 
 def _contains(event: IntervalEvent, point: Fraction) -> bool:

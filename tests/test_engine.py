@@ -25,13 +25,23 @@ from rccs import (
     verify_common_cause,
     verify_rccs,
 )
+from rccs import events
 from rccs.engine import _pair
-from rccs.serialize import dumps, interval_event_from_obj, interval_event_to_obj, loads, steps_to_obj
+from rccs.serialize import (
+    dumps,
+    interval_event_from_obj,
+    interval_event_to_obj,
+    interval_partition_from_obj,
+    loads,
+    partition_to_obj,
+    steps_to_obj,
+)
 
 from .helpers import (
     MIXED_DENOMINATORS,
     Absorbing,
     Incompatible,
+    assert_canonical,
     iv,
     oracle_conditions,
     oracle_score,
@@ -257,7 +267,8 @@ class TestConstruction:
 
             monkeypatch.setattr(IntervalEvent, name, counted)
         steps = construction_steps(WORKED_A, WORKED_B)
-        assert calls["meet"] <= 15 and calls["measure"] <= 17 and calls["complement"] <= 4, calls
+        assert calls["meet"] <= 12 and calls["measure"] <= 17 and calls["complement"] <= 4, calls
+        assert calls["join"] <= 4, calls
         calls.clear()
         steps_to_obj(steps)
         assert calls["measure"] == 0
@@ -276,6 +287,50 @@ class TestConstruction:
         calls.clear()
         assert compatible(WORKED_A, WORKED_B)
         assert calls["meet"] <= 3 and calls["join"] <= 2 and calls["complement"] <= 2, calls
+
+    def test_kernel_results_skip_the_canonical_check(self, monkeypatch):
+        # the canonical-form check runs where endpoints come in from outside, never on kernel results
+        _pair.cache_clear()
+        calls = Counter()
+
+        def counted(ends, _original=events._checked):
+            calls["checked"] += 1
+            return _original(ends)
+
+        monkeypatch.setattr(events, "_checked", counted)
+        steps = construction_steps(WORKED_A, WORKED_B)
+        assert verify_rccs(WORKED_A, WORKED_B, steps.system.cells).verdict
+        assert calls["checked"] == 0
+        cells = interval_partition_from_obj(partition_to_obj(steps.system.cells))
+        assert cells == steps.system.cells
+        assert calls["checked"] == 3
+
+    def test_construction_partition_is_valid(self):
+        # the construction skips the partition's validation; validating its cells again must pass,
+        # and each carved cell must lie inside the event it was carved from
+        rng = random.Random(81)
+        pairs = [random_correlated_independent_pair(rng) for _ in range(200)]
+        while len(pairs) < 400:
+            a, b = random_nonzero_event(rng, mixed=True), random_nonzero_event(rng, mixed=True)
+            if correlation(a, b) > 0 and logically_independent(a, b):
+                pairs.append((a, b))
+        for a, b in pairs:
+            joint, neither = a.meet(b), a.join(b).complement()
+            for lam in (Fraction(1, 3), Fraction(1, 2), Fraction(99, 100)):
+                cells = construction_steps(a, b, lam).system.cells.cells
+                assert Partition(cells).cells == cells
+                for cell in cells:
+                    assert_canonical(cell)
+                assert cells[0].leq(joint) and cells[1].leq(neither)
+
+    def test_finite_events_refused_with_input_error(self):
+        # a finite space has atoms; a pair that passes every precondition is still refused
+        space = FiniteSpace((Fraction(2, 5), Fraction(1, 5), Fraction(1, 5), Fraction(1, 5)))
+        a, b = space.event((0, 1)), space.event((0, 2))
+        assert correlation(a, b) > 0 and logically_independent(a, b)
+        for call in (construction_steps, construct_size3):
+            with pytest.raises(InputError, match=r"atomless model.*search_rccs"):
+                call(a, b)
 
     def test_lambda_scales_first_cell(self):
         for lam, expected in (("1/3", Fraction(1, 8)), ("9/10", Fraction(27, 80))):

@@ -14,6 +14,7 @@ from rccs import EMPTY, FULL, InputError, IntervalEvent, PreconditionError
 
 from .helpers import (
     MIXED_DENOMINATORS,
+    assert_canonical,
     endpoint_input,
     iv,
     random_event,
@@ -127,7 +128,7 @@ class TestCanonicalForm:
         ev = IntervalEvent.normalized([("1/2", "3/4"), ("0", "1/4"), ("1/8", "5/8")])
         assert ev == iv("0", "3/4")
         for pairs in _seeded_interval_lists():
-            assert IntervalEvent.normalized(pairs).intervals == _sort_and_merge(pairs)
+            assert assert_canonical(IntervalEvent.normalized(pairs)).intervals == _sort_and_merge(pairs)
 
     def test_normalized_drops_degenerate(self):
         assert IntervalEvent.normalized([("1/3", "1/3")]) == EMPTY
@@ -151,7 +152,7 @@ class TestCanonicalForm:
             mid = (lo + hi) / 2
             halves.append((lo, mid))
             halves.append((mid, hi))
-        assert IntervalEvent.normalized(halves) == ev
+        assert assert_canonical(IntervalEvent.normalized(halves)) == ev
 
 
 class TestOperations:
@@ -216,39 +217,43 @@ class TestOperations:
         for _ in range(300):
             a = random_event(rng)
             b = random_event(rng)
-            assert a.meet(b) == set_oracle(a, b, lambda x, y: x and y)
-            assert a.join(b) == set_oracle(a, b, lambda x, y: x or y)
-            assert a.complement() == set_oracle(a, None, lambda x, _: not x)
+            assert assert_canonical(a.meet(b)) == set_oracle(a, b, lambda x, y: x and y)
+            assert assert_canonical(a.join(b)) == set_oracle(a, b, lambda x, y: x or y)
+            assert assert_canonical(a.complement()) == set_oracle(a, None, lambda x, _: not x)
 
 
 class TestBooleanLaws:
     @given(interval_events(), interval_events(), interval_events())
     @settings(deadline=None)
     def test_distributivity(self, a, b, c):
-        assert a.join(b.meet(c)) == a.join(b).meet(a.join(c))
-        assert a.meet(b.join(c)) == a.meet(b).join(a.meet(c))
+        ok = assert_canonical
+        assert ok(a.join(ok(b.meet(c)))) == ok(ok(a.join(b)).meet(ok(a.join(c))))
+        assert ok(a.meet(ok(b.join(c)))) == ok(ok(a.meet(b)).join(ok(a.meet(c))))
 
     @given(interval_events(), interval_events())
     def test_de_morgan(self, a, b):
-        assert a.meet(b).complement() == a.complement().join(b.complement())
-        assert a.join(b).complement() == a.complement().meet(b.complement())
+        ok = assert_canonical
+        assert ok(ok(a.meet(b)).complement()) == ok(ok(a.complement()).join(ok(b.complement())))
+        assert ok(ok(a.join(b)).complement()) == ok(a.complement().meet(b.complement()))
 
     @given(interval_events())
     def test_double_complement(self, a):
-        assert a.complement().complement() == a
+        assert assert_canonical(assert_canonical(a.complement()).complement()) == a
 
     @given(interval_events(), interval_events())
     def test_absorption(self, a, b):
-        assert a.join(a.meet(b)) == a
-        assert a.meet(a.join(b)) == a
+        ok = assert_canonical
+        assert ok(a.join(ok(a.meet(b)))) == a
+        assert ok(a.meet(ok(a.join(b)))) == a
 
     @given(interval_events(), interval_events())
     def test_exact_additivity(self, a, b):
-        assert a.join(b).measure() + a.meet(b).measure() == a.measure() + b.measure()
+        joined, met = assert_canonical(a.join(b)), assert_canonical(a.meet(b))
+        assert joined.measure() + met.measure() == a.measure() + b.measure()
 
     @given(interval_events())
     def test_complement_measure(self, a):
-        assert a.measure() + a.complement().measure() == 1
+        assert a.measure() + assert_canonical(a.complement()).measure() == 1
 
     @given(interval_events())
     def test_faithfulness(self, a):
@@ -286,7 +291,7 @@ class TestCarve:
             x = total * Fraction(rng.randint(1, 15), 16)
             if x == 0 or x >= total:
                 continue
-            piece = a.carve(x)
+            piece = assert_canonical(a.carve(x))
             assert piece.measure() == x
             assert piece.leq(a)
             assert piece != a
@@ -298,7 +303,7 @@ class TestCarve:
             a = random_nonzero_event(rng, mixed=True)
             total = a.measure()
             x = total * Fraction(rng.randint(1, 15), 16)
-            piece = a.carve(x)
+            piece = assert_canonical(a.carve(x))
             assert piece.measure() == x
             assert piece.leq(a)
             assert piece != a
@@ -319,16 +324,16 @@ class TestIntegerKernel:
         for _ in range(300):
             a = random_event(rng, max_parts=5, mixed=True)
             b = random_event(rng, max_parts=5, mixed=True)
-            assert a.meet(b) == set_oracle(a, b, lambda x, y: x and y)
-            assert a.join(b) == set_oracle(a, b, lambda x, y: x or y)
-            assert a.complement() == set_oracle(a, None, lambda x, _: not x)
+            assert assert_canonical(a.meet(b)) == set_oracle(a, b, lambda x, y: x and y)
+            assert assert_canonical(a.join(b)) == set_oracle(a, b, lambda x, y: x or y)
+            assert assert_canonical(a.complement()) == set_oracle(a, None, lambda x, _: not x)
 
     @given(interval_events(mixed=True), interval_events(mixed=True))
     @settings(deadline=None)
     def test_set_operations_match_oracle(self, a, b):
-        assert a.meet(b) == set_oracle(a, b, lambda x, y: x and y)
-        assert a.join(b) == set_oracle(a, b, lambda x, y: x or y)
-        assert a.complement() == set_oracle(a, None, lambda x, _: not x)
+        assert assert_canonical(a.meet(b)) == set_oracle(a, b, lambda x, y: x and y)
+        assert assert_canonical(a.join(b)) == set_oracle(a, b, lambda x, y: x or y)
+        assert assert_canonical(a.complement()) == set_oracle(a, None, lambda x, _: not x)
 
     @given(interval_events(max_parts=6, mixed=True))
     def test_measure_matches_plain_sum(self, a):
@@ -366,9 +371,9 @@ class TestIntegerKernel:
             a = random_event(rng, max_parts=6, mixed=True)
             b = random_event(rng, max_parts=6, mixed=True)
             operands = _endpoint_pairs(a) | _endpoint_pairs(b) | bounds
-            assert _endpoint_pairs(a.meet(b)) <= operands
-            assert _endpoint_pairs(a.join(b)) <= operands
-            assert _endpoint_pairs(a.complement()) <= _endpoint_pairs(a) | bounds
+            assert _endpoint_pairs(assert_canonical(a.meet(b))) <= operands
+            assert _endpoint_pairs(assert_canonical(a.join(b))) <= operands
+            assert _endpoint_pairs(assert_canonical(a.complement())) <= _endpoint_pairs(a) | bounds
             for num, den in _endpoint_pairs(a):
                 assert den > 0 and gcd(num, den) == 1
 
@@ -426,3 +431,49 @@ class TestIntegerKernel:
         ev = iv("1/7", "1/2", "999982/999983", "1")
         for clone in (copy.copy(ev), copy.deepcopy(ev), pickle.loads(pickle.dumps(ev))):
             assert clone == ev and hash(clone) == hash(ev)
+
+
+class TestTrustBoundary:
+    """Kernel results skip the canonical-form check; every way in from outside keeps it."""
+
+    @pytest.mark.parametrize(
+        "ends",
+        [
+            (0, 1, 1, 2, 1, 2, 1, 1),  # touching
+            (0, 1, 3, 4, 1, 2, 1, 1),  # overlapping
+            (1, 2, 3, 4, 0, 1, 1, 4),  # out of order
+            (1, 2, 3, 2),  # hi above 1
+            (-1, 2, 1, 2),  # lo below 0
+            (3, 4, 1, 4),  # reversed
+            (1, 2, 1, 2),  # degenerate
+            (2, 4, 3, 4),  # unreduced
+            (1, -2, 1, 1),  # negative denominator
+            (0, 1, 1),  # not four ints per interval
+        ],
+    )
+    def test_assert_canonical_rejects(self, ends):
+        with pytest.raises(AssertionError):
+            assert_canonical(IntervalEvent._from_ends(ends))
+
+    def test_assert_canonical_accepts(self):
+        for ends in ((), (0, 1, 1, 1), (0, 1, 1, 7, 1, 2, 999982, 999983)):
+            event = IntervalEvent._from_ends(ends)
+            assert assert_canonical(event) is event
+
+    @pytest.mark.parametrize(
+        "ends, pairs",
+        [
+            ((0, 1, 1, 2, 1, 2, 1, 1), (("0", "1/2"), ("1/2", "1"))),
+            ((3, 4, 1, 4), (("3/4", "1/4"),)),
+            ((1, 2, 3, 2), (("1/2", "3/2"),)),
+        ],
+    )
+    def test_unpickling_and_copy_check_canonical_form(self, ends, pairs):
+        with pytest.raises(InputError) as expected:
+            IntervalEvent(pairs)
+        tampered = iv("1/4", "1/2")
+        object.__setattr__(tampered, "_ends", ends)
+        for rebuild in (copy.copy, copy.deepcopy, lambda ev: pickle.loads(pickle.dumps(ev))):
+            with pytest.raises(InputError) as err:
+                rebuild(tampered)
+            assert str(err.value) == str(expected.value)

@@ -395,7 +395,7 @@ def construction_steps(
     full_cell = atoms[0].carve(full_measure)
     null_cell = a.join(b).complement().carve((1 - lam) * excess / (m_ab - full_measure))
     mixed_cell = full_cell.join(null_cell).complement()
-    cells = Partition((full_cell, null_cell, mixed_cell), validate=False)
+    cells = Partition._from_cells((full_cell, null_cell, mixed_cell))
     report = _verify(atoms, excess, cells)
     if not report.verdict:
         raise InternalInvariantError(f"constructed system failed verification: {report.failure}")

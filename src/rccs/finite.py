@@ -1,11 +1,14 @@
 """Finite weighted probability spaces and exhaustive partition search.
 
 A :class:`FiniteSpace` is a list of strictly positive rational weights
-summing to one; events are subsets of the sample points.  This is the
-exhaustive instrument of the package: every partition into a given number
-of cells can be enumerated, and ``search_rccs`` covers all of them, which
-turns nonexistence claims about small common cause systems into finite
-checks.
+summing to one; an event is a subset of the sample points, stored as a
+bitmask with bit i for point i.  Only ``FiniteEvent(space, members)``
+checks member indices; kernel results, enumerated cells and search hits
+are built from masks, and the tests check them against a set oracle.
+This is the exhaustive instrument of the package: every partition into a
+given number of cells can be enumerated, and ``search_rccs`` covers all
+of them, which turns nonexistence claims about small common cause
+systems into finite checks.
 """
 
 from __future__ import annotations
@@ -49,35 +52,48 @@ class FiniteSpace:
         return len(self.weights)
 
     def event(self, members: Iterable[int]) -> "FiniteEvent":
-        return FiniteEvent(self, tuple(members))
+        return FiniteEvent(self, members)
 
     @property
     def empty(self) -> "FiniteEvent":
-        return FiniteEvent(self, ())
+        return FiniteEvent._from_mask(self, 0)
 
     @property
     def full(self) -> "FiniteEvent":
-        return FiniteEvent(self, tuple(range(len(self.weights))))
+        return FiniteEvent._from_mask(self, (1 << len(self.weights)) - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteEvent:
-    """A subset of the sample points of a :class:`FiniteSpace`."""
+    """A subset of the sample points of a :class:`FiniteSpace`: bit i of ``mask`` is point i.
+
+    The constructor checks the member indices; kernel results skip the check.
+    """
 
     space: FiniteSpace
-    members: tuple[int, ...]
+    mask: int
 
-    def __post_init__(self) -> None:
-        seen = set()
-        for idx in self.members:
+    def __init__(self, space: FiniteSpace, members: Iterable[int]) -> None:
+        mask = 0
+        for idx in members:
             if isinstance(idx, bool) or not isinstance(idx, int):
                 raise InputError(f"sample point indices must be integers, got {echo(idx)}")
-            if not 0 <= idx < len(self.space):
-                raise InputError(
-                    f"sample point {echo(idx)} out of range for a {len(self.space)}-point space"
-                )
-            seen.add(idx)
-        object.__setattr__(self, "members", tuple(sorted(seen)))
+            if not 0 <= idx < len(space):
+                raise InputError(f"sample point {echo(idx)} out of range for a {len(space)}-point space")
+            mask |= 1 << idx
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def _from_mask(cls, space: FiniteSpace, mask: int) -> "FiniteEvent":
+        event = object.__new__(cls)
+        object.__setattr__(event, "space", space)
+        object.__setattr__(event, "mask", mask)
+        return event
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        return tuple(i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
 
     def _require_same_space(self, other: "FiniteEvent") -> None:
         if self.space != other.space:
@@ -85,30 +101,29 @@ class FiniteEvent:
 
     @property
     def is_zero(self) -> bool:
-        return not self.members
+        return not self.mask
 
     @property
     def is_one(self) -> bool:
-        return len(self.members) == len(self.space)
+        return self.mask == (1 << len(self.space)) - 1
 
     def measure(self) -> Fraction:
         return sum((self.space.weights[i] for i in self.members), Fraction(0))
 
     def meet(self, other: "FiniteEvent") -> "FiniteEvent":
         self._require_same_space(other)
-        return FiniteEvent(self.space, tuple(set(self.members) & set(other.members)))
+        return FiniteEvent._from_mask(self.space, self.mask & other.mask)
 
     def join(self, other: "FiniteEvent") -> "FiniteEvent":
         self._require_same_space(other)
-        return FiniteEvent(self.space, tuple(set(self.members) | set(other.members)))
+        return FiniteEvent._from_mask(self.space, self.mask | other.mask)
 
     def complement(self) -> "FiniteEvent":
-        universe = range(len(self.space))
-        return FiniteEvent(self.space, tuple(set(universe) - set(self.members)))
+        return FiniteEvent._from_mask(self.space, self.mask ^ ((1 << len(self.space)) - 1))
 
     def leq(self, other: "FiniteEvent") -> bool:
         self._require_same_space(other)
-        return set(self.members) <= set(other.members)
+        return self.mask & ~other.mask == 0
 
     def __and__(self, other: "FiniteEvent") -> "FiniteEvent":
         return self.meet(other)
@@ -125,7 +140,7 @@ class FiniteEvent:
 
 def finite_measure(space: FiniteSpace, event: FiniteEvent) -> Fraction:
     """Exact measure of an event: the sum of its member weights."""
-    if event.space != space:
+    if not isinstance(event, FiniteEvent) or event.space != space:
         raise InputError("event does not belong to the given space")
     return event.measure()
 
@@ -141,27 +156,18 @@ def enumerate_partitions(space: FiniteSpace, n: int) -> Iterator[Partition]:
     m = len(space)
     if not 1 <= n <= m:
         raise InputError(f"cell count {echo(n)} out of range 1..{m}")
-    labels = [0] * m
-
-    def emit() -> Partition:
-        groups: list[list[int]] = [[] for _ in range(n)]
-        for point, lab in enumerate(labels):
-            groups[lab].append(point)
-        cells = tuple(space.event(group) for group in groups)
-        # valid by construction: groups are disjoint, nonempty, and cover all points
-        return Partition(cells, validate=False)
+    masks = [0] * n  # masks[k] holds the points assigned to cell k so far
 
     def walk(i: int, used: int) -> Iterator[Partition]:
         if used + (m - i) < n:
             return
-        if i == m:
-            if used == n:
-                yield emit()
+        if i == m:  # the test above leaves only used == n here
+            yield Partition._from_cells(tuple(FiniteEvent._from_mask(space, s) for s in masks))
             return
-        top = used + 1 if used < n else n
-        for lab in range(top):
-            labels[i] = lab
+        for lab in range(min(used + 1, n)):
+            masks[lab] |= 1 << i
             yield from walk(i + 1, used + 1 if lab == used else used)
+            masks[lab] ^= 1 << i
 
     yield from walk(0, 0)
 
@@ -194,7 +200,7 @@ def search_rccs(
     than ``max_points`` are refused because the subset table has 2^m
     entries.
     """
-    if a.space != space or b.space != space:
+    if not all(isinstance(e, FiniteEvent) and e.space == space for e in (a, b)):
         raise InputError("events do not belong to the given space")
     m = len(space)
     if m > max_points:
@@ -219,8 +225,7 @@ def search_rccs(
 
     scale = lcm(*(w.denominator for w in space.weights))
     point_weight = [w.numerator * (scale // w.denominator) for w in space.weights]
-    mask_a = sum(1 << i for i in a.members)
-    mask_b = sum(1 << i for i in b.members)
+    mask_a, mask_b = a.mask, b.mask
     mask_ab = mask_a & mask_b
     full = (1 << m) - 1
     # weight[s] is the scaled measure of subset s; a meet is a mask away
@@ -267,11 +272,4 @@ def search_rccs(
         return out
 
     found.sort(key=labels)
-    # valid by construction: the cells are disjoint, nonempty, and cover all points
-    return [
-        Partition(
-            tuple(space.event([i for i in range(m) if s >> i & 1]) for s in cells),
-            validate=False,
-        )
-        for cells in found
-    ]
+    return [Partition._from_cells(tuple(FiniteEvent._from_mask(space, s) for s in cells)) for cells in found]

@@ -25,7 +25,7 @@ deliberately not part of the interface.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Protocol, TypeVar
@@ -170,18 +170,14 @@ def check_product_inequality(a: E, b: E, c: E) -> bool:
 class Partition:
     """An ordered tuple of pairwise disjoint nonzero events covering the space.
 
-    ``validate=False`` skips the structural checks; it is reserved for
-    callers that produce partitions that are valid by construction, such
-    as the exhaustive enumerator and the size-3 construction.
+    The constructor always checks the cells; partitions that are valid by
+    construction are built by ``_from_cells``, which skips the check.
     """
 
     cells: tuple[LatticeEvent, ...]
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(self, "cells", tuple(self.cells))
-        if not validate:
-            return
         if not self.cells:
             raise InputError("a partition needs at least one cell")
         for k, cell in enumerate(self.cells):
@@ -194,6 +190,12 @@ class Partition:
         whole = reduce(lambda x, y: x.join(y), self.cells)
         if not whole.is_one:
             raise InputError("partition cells do not cover the whole space")
+
+    @classmethod
+    def _from_cells(cls, cells: tuple[LatticeEvent, ...]) -> "Partition":
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "cells", cells)
+        return partition
 
     @property
     def size(self) -> int:

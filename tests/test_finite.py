@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from rccs import (
+    FiniteEvent,
     FiniteSpace,
     InputError,
+    Partition,
     PreconditionError,
     correlation,
     enumerate_partitions,
@@ -18,7 +20,7 @@ from rccs import (
     verify_rccs,
 )
 
-from .helpers import brute_force_search, random_space, stirling2
+from .helpers import brute_force_search, iv, random_space, stirling2
 
 
 def uniform_space(m: int) -> FiniteSpace:
@@ -79,6 +81,33 @@ class TestSpaceAndEvents:
         with pytest.raises(InputError):
             space.event([0, 5])
 
+    def test_constructor_diagnostics(self):
+        space = uniform_space(3)
+        cases = (
+            ([0, True], "sample point indices must be integers, got True"),
+            ([0, "1"], "sample point indices must be integers, got '1'"),
+            ([0, 1.0], "sample point indices must be integers, got 1.0"),
+            ([0, 5], "sample point 5 out of range for a 3-point space"),
+            ([-1], "sample point -1 out of range for a 3-point space"),
+        )
+        for members, text in cases:
+            for build in (lambda: FiniteEvent(space, members), lambda: space.event(members)):
+                with pytest.raises(InputError) as info:
+                    build()
+                assert str(info.value) == text
+
+    def test_members_ascend_without_duplicates(self):
+        space = uniform_space(6)
+        for build in (lambda ms: FiniteEvent(space, ms), space.event):
+            assert build([4, 1, 4, 0, 1]).members == (0, 1, 4)
+            assert build(iter([5, 2, 2])).members == (2, 5)
+            assert build([]).members == ()
+            assert build([3, 1, 3]) == build([1, 3])
+
+    def test_interval_event_measured_in_a_space_is_refused(self):
+        with pytest.raises(InputError, match="^event does not belong to the given space$"):
+            finite_measure(uniform_space(3), iv("0", "1/2"))
+
     def test_cross_space_operations_rejected(self):
         s1, s2 = uniform_space(3), uniform_space(4)
         with pytest.raises(InputError):
@@ -133,6 +162,7 @@ class TestEnumeration:
                 for cell in p.cells[1:]:
                     whole = whole.join(cell)
                 assert whole.is_one
+                assert Partition(p.cells) == p
 
     def test_cell_count_out_of_range(self):
         space = uniform_space(4)
@@ -206,6 +236,12 @@ class TestSearch:
         with pytest.warns(UserWarning):
             search_rccs(space, a, b, 15, max_points=15)
 
+    def test_interval_events_are_refused(self):
+        a, b = iv("0", "1/2"), iv("0", "1/4")
+        for space_a, space_b in ((a, b), (uniform_space(4).event([0]), b)):
+            with pytest.raises(InputError, match="^events do not belong to the given space$"):
+                search_rccs(uniform_space(4), space_a, space_b, 2)
+
     def test_cell_count_out_of_range(self):
         space = uniform_space(4)
         a, b = space.event([0, 1]), space.event([0, 1, 2])
@@ -243,9 +279,78 @@ class TestSearch:
             if correlation(a, b) <= 0:
                 continue
             n = rng.randint(1, min(4, m))
-            got = [[c.members for c in p.cells] for p in search_rccs(space, a, b, n)]
+            hits = search_rccs(space, a, b, n)
+            assert all(Partition(p.cells) == p for p in hits)
+            got = [[c.members for c in p.cells] for p in hits]
             want = [[c.members for c in p.cells] for p in brute_force_search(space, a, b, n)]
             assert got == want, (space.weights, a.members, b.members, n)
             cases += 1
             nonempty += bool(want)
         assert nonempty >= 50
+
+
+def scrambled(rng, points: set) -> list:
+    """The points in random order, some of them repeated."""
+    members = [*points, *rng.choices(sorted(points), k=len(points))] if points else []
+    rng.shuffle(members)
+    return members
+
+
+class TestBitmaskKernel:
+    """Kernel results and search cells are built from masks, unchecked; these tests check them."""
+
+    def test_kernel_matches_set_oracle(self):
+        rng = random.Random(1212)
+        for _ in range(1000):
+            m = rng.randint(1, 14)
+            space = random_space(rng, m)
+            universe = set(range(m))
+            sx, sy = ({i for i in range(m) if rng.random() < p} for p in (rng.random(), rng.random()))
+            x, y = (space.event(scrambled(rng, s)) for s in (sx, sy))
+            assert x.members == tuple(sorted(sx))
+            cases = (
+                (x, sx),
+                (x.meet(y), sx & sy),
+                (x.join(y), sx | sy),
+                (x.complement(), universe - sx),
+                (x.complement().join(y), (universe - sx) | sy),
+                (y.complement().meet(x.complement()), universe - sx - sy),
+                (x & ~y | ~x & y, sx ^ sy),
+            )
+            for event, want in cases:
+                expected = tuple(sorted(want))
+                rebuilt = FiniteEvent(space, reversed(expected))
+                assert event.members == expected
+                assert event == rebuilt and hash(event) == hash(rebuilt)
+                assert str(event) == "{" + ", ".join(map(str, expected)) + "}"
+                assert event.measure() == sum((space.weights[i] for i in want), Fraction(0))
+                assert event.is_zero == (not want)
+                assert event.is_one == (want == universe)
+                assert event.leq(x) == (want <= sx) and x.leq(event) == (sx <= want)
+            assert (x == y) == (sx == sy)
+
+    def test_trusted_paths_run_no_member_check(self, monkeypatch):
+        space = uniform_space(8)
+        a, b = space.event(range(0, 4)), space.event(range(2, 5))
+        checked = []
+        original = FiniteEvent.__init__
+
+        def counting(self, *args, **kwargs):
+            checked.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FiniteEvent, "__init__", counting)
+        runs = {
+            "kernel": lambda: a.meet(b).join(a.complement()).complement().members,
+            "search": lambda: len(search_rccs(space, a, b, 3)),
+            "enumerate": lambda: sum(1 for _ in enumerate_partitions(uniform_space(6), 3)),
+        }
+        results, counts = {}, {}
+        for name, run in runs.items():
+            before = len(checked)
+            results[name] = run()
+            counts[name] = len(checked) - before
+        assert results == {"kernel": (0, 1), "search": 18, "enumerate": stirling2(6, 3)}
+        assert counts == {"kernel": 0, "search": 0, "enumerate": 0}
+        space.event([0])
+        assert len(checked) == 1

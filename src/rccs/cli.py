@@ -28,7 +28,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import serialize
-from .engine import construction_steps, verify_rccs
 from .errors import InputError, PreconditionError, echo
 from .events import IntervalEvent
 from .finite import DEFAULT_MAX_POINTS, search_rccs
@@ -106,6 +105,8 @@ def _print_report_human(report) -> None:
 
 
 def _run_construct(args) -> int:
+    from .engine import construction_steps  # the engine is loaded only by the subcommands that run it
+
     payload = _read_payload(args.input)
     a = serialize.interval_event_from_obj(serialize._field(payload, "a"), normalize=args.normalize)
     b = serialize.interval_event_from_obj(serialize._field(payload, "b"), normalize=args.normalize)
@@ -131,6 +132,8 @@ def _run_construct(args) -> int:
 
 
 def _run_verify(args) -> int:
+    from .engine import verify_rccs
+
     payload = _read_payload(args.input)
     a = serialize.interval_event_from_obj(serialize._field(payload, "a"), normalize=args.normalize)
     b = serialize.interval_event_from_obj(serialize._field(payload, "b"), normalize=args.normalize)
@@ -211,6 +214,7 @@ def _run_bell(args) -> int:
 
 
 def _run_demo(args) -> int:
+    from .engine import construction_steps  # before numpy: loaded after it, the engine adds ~0.8 MB peak RSS
     from . import bell
 
     lam = _parse_lam(args.lam)

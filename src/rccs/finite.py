@@ -51,6 +51,9 @@ class FiniteSpace:
     def __len__(self) -> int:
         return len(self.weights)
 
+    def __reduce__(self):
+        return (FiniteSpace, (self.weights,))
+
     def event(self, members: Iterable[int]) -> "FiniteEvent":
         return FiniteEvent(self, members)
 
@@ -90,6 +93,9 @@ class FiniteEvent:
         object.__setattr__(event, "space", space)
         object.__setattr__(event, "mask", mask)
         return event
+
+    def __reduce__(self):
+        return (FiniteEvent, (self.space, self.members))
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -154,7 +160,7 @@ def enumerate_partitions(space: FiniteSpace, n: int) -> Iterator[Partition]:
     is the Stirling number of the second kind S(m, n).
     """
     m = len(space)
-    if not 1 <= n <= m:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= m:
         raise InputError(f"cell count {echo(n)} out of range 1..{m}")
     masks = [0] * n  # masks[k] holds the points assigned to cell k so far
 
@@ -220,7 +226,7 @@ def search_rccs(
             f"events are not correlated (joint excess {format_rational(excess)}); "
             "a common cause system explains only positive correlations"
         )
-    if not 1 <= n <= m:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= m:
         raise InputError(f"cell count {echo(n)} out of range 1..{m}")
 
     scale = lcm(*(w.denominator for w in space.weights))

@@ -12,13 +12,15 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .engine import ConstructionSteps, VerificationReport
 from .errors import InputError, echo
 from .events import IntervalEvent, _quads, _rational_str, format_rational
 from .finite import FiniteEvent, FiniteSpace
 from .lattice import Partition
+
+if TYPE_CHECKING:  # annotations only: reading and writing events never loads the engine
+    from .engine import ConstructionSteps, VerificationReport
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
 
@@ -118,14 +120,13 @@ def finite_event_from_obj(obj: Any, space: FiniteSpace) -> FiniteEvent:
     raw = _field(obj, "members")
     if not isinstance(raw, list):
         raise InputError("'members' must be a list of sample point indices")
+    event = space.event(raw)  # checks each member's type and range, before any set lookup
     seen = set()
     for idx in raw:
-        if isinstance(idx, bool) or not isinstance(idx, int):
-            raise InputError(f"sample point index {echo(idx)} is not an integer")
         if idx in seen:
             raise InputError(f"duplicate sample point index {idx}")
         seen.add(idx)
-    return space.event(raw)
+    return event
 
 
 def report_to_obj(report: VerificationReport) -> dict:

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rccs.cli
+import rccs.engine
 import rccs.finite
-from rccs import InternalInvariantError, construction_steps
+from rccs import FiniteSpace, InputError, InternalInvariantError, construction_steps
 from rccs.cli import main
 from rccs.serialize import interval_event_from_obj
 
@@ -513,7 +514,7 @@ class TestLongInputEcho:
             (["search", _SPACE2 + '"a": {"members": [0]}, "b": {"members": [0]}, "n": ' + "9" * 3000 + "}"],
              "input error: cell count 999"),
             (["search", _SPACE2 + '"a": {"members": ["' + "7" * 3000 + '"]}, "b": {"members": [0]}, "n": 2}'],
-             "input error: sample point index '777"),
+             "input error: sample point indices must be integers, got '777"),
             (["search", _SPACE2 + '"a": {"members": [' + "7" * 3000 + ']}, "b": {"members": [0]}, "n": 2}'],
              "input error: sample point 777"),
         ],
@@ -530,6 +531,11 @@ class TestLongInputEcho:
     def test_short_value_keeps_its_exact_text(self):
         payload = json.dumps({"a": {"intervals": [["0", "1/0"]]}, "b": _B})
         assert run_cli(["construct", payload]) == (1, "", "input error: zero denominator in rational '1/0'\n")
+        with pytest.raises(InputError) as library:  # a member of the wrong type reads as in the library
+            FiniteSpace(("1/2", "1/2")).event(["x"])
+        assert str(library.value) == "sample point indices must be integers, got 'x'"
+        payload = _SPACE2 + '"a": {"members": ["x"]}, "b": {"members": [0]}, "n": 2}'
+        assert run_cli(["search", payload]) == (1, "", f"input error: {library.value}\n")
 
 
 class TestInternalErrors:
@@ -542,7 +548,7 @@ class TestInternalErrors:
         def broken(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(rccs.cli, "construction_steps", broken)
+        monkeypatch.setattr(rccs.engine, "construction_steps", broken)
         code, out, err = run_cli(["construct", WORKED_INPUT, "--json"])
         assert code == 4 and not out
         assert _one_line(err, f"internal error: {type(exc).__name__}: ")
@@ -657,8 +663,68 @@ def _fresh_interpreter(code: str, *args: str) -> str:
     return done.stdout
 
 
+_CLASSICAL = ["rccs.cli", "rccs.errors", "rccs.events", "rccs.finite", "rccs.lattice", "rccs.serialize"]
+_SEARCH_INPUT = json.dumps(
+    {"space": {"weights": ["1/4"] * 4}, "a": {"members": [0, 1]}, "b": {"members": [0, 1, 2]}, "n": 2}
+)
+
+
 class TestImportBudget:
-    """numpy (through rccs.bell) is loaded only by the Bell subcommands and names."""
+    """``import rccs`` loads no submodule; each subcommand and name loads only the modules it uses."""
+
+    PUBLIC_NAMES = [
+        "BellWitness", "CommonCauseSystem", "ConstructionSteps", "DEFAULT_MAX_POINTS", "EMPTY", "FULL",
+        "FiniteEvent", "FiniteSpace", "InputError", "InternalInvariantError", "IntervalEvent", "LatticeEvent",
+        "Partition", "PreconditionError", "RccsError", "VerificationReport", "as_fraction", "basis_product_state",
+        "bell_expectations", "bell_value", "build_witness", "check_product_inequality", "classical_bound_check",
+        "commutator_norm", "compatible", "construct_size3", "construction_steps", "correlation",
+        "correlation_decomposition", "enumerate_partitions", "finite_measure", "is_partial_isometry",
+        "is_projection", "logical_independence_equiv", "logically_independent", "no_common_ccs_demo",
+        "search_rccs", "verify_common_cause", "verify_rccs",
+    ]
+
+    def test_public_names_are_pinned(self):
+        assert sorted(rccs.__all__) == self.PUBLIC_NAMES
+
+    def test_import_rccs_loads_no_submodule(self):
+        code = """
+import json, sys
+import rccs
+watched = lambda: sorted(m for m in sys.modules if m.startswith("rccs") or m in ("dataclasses", "numpy"))
+before = watched()
+engine = rccs.engine
+print(json.dumps([before, engine is sys.modules["rccs.engine"] and "engine" in dir(rccs), watched()]))
+"""
+        assert json.loads(_fresh_interpreter(code)) == [
+            ["rccs"],
+            True,
+            ["dataclasses", "rccs", "rccs.engine", "rccs.errors", "rccs.events", "rccs.lattice"],
+        ]
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("search", []),
+            ("bell", ["rccs.bell"]),
+            ("construct", ["rccs.engine"]),
+            ("verify", ["rccs.engine"]),
+            ("demo", ["rccs.bell", "rccs.engine"]),
+        ],
+    )
+    def test_each_subcommand_loads_only_what_it_runs(self, command, extra):
+        if command == "verify":
+            cells = json.loads(run_cli(["construct", WORKED_INPUT, "--json"])[1])["cells"]
+            argv = [command, json.dumps({**json.loads(WORKED_INPUT), "partition": cells})]
+        else:
+            argv = [command] + {"search": [_SEARCH_INPUT], "construct": [WORKED_INPUT]}.get(command, [])
+        code = """
+import contextlib, io, json, sys
+from rccs.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("rccs."))]))
+"""
+        assert json.loads(_fresh_interpreter(code, json.dumps(argv))) == [0, sorted(_CLASSICAL + extra)]
 
     def test_numpy_is_loaded_only_for_bell(self):
         code = """

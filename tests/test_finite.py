@@ -1,6 +1,8 @@
 """Finite spaces: measures, exhaustive partition enumeration, search."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -121,6 +123,30 @@ class TestSpaceAndEvents:
         assert a.complement() == space.event([2])
         assert space.event([1]).leq(a)
 
+    def test_copy_and_pickle_round_trip(self):
+        space = FiniteSpace(("1/2", "1/3", "1/6"))
+        for original in (space, space.event([0, 2]), space.empty, space.full):
+            for clone in (copy.copy(original), copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
+                assert clone == original and hash(clone) == hash(original)
+
+    @pytest.mark.parametrize(
+        "field, value, build",
+        [
+            ("mask", 1 << 7, lambda: FiniteEvent(uniform_space(3), [7])),
+            ("weights", (Fraction(3), Fraction(-2)), lambda: FiniteSpace((3, -2))),
+        ],
+        ids=["event-mask", "space-weights"],
+    )
+    def test_unpickling_and_copy_go_through_the_constructor(self, field, value, build):
+        with pytest.raises(InputError) as expected:
+            build()
+        tampered = uniform_space(3).event([0]) if field == "mask" else uniform_space(2)
+        object.__setattr__(tampered, field, value)
+        for rebuild in (copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
+            with pytest.raises(InputError) as err:
+                rebuild(tampered)
+            assert str(err.value) == str(expected.value)
+
 
 class TestEnumeration:
     def test_singleton_partition(self):
@@ -170,6 +196,12 @@ class TestEnumeration:
             list(enumerate_partitions(space, 0))
         with pytest.raises(InputError):
             list(enumerate_partitions(space, 5))
+
+    @pytest.mark.parametrize("n", [2.0, Fraction(2)], ids=["float", "fraction"])
+    def test_cell_count_must_be_an_integer(self, n):
+        with pytest.raises(InputError) as err:
+            list(enumerate_partitions(uniform_space(6), n))
+        assert str(err.value) == f"cell count {n!r} out of range 1..6"
 
 
 class TestSearch:
@@ -248,6 +280,14 @@ class TestSearch:
         for n in (0, 5):
             with pytest.raises(InputError):
                 search_rccs(space, a, b, n)
+
+    @pytest.mark.parametrize("n", [2.5, True], ids=["float", "bool"])
+    def test_cell_count_must_be_an_integer(self, n):
+        # at 2.5 an empty list would be a false proof that no system exists; True would run as n=1
+        space = uniform_space(6)
+        with pytest.raises(InputError) as err:
+            search_rccs(space, space.event([0, 1, 2]), space.event([1, 2, 3]), n)
+        assert str(err.value) == f"cell count {n!r} out of range 1..6"
 
     def test_uncorrelated_pair_checked_before_cell_count(self):
         space = uniform_space(4)

@@ -86,6 +86,12 @@ def build_witness(psi: np.ndarray | None = None) -> BellWitness:
     (V1* V1)(V2* V2) psi != 0); the default seed e1 (x) e1 turns the
     final state (psi + V1 V2 psi), normalized, into the standard
     maximally entangled combination.
+
+    Only the seed is checked here.  The operators are the same constant
+    matrices on every call; the tests prove their identities exactly, and
+    ``bell_expectations`` checks the projections and the cross-site
+    commutation on every call.  For a unit seed, psi + V1 V2 psi has norm
+    at least (sqrt(5) - 1)/2, so it never vanishes.
     """
     v1 = np.kron(_LOWERING, _IDENTITY2)
     v2 = np.kron(_IDENTITY2, _LOWERING)
@@ -107,23 +113,7 @@ def build_witness(psi: np.ndarray | None = None) -> BellWitness:
             "seed state has no component along e1 (x) e1, so the entangled combination degenerates"
         )
     raw_phi = psi + v1 @ v2 @ psi
-    phi_norm = np.linalg.norm(raw_phi)
-    if phi_norm < TOLERANCE:
-        raise PreconditionError("seed state cancels against its lowered image")
-    phi = raw_phi / phi_norm
-
-    for name, op in (("V1", v1), ("V2", v2)):
-        if _sup_norm(op @ op) >= TOLERANCE:
-            raise InternalInvariantError(f"{name} squared is not zero")
-        if not is_partial_isometry(op):
-            raise InternalInvariantError(f"{name} is not a partial isometry")
-    for name, op in (("A1", a1), ("B1", b1), ("A2", a2), ("B2", b2)):
-        if not is_projection(op):
-            raise InternalInvariantError(f"{name} is not a projection")
-    for n1, site1 in (("A1", a1), ("B1", b1)):
-        for n2, site2 in (("A2", a2), ("B2", b2)):
-            if commutator_norm(site1, site2) >= TOLERANCE:
-                raise InternalInvariantError(f"{n1} and {n2} do not commute")
+    phi = raw_phi / np.linalg.norm(raw_phi)
     return BellWitness(v1=v1, v2=v2, a1=a1, b1=b1, a2=a2, b2=b2, phi=phi)
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 from .errors import InputError, PreconditionError, echo
 from .events import as_fraction, format_rational
-from .lattice import Partition, correlation
+from .lattice import Partition
 
 DEFAULT_MAX_POINTS = 14  # the search tabulates all 2^m subsets of the points
 
@@ -151,6 +151,13 @@ def finite_measure(space: FiniteSpace, event: FiniteEvent) -> Fraction:
     return event.measure()
 
 
+def _require_cell_count(n: int, m: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InputError(f"cell count must be an integer, got {echo(n)}")
+    if not 1 <= n <= m:
+        raise InputError(f"cell count {echo(n)} out of range 1..{m}")
+
+
 def enumerate_partitions(space: FiniteSpace, n: int) -> Iterator[Partition]:
     """Yield every partition of the sample points into exactly n nonempty cells.
 
@@ -160,8 +167,7 @@ def enumerate_partitions(space: FiniteSpace, n: int) -> Iterator[Partition]:
     is the Stirling number of the second kind S(m, n).
     """
     m = len(space)
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= m:
-        raise InputError(f"cell count {echo(n)} out of range 1..{m}")
+    _require_cell_count(n, m)
     masks = [0] * n  # masks[k] holds the points assigned to cell k so far
 
     def walk(i: int, used: int) -> Iterator[Partition]:
@@ -202,9 +208,10 @@ def search_rccs(
     Hits come in the order of :func:`enumerate_partitions` (restricted
     growth order of the cell labels), cells ordered by smallest member.
 
-    The pair must be correlated (positive joint excess); spaces larger
-    than ``max_points`` are refused because the subset table has 2^m
-    entries.
+    The pair must be correlated (positive joint excess), which is decided
+    in the same integers before the table is built: ``scale * w_ab - w_a *
+    w_b`` is scale^2 times the joint excess.  Spaces larger than
+    ``max_points`` are refused because the subset table has 2^m entries.
     """
     if not all(isinstance(e, FiniteEvent) and e.space == space for e in (a, b)):
         raise InputError("events do not belong to the given space")
@@ -220,19 +227,21 @@ def search_rccs(
             "and may take a very long time",
             stacklevel=2,
         )
-    excess = correlation(a, b)
-    if excess <= 0:
-        raise PreconditionError(
-            f"events are not correlated (joint excess {format_rational(excess)}); "
-            "a common cause system explains only positive correlations"
-        )
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= m:
-        raise InputError(f"cell count {echo(n)} out of range 1..{m}")
 
     scale = lcm(*(w.denominator for w in space.weights))
     point_weight = [w.numerator * (scale // w.denominator) for w in space.weights]
     mask_a, mask_b = a.mask, b.mask
     mask_ab = mask_a & mask_b
+    w_a, w_b, w_ab = (sum(w for i, w in enumerate(point_weight) if s >> i & 1) for s in (mask_a, mask_b, mask_ab))
+    scaled_excess = scale * w_ab - w_a * w_b  # scale^2 * joint excess
+    if scaled_excess <= 0:
+        excess = Fraction(scaled_excess, scale * scale)
+        raise PreconditionError(
+            f"events are not correlated (joint excess {format_rational(excess)}); "
+            "a common cause system explains only positive correlations"
+        )
+    _require_cell_count(n, m)
+
     full = (1 << m) - 1
     # weight[s] is the scaled measure of subset s; a meet is a mask away
     weight = [0] * (full + 1)

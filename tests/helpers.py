@@ -9,7 +9,9 @@ enumerated partition.  With the int-string limit lifted, ``str`` is the
 oracle for exact output of any size.  The fake events at the end are
 models in which the compatibility test fails, which no shipped model does;
 like the shipped events they are hashable, since the engine memoizes the
-split of each pair.
+split of each pair.  The exact Bell witness at the very end has its
+entries in Q(sqrt 3), so its identities hold as equalities, not within a
+tolerance.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, sqrt
 
 from rccs import FiniteSpace, IntervalEvent, enumerate_partitions
 
@@ -302,3 +304,81 @@ def brute_force_search(space: FiniteSpace, a, b, n: int) -> list:
     :func:`oracle_score`.
     """
     return [p for p in enumerate_partitions(space, n) if oracle_score(a, b, p.cells).accepted]
+
+
+class Q3:
+    """The exact number p + q*sqrt(3), for rationals p and q.
+
+    sqrt(3) is irrational, so the pair (p, q) is unique and equality is
+    equality of pairs.
+    """
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p=0, q=0) -> None:
+        self.p, self.q = Fraction(p), Fraction(q)
+
+    def __add__(self, other: "Q3") -> "Q3":
+        return Q3(self.p + other.p, self.q + other.q)
+
+    def __sub__(self, other: "Q3") -> "Q3":
+        return Q3(self.p - other.p, self.q - other.q)
+
+    def __mul__(self, other: "Q3") -> "Q3":
+        return Q3(self.p * other.p + 3 * self.q * other.q, self.p * other.q + self.q * other.p)
+
+    def __eq__(self, other) -> bool:
+        other = other if isinstance(other, Q3) else Q3(other)
+        return (self.p, self.q) == (other.p, other.q)
+
+    __hash__ = None
+
+    def __float__(self) -> float:
+        return float(self.p) + float(self.q) * sqrt(3)
+
+    def __repr__(self) -> str:
+        return f"Q3({self.p}, {self.q})"
+
+
+def _q3_matrix(rows) -> tuple[tuple[Q3, ...], ...]:
+    return tuple(tuple(x if isinstance(x, Q3) else Q3(x) for x in row) for row in rows)
+
+
+def q3_adjoint(x) -> tuple[tuple[Q3, ...], ...]:
+    """Every entry is real, so the adjoint is the transpose."""
+    return tuple(zip(*x))
+
+
+def q3_matmul(x, y) -> tuple[tuple[Q3, ...], ...]:
+    columns = q3_adjoint(y)
+    return tuple(tuple(sum((p * q for p, q in zip(row, col)), Q3()) for col in columns) for row in x)
+
+
+def _q3_kron(x, y) -> tuple[tuple[Q3, ...], ...]:
+    # index 2i + j of C^2 (x) C^2 is e_i (x) e_j
+    return tuple(tuple(x[i][k] * y[j][l] for k in (0, 1) for l in (0, 1)) for i in (0, 1) for j in (0, 1))
+
+
+_ID2 = _q3_matrix(((1, 0), (0, 1)))
+_LOWER = _q3_matrix(((0, 1), (0, 0)))  # e1 -> e0, e0 -> 0
+_ON_E1 = _q3_matrix(((0, 0), (0, 1)))  # projection onto e1
+_Q = Fraction(1, 4)
+_ON_PLUS_60 = _q3_matrix(((_Q, Q3(0, _Q)), (Q3(0, _Q), 3 * _Q)))  # onto (1/2, sqrt(3)/2)
+_ON_MINUS_60 = _q3_matrix(((_Q, Q3(0, -_Q)), (Q3(0, -_Q), 3 * _Q)))  # onto (1/2, -sqrt(3)/2)
+
+EXACT_WITNESS = {
+    "v1": _q3_kron(_LOWER, _ID2),
+    "v2": _q3_kron(_ID2, _LOWER),
+    "a1": _q3_kron(_ON_E1, _ID2),
+    "b1": _q3_kron(_ON_PLUS_60, _ID2),
+    "a2": _q3_kron(_ID2, _ON_E1),
+    "b2": _q3_kron(_ID2, _ON_MINUS_60),
+}
+EXACT_PHI = tuple(Q3(x) for x in (1, 0, 0, 1))  # e00 + e11, squared norm 2
+
+
+def exact_expectation(op) -> Q3:
+    """<phi|op|phi> in the normalised witness state (e00 + e11)/sqrt(2), exactly."""
+    phi = EXACT_PHI
+    total = sum((phi[i] * op[i][j] * phi[j] for i in range(4) for j in range(4)), Q3())
+    return total * Q3(Fraction(1, 2))

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from rccs import (
+    BellWitness,
+    CommonCauseSystem,
     PreconditionError,
     basis_product_state,
     bell_expectations,
@@ -15,13 +17,33 @@ from rccs import (
     build_witness,
     classical_bound_check,
     commutator_norm,
+    construct_size3,
     is_partial_isometry,
     is_projection,
     no_common_ccs_demo,
 )
 from rccs.bell import IDENTITY_TOLERANCE, TOLERANCE, _identity_sides
 
-from .helpers import unlimited_int_digits
+from .helpers import (
+    EXACT_PHI,
+    EXACT_WITNESS,
+    Q3,
+    exact_expectation,
+    iv,
+    q3_adjoint,
+    q3_matmul,
+    unlimited_int_digits,
+)
+
+# the six expectations of the Clauser-Horne combination in the witness state
+EXACT_EXPECTATIONS = {
+    "a1": Fraction(1, 2),
+    "a2": Fraction(1, 2),
+    "b1b2": Fraction(1, 8),
+    "a1a2": Fraction(1, 2),
+    "b1a2": Fraction(3, 8),
+    "a1b2": Fraction(3, 8),
+}
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +89,107 @@ class TestWitnessInvariants:
             for l in range(4):
                 expanded += (np.conj(witness.phi[k]) * op[k, l] * witness.phi[l]).real
         assert abs(direct - expanded) < TOLERANCE
+
+
+def _exact_operator(key: str):
+    """The exact operator named by ``key``: one observable, or a product of two, as in "b1a2"."""
+    ops = [EXACT_WITNESS[key[k : k + 2]] for k in range(0, len(key), 2)]
+    return ops[0] if len(ops) == 1 else q3_matmul(*ops)
+
+
+def _is_exact_projection(op) -> bool:
+    return q3_matmul(op, op) == op and q3_adjoint(op) == op
+
+
+def _as_array(exact) -> np.ndarray:
+    return np.array([[float(x) for x in row] for row in exact], dtype=complex)
+
+
+class TestExactWitness:
+    """The witness with entries p + q sqrt(3) (tests/helpers.py): its identities hold exactly.
+
+    ``build_witness`` builds the same constant matrices on every call and
+    does not re-check them; these tests prove their identities instead
+    (Clauser & Horne, PRD 10, 1974).
+    """
+
+    def test_isometries_exactly(self):
+        for name in ("v1", "v2"):
+            v = EXACT_WITNESS[name]
+            assert all(x == 0 for row in q3_matmul(v, v) for x in row)
+            assert _is_exact_projection(q3_matmul(q3_adjoint(v), v))
+            assert _is_exact_projection(q3_matmul(v, q3_adjoint(v)))
+
+    def test_observables_exactly(self):
+        for name in ("a1", "b1", "a2", "b2"):
+            assert _is_exact_projection(EXACT_WITNESS[name])
+        for x in ("a1", "b1"):
+            for y in ("a2", "b2"):
+                assert _exact_operator(x + y) == _exact_operator(y + x)
+
+    def test_expectations_exactly(self):
+        v = {key: exact_expectation(_exact_operator(key)) for key in EXACT_EXPECTATIONS}
+        assert v == EXACT_EXPECTATIONS
+        assert v["a1"] + v["a2"] + v["b1b2"] - v["a1a2"] - v["b1a2"] - v["a1b2"] == Fraction(-1, 8)
+
+    def test_numeric_witness_matches_the_exact_one(self):
+        witness = build_witness()
+        for name, exact in EXACT_WITNESS.items():
+            assert np.max(np.abs(getattr(witness, name) - _as_array(exact))) < TOLERANCE
+        assert np.max(np.abs(witness.phi - _as_array([EXACT_PHI])[0] / np.sqrt(2))) < TOLERANCE
+        e = bell_expectations(witness.phi, witness)
+        assert e.keys() == EXACT_EXPECTATIONS.keys()
+        for key, value in EXACT_EXPECTATIONS.items():
+            assert abs(e[key] - float(value)) < TOLERANCE
+        assert abs(bell_value(witness.phi, witness) + 0.125) < TOLERANCE
+
+    def test_expectations_refuse_a_non_projection(self):
+        w = build_witness()
+        bad = BellWitness(v1=w.v1, v2=w.v2, a1=2 * w.a1, b1=w.b1, a2=w.a2, b2=w.b2, phi=w.phi)
+        with pytest.raises(PreconditionError, match=r"^A1 is not a projection$"):
+            bell_expectations(w.phi, bad)
+
+    def test_expectations_refuse_a_non_commuting_cross_site_pair(self):
+        w = build_witness()
+        # B1 is a projection, but it acts on the first site, where it does not commute with A1
+        bad = BellWitness(v1=w.v1, v2=w.v2, a1=w.a1, b1=w.b1, a2=w.b1, b2=w.b2, phi=w.phi)
+        with pytest.raises(PreconditionError, match=r"^A1 does not commute with A2$"):
+            bell_expectations(w.phi, bad)
+
+
+def _pair_statistics(x: str, y: str) -> tuple[Q3, Q3, Q3]:
+    """P(X), P(Y) and P(X and Y) in the witness state, exactly; "~b2" is the complement of B2."""
+    px, py, pxy = (exact_expectation(_exact_operator(key)) for key in (x, y.lstrip("~"), x + y.lstrip("~")))
+    if y.startswith("~"):
+        py, pxy = Q3(1) - py, px - pxy
+    return px, py, pxy
+
+
+class TestPerPairStatistics:
+    """Each witness pair's statistics, realised by interval events, meets the size-3 construction.
+
+    a = [0, 1/2) stands for the first observable of every pair.
+    """
+
+    @pytest.mark.parametrize(
+        "x, y, b, refusal",
+        [
+            ("a1", "a2", iv("0", "1/2"), r"not logically independent"),
+            ("a1", "b2", iv("1/8", "5/8"), None),
+            ("b1", "a2", iv("1/8", "5/8"), None),
+            ("b1", "b2", iv("3/8", "7/8"), r"not correlated \(joint excess -1/8\)"),
+            ("b1", "~b2", ~iv("3/8", "7/8"), None),
+        ],
+        ids=["A1-A2", "A1-B2", "B1-A2", "B1-B2", "B1-notB2"],
+    )
+    def test_construction_on_each_pair(self, x, y, b, refusal):
+        a = iv("0", "1/2")
+        assert _pair_statistics(x, y) == (a.measure(), b.measure(), (a & b).measure())
+        if refusal is None:
+            assert isinstance(construct_size3(a, b), CommonCauseSystem)
+        else:
+            with pytest.raises(PreconditionError, match=refusal):
+                construct_size3(a, b)
 
 
 class TestBellValue:

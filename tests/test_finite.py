@@ -22,7 +22,9 @@ from rccs import (
     verify_rccs,
 )
 
-from .helpers import brute_force_search, iv, random_space, stirling2
+from rccs.events import format_rational
+
+from .helpers import brute_force_search, iv, random_space, random_subset, stirling2
 
 
 def uniform_space(m: int) -> FiniteSpace:
@@ -201,7 +203,7 @@ class TestEnumeration:
     def test_cell_count_must_be_an_integer(self, n):
         with pytest.raises(InputError) as err:
             list(enumerate_partitions(uniform_space(6), n))
-        assert str(err.value) == f"cell count {n!r} out of range 1..6"
+        assert str(err.value) == f"cell count must be an integer, got {n!r}"
 
 
 class TestSearch:
@@ -287,7 +289,7 @@ class TestSearch:
         space = uniform_space(6)
         with pytest.raises(InputError) as err:
             search_rccs(space, space.event([0, 1, 2]), space.event([1, 2, 3]), n)
-        assert str(err.value) == f"cell count {n!r} out of range 1..6"
+        assert str(err.value) == f"cell count must be an integer, got {n!r}"
 
     def test_uncorrelated_pair_checked_before_cell_count(self):
         space = uniform_space(4)
@@ -295,6 +297,46 @@ class TestSearch:
         for n in (0, 5):
             with pytest.raises(PreconditionError):
                 search_rccs(space, a, b, n)
+
+    def test_refusals_come_before_the_subset_table(self):
+        # a 2^64-entry table cannot even be requested ([0] * 2**64 raises OverflowError),
+        # so these answers show that neither refusal waits for the table
+        space = uniform_space(64)
+        a = space.event(range(32))
+        with pytest.warns(UserWarning), pytest.raises(PreconditionError, match=r"joint excess 0\)"):
+            search_rccs(space, a, space.event([*range(16), *range(32, 48)]), 3, max_points=64)
+        with pytest.warns(UserWarning), pytest.raises(InputError, match="^cell count 65 out of range 1..64$"):
+            search_rccs(space, a, space.event(range(16, 40)), 65, max_points=64)
+
+    def test_correlation_refusal_against_the_lattice_oracle(self):
+        # the search reads the joint excess off its integer subset table; lattice.correlation is the oracle
+        rng = random.Random(1414)
+        signs = set()
+        for m in range(1, 9):
+            for _ in range(12):
+                space = random_space(rng, m)
+                x = random_subset(rng, space)
+                pairs = [(random_subset(rng, space), random_subset(rng, space)), (space.empty, x), (x, space.full),
+                         (x, ~x), (x, x)]
+                if m in (4, 8):  # independent halves of a uniform space
+                    pairs.append((uniform_space(m).event(range(m // 2)), uniform_space(m).event([0, m - 1])))
+                for a, b in pairs:
+                    excess = correlation(a, b)
+                    signs.add((excess > 0) - (excess < 0))
+                    for n in (0, 1, 2.5, m + 1):
+                        if excess <= 0:
+                            with pytest.raises(PreconditionError) as err:
+                                search_rccs(a.space, a, b, n)
+                            assert str(err.value) == (
+                                f"events are not correlated (joint excess {format_rational(excess)}); "
+                                "a common cause system explains only positive correlations"
+                            )
+                        elif n == 1:
+                            assert search_rccs(a.space, a, b, n) == []
+                        else:  # the cell count is checked only after the correlation
+                            with pytest.raises(InputError, match="^cell count"):
+                                search_rccs(a.space, a, b, n)
+        assert signs == {-1, 0, 1}
 
     def test_single_cell_never_screens_off_a_correlation(self):
         space = uniform_space(6)

@@ -1,0 +1,36 @@
+"""The float-free answers of ``bench/identity_probe.py`` match their recorded digests.
+
+The probe digests the construction, verification, predicate, size-2,
+search and enumeration answers of the public API on seeded inputs.  A
+change that alters any of those answers, an error text included, changes
+a digest here.  The ``cli`` family is left out: it prints numpy floats,
+which perfbench's reference digests pin.
+"""
+
+import importlib.util
+import json
+import random
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_probe():
+    spec = importlib.util.spec_from_file_location("identity_probe", ROOT / "bench" / "identity_probe.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_float_free_families_match_recorded_digests():
+    expected = json.loads((ROOT / "tests" / "data" / "identity_digests.json").read_text())
+    probe = _load_probe()
+    assert {name: probe.digest(records) for name, records in probe.family_records().items()} == expected
+
+
+def test_size2_records_are_answers_of_verify_common_cause():
+    # each pair gives five records: the pair, correlation, logical independence, the size-2 check, the construction
+    size2 = _load_probe().interval_outcomes(random.Random(0))[3::5]
+    assert len(size2) == 400
+    assert all(r.startswith(("VerificationReport(", "PreconditionError: ")) for r in size2)
+    assert any(r.startswith("VerificationReport(") for r in size2)

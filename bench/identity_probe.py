@@ -3,7 +3,7 @@
 Prints one sha256 per family of answers, so that two checkouts can be
 compared answer for answer: run the same script against each source tree
 and diff the output.  ``family_records`` returns the records of the
-five float-free families; the tier-1 test ``tests/test_identity_probe.py``
+six float-free families; the tier-1 test ``tests/test_identity_probe.py``
 pins their digests in ``tests/data/identity_digests.json``.
 
     PYTHONPATH=src python3 bench/identity_probe.py > after.txt
@@ -23,6 +23,11 @@ Families:
   search at every cell count from 0 to one past the number of points;
 * ``search``: the hits of ``search_rccs`` on seeded weighted spaces and on
   hit-heavy uniform spaces;
+* ``decomposition``: the outcome or the error text of
+  ``correlation_decomposition`` on random small interval pairs, with a
+  random partition, the trivial partition and the constructed partition
+  where there is one, and on random finite pairs of 3 to 5 points, with
+  every partition of the space;
 * ``cli``: exit code, stdout and stderr of a fixed list of invocations of
   ``rccs.cli.main``.  Its ``bell`` and ``demo`` lines print numpy floats,
   so it is not among the pinned families.
@@ -45,11 +50,15 @@ from fractions import Fraction
 
 import rccs
 from rccs import (
+    FULL,
     FiniteSpace,
     IntervalEvent,
     Partition,
+    PreconditionError,
     construction_steps,
     correlation,
+    correlation_decomposition,
+    enumerate_partitions,
     finite_measure,
     logically_independent,
     search_rccs,
@@ -156,6 +165,41 @@ def search_hits(rng: random.Random) -> list[str]:
     return records
 
 
+def interval_partition(rng: random.Random, den: int) -> Partition:
+    """The pieces between up to four random cut points, each given to one of up to three cells."""
+    ends = [0, *sorted(rng.sample(range(1, den), rng.randint(0, min(4, den - 1)))), den]
+    cells: dict[int, IntervalEvent] = {}
+    for lo, hi in zip(ends, ends[1:]):
+        piece = IntervalEvent(((Fraction(lo, den), Fraction(hi, den)),))
+        k = rng.randrange(3)
+        cells[k] = cells[k] | piece if k in cells else piece
+    return Partition(tuple(cells.values()))
+
+
+def decomposition_outcomes(rng: random.Random) -> list[str]:
+    records = []
+    for _ in range(150):
+        den = rng.randint(2, 12)
+        a, b = (interval_event(rng, rng.randint(0, min(3, (den + 1) // 2)), den) for _ in range(2))
+        partitions = [interval_partition(rng, den), Partition((FULL,))]
+        try:
+            partitions.append(construction_steps(a, b).system.cells)
+        except PreconditionError:
+            pass
+        records.append(f"{a} ; {b}")
+        for partition in partitions:
+            records.append(outcome(lambda: correlation_decomposition(a, b, partition)))
+    for _ in range(40):
+        m = rng.randint(3, 5)
+        space = random_space(rng, m)
+        a, b = (space.event(rng.sample(range(m), rng.randint(0, m))) for _ in range(2))
+        records.append(f"{space.weights} ; {a} ; {b}")
+        for n in range(1, m + 1):
+            for partition in enumerate_partitions(space, n):
+                records.append(outcome(lambda: correlation_decomposition(a, b, partition)))
+    return records
+
+
 WORKED = {"a": {"intervals": [["0", "1/2"]]}, "b": {"intervals": [["1/10", "1/2"], ["9/10", "1"]]}}
 SEARCH = {"space": {"weights": ["1/6"] * 6}, "a": {"members": [0, 1, 2]}, "b": {"members": [1, 2, 3]}, "n": 3}
 CLI_INVOCATIONS = [
@@ -202,7 +246,7 @@ def digest(records: list[str]) -> str:
 
 
 def family_records() -> dict[str, list[str]]:
-    """The records of the five float-free families, by name."""
+    """The records of the six float-free families, by name."""
     rng = random.Random(SEED)
     constructed, verified = construct_and_verify(rng)
     return {
@@ -211,6 +255,7 @@ def family_records() -> dict[str, list[str]]:
         "interval-outcomes": interval_outcomes(rng),
         "finite-outcomes": finite_outcomes(rng),
         "search": search_hits(rng),
+        "decomposition": decomposition_outcomes(rng),
     }
 
 

@@ -20,7 +20,8 @@ so serialized results are bit-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -75,28 +76,11 @@ def _require_correlated(measures: _Measures) -> _Measures:
     return measures
 
 
-_Quads = tuple[tuple[Fraction, Fraction, Fraction, Fraction], ...]
+_Quads = Sequence[tuple[Fraction, Fraction, Fraction, Fraction]]
 _Cross = tuple[tuple[int, int, bool], ...]
 
 
-def _cell_quads(atoms: _Atoms, cells: tuple[LatticeEvent, ...]) -> _Quads:
-    """``(m, m_a, m_b, m_ab)`` per cell: the measure of the cell and of its meets with a, b, a&b.
-
-    Each cell is met with the three atoms: m_ab is m(a&b&cell), and m_a
-    and m_b add m(a&~b&cell) and m(~a&b&cell) to it.
-    """
-    both, a_only, b_only = atoms
-    quads = []
-    for k, cell in enumerate(cells):
-        weight = cell.measure()
-        if weight == 0:
-            raise PreconditionError(f"cell {k} has measure zero; conditionals are undefined")
-        m_ab = both.meet(cell).measure()
-        quads.append((weight, m_ab + a_only.meet(cell).measure(), m_ab + b_only.meet(cell).measure(), m_ab))
-    return tuple(quads)
-
-
-def _conditions(quads: _Quads) -> tuple[tuple[bool, ...], _Cross, tuple[tuple[Fraction, Fraction], ...], Fraction]:
+def _conditions(quads: _Quads) -> tuple[tuple[bool, ...], _Cross, Fraction]:
     """The defining conditions on per-cell quadruples ``(m, m_a, m_b, m_ab)``, without division.
 
     With P(x|c) = m_x / m and every m > 0, screening-off is
@@ -104,21 +88,18 @@ def _conditions(quads: _Quads) -> tuple[tuple[bool, ...], _Cross, tuple[tuple[Fr
     m_i m_j (P(a|c_i) - P(a|c_j)) and ``db`` likewise, so the cross
     condition is ``da db > 0`` and the decomposition right-hand side is
     the sum of ``da db / (m_i m_j)``.  Returns the screening-off flags,
-    ``(i, j, ok)`` and ``(da, db)`` per pair, and that right-hand side.
+    ``(i, j, ok)`` per pair, and that right-hand side.
     """
     screening = tuple(m * m_ab == m_a * m_b for m, m_a, m_b, m_ab in quads)
-    cross, diffs = [], []
+    cross = []
     rhs = Fraction(0)
     for i, (m_i, a_i, b_i, _) in enumerate(quads):
         for j in range(i + 1, len(quads)):
             m_j, a_j, b_j, _ = quads[j]
-            da = a_i * m_j - a_j * m_i
-            db = b_i * m_j - b_j * m_i
-            product = da * db
+            product = (a_i * m_j - a_j * m_i) * (b_i * m_j - b_j * m_i)
             cross.append((i, j, product > 0))
-            diffs.append((da, db))
             rhs += product / (m_i * m_j)
-    return screening, tuple(cross), tuple(diffs), rhs
+    return screening, tuple(cross), rhs
 
 
 @dataclass(frozen=True)
@@ -147,8 +128,8 @@ class CommonCauseSystem:
             for k, value in enumerate(row):
                 if not 0 <= value <= 1:
                     raise InputError(f"{name}[{k}] = {format_rational(value)} is outside [0, 1]")
-        screening, cross, _, _ = _conditions(tuple(zip((1,) * n, self.cond_a, self.cond_b, self.cond_ab)))
-        failure = _first_failure(None, screening, cross)
+        screening, cross, _ = _conditions(tuple(zip((1,) * n, self.cond_a, self.cond_b, self.cond_ab)))
+        failure = _first_failure(screening, cross)
         if failure is not None:
             raise InputError(failure)
 
@@ -185,9 +166,7 @@ class VerificationReport:
     failure: str | None = None
 
 
-def _first_failure(size_note: str | None, screening: tuple[bool, ...], cross: _Cross) -> str | None:
-    if size_note is not None:
-        return size_note
+def _first_failure(screening: tuple[bool, ...], cross: _Cross) -> str | None:
     for k, ok in enumerate(screening):
         if not ok:
             return f"screening-off fails on cell {k}"
@@ -197,9 +176,28 @@ def _first_failure(size_note: str | None, screening: tuple[bool, ...], cross: _C
     return None
 
 
-def _report(
-    quads: _Quads, screening: tuple[bool, ...], cross: _Cross, lhs: Fraction, rhs: Fraction, failure: str | None
-) -> VerificationReport:
+def _verify(atoms: _Atoms, excess: Fraction, cells: tuple[LatticeEvent, ...]) -> VerificationReport:
+    """The report on ``cells`` for a pair split into its atoms, with joint excess ``excess``.
+
+    The one verification core: every engine entry point reads its answer
+    off this report.  A cell of another model than the atoms' is refused
+    before it is measured, a cell of measure zero after.  Each cell is met
+    with the three atoms: m(a&b&cell), plus m(a&~b&cell) for a and
+    m(~a&b&cell) for b.
+    """
+    both, a_only, b_only = atoms
+    quads = []
+    for k, cell in enumerate(cells):
+        if not isinstance(cell, both.__class__):
+            raise InputError(f"cell {k} is not an event of the same model as the pair")
+        weight = cell.measure()
+        if weight == 0:
+            raise PreconditionError(f"cell {k} has measure zero; conditionals are undefined")
+        m_ab = both.meet(cell).measure()
+        quads.append((weight, m_ab + a_only.meet(cell).measure(), m_ab + b_only.meet(cell).measure(), m_ab))
+    screening, cross, rhs = _conditions(quads)
+    size_note = "size < 2: a single cell admits no cross-difference condition" if len(cells) < 2 else None
+    failure = size_note or _first_failure(screening, cross)
     return VerificationReport(
         screening_off_ok=screening,
         cross_ok=cross,
@@ -207,7 +205,7 @@ def _report(
         cond_a=tuple(m_a / m for m, m_a, _, _ in quads),
         cond_b=tuple(m_b / m for m, _, m_b, _ in quads),
         cond_ab=tuple(m_ab / m for m, _, _, m_ab in quads),
-        decomposition_lhs=lhs,
+        decomposition_lhs=excess,
         decomposition_rhs=rhs,
         verdict=failure is None,
         failure=failure,
@@ -230,15 +228,7 @@ def verify_rccs(a: LatticeEvent, b: LatticeEvent, partition: Partition) -> Verif
     it, reuses them; every precondition is still checked on every call.
     """
     atoms, measures = _pair(a, b)
-    return _verify(atoms, _require_correlated(measures)[3], partition)
-
-
-def _verify(atoms: _Atoms, excess: Fraction, partition: Partition) -> VerificationReport:
-    """:func:`verify_rccs` on a pair already split into its atoms, with its positive joint excess."""
-    quads = _cell_quads(atoms, partition.cells)
-    screening, cross, _, rhs = _conditions(quads)
-    size_note = "size < 2: a single cell admits no cross-difference condition" if partition.size < 2 else None
-    return _report(quads, screening, cross, excess, rhs, _first_failure(size_note, screening, cross))
+    return _verify(atoms, _require_correlated(measures)[3], partition.cells)
 
 
 def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -> VerificationReport:
@@ -248,6 +238,10 @@ def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -
     independent, and the cause must raise the probability of each event:
     P(a | cause) > P(a | not-cause) and likewise for b.  These are the
     size-2 system conditions with a fixed orientation.
+
+    A cause that screens off a correlated pair raises both events or
+    lowers both: the joint excess is then m(c) m(~c) times the product of
+    the two differences.  So only the first event's test can fail.
     """
     atoms, measures = _pair(a, b)
     _require_compat_pair(a, cause)
@@ -257,15 +251,14 @@ def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -
         raise PreconditionError(
             f"a common cause must have measure strictly between 0 and 1, got {format_rational(cause_measure)}"
         )
-    excess = _require_correlated(measures)[3]
-    quads = _cell_quads(atoms, (cause, cause.complement()))
-    screening, _, ((da, db),), rhs = _conditions(quads)
-    failure = _first_failure(None, screening, ())
-    if failure is None and not da > 0:
+    report = _verify(atoms, _require_correlated(measures)[3], (cause, cause.complement()))
+    raises_a, raises_b = (cond[0] > cond[1] for cond in (report.cond_a, report.cond_b))
+    # with screening-off on both cells the report's identity reads excess = m(c) m(~c) *
+    # (P(a|c) - P(a|~c)) (P(b|c) - P(b|~c)) > 0, so a cause that raises a raises b too
+    failure = _first_failure(report.screening_off_ok, ())
+    if failure is None and not raises_a:
         failure = "the cause does not raise the conditional probability of the first event"
-    elif failure is None and not db > 0:
-        failure = "the cause does not raise the conditional probability of the second event"
-    return _report(quads, screening, ((0, 1, da > 0 and db > 0),), excess, rhs, failure)
+    return replace(report, cross_ok=((0, 1, raises_a and raises_b),), verdict=failure is None, failure=failure)
 
 
 def correlation_decomposition(
@@ -287,13 +280,13 @@ def correlation_decomposition(
     offending cell.
     """
     atoms, measures = _pair(a, b)
-    screening, _, _, rhs = _conditions(_cell_quads(atoms, partition.cells))
-    for k, ok in enumerate(screening):
+    report = _verify(atoms, measures[3], partition.cells)
+    for k, ok in enumerate(report.screening_off_ok):
         if not ok:
             raise PreconditionError(
                 f"screening-off fails on cell {k}; the decomposition identity needs it on every cell"
             )
-    return measures[3], rhs
+    return report.decomposition_lhs, report.decomposition_rhs
 
 
 @dataclass(frozen=True)
@@ -396,7 +389,7 @@ def construction_steps(
     null_cell = a.join(b).complement().carve((1 - lam) * excess / (m_ab - full_measure))
     mixed_cell = full_cell.join(null_cell).complement()
     cells = Partition._from_cells((full_cell, null_cell, mixed_cell))
-    report = _verify(atoms, excess, cells)
+    report = _verify(atoms, excess, cells.cells)
     if not report.verdict:
         raise InternalInvariantError(f"constructed system failed verification: {report.failure}")
     system = CommonCauseSystem(cells=cells, cond_a=report.cond_a, cond_b=report.cond_b, cond_ab=report.cond_ab)

@@ -25,7 +25,6 @@ kernel results are canonical by construction, and the tests check them.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from decimal import Decimal
 from fractions import Fraction
 from operator import lt, mul
@@ -320,10 +319,10 @@ class IntervalEvent:
         return hash(self._ends)
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return (IntervalEvent, (self.intervals,))

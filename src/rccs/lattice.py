@@ -170,8 +170,9 @@ def check_product_inequality(a: E, b: E, c: E) -> bool:
 class Partition:
     """An ordered tuple of pairwise disjoint nonzero events covering the space.
 
-    The constructor always checks the cells; partitions that are valid by
-    construction are built by ``_from_cells``, which skips the check.
+    The constructor always checks the cells, and refuses a cell that is
+    not an event at all; partitions that are valid by construction are
+    built by ``_from_cells``, which skips the check.
     """
 
     cells: tuple[LatticeEvent, ...]
@@ -181,6 +182,8 @@ class Partition:
         if not self.cells:
             raise InputError("a partition needs at least one cell")
         for k, cell in enumerate(self.cells):
+            if not hasattr(cell, "is_zero"):
+                raise InputError(f"partition cell {k} is not an event")
             if cell.is_zero:
                 raise InputError(f"partition cell {k} is empty")
         for i in range(len(self.cells)):

@@ -701,6 +701,14 @@ print(json.dumps([before, engine is sys.modules["rccs.engine"] and "engine" in d
             ["dataclasses", "rccs", "rccs.engine", "rccs.errors", "rccs.events", "rccs.lattice"],
         ]
 
+    def test_import_events_loads_no_dataclasses(self):
+        code = """
+import json, sys
+import rccs.events
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("rccs") or m in ("dataclasses", "inspect"))))
+"""
+        assert json.loads(_fresh_interpreter(code)) == ["rccs", "rccs.errors", "rccs.events"]
+
     @pytest.mark.parametrize(
         "command, extra",
         [

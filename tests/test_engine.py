@@ -214,6 +214,24 @@ class TestCompatibilityChecked:
         assert _pair.cache_info().currsize == 0
 
 
+class TestWrongModelCells:
+    """A cell from the other model than the pair's is refused before it is measured."""
+
+    def test_interval_cells_for_a_finite_pair(self):
+        space = FiniteSpace((Fraction(1, 4),) * 4)
+        a, b = space.event((0, 1)), space.event((0, 1, 2))
+        assert correlation(a, b) > 0
+        halves = Partition((iv("0", "1/2"), iv("1/2", "1")))
+        for call in (verify_rccs, correlation_decomposition):
+            with pytest.raises(InputError, match=r"^cell 0 is not an event of the same model as the pair$"):
+                call(a, b, halves)
+
+    def test_finite_cells_for_an_interval_pair(self):
+        space = FiniteSpace((Fraction(1, 2),) * 2)
+        with pytest.raises(InputError, match=r"^cell 0 is not an event of the same model as the pair$"):
+            verify_rccs(WORKED_A, WORKED_B, Partition((space.event((0,)), space.event((1,)))))
+
+
 class TestDecomposition:
     def test_worked_example(self):
         system = construct_size3(WORKED_A, WORKED_B)
@@ -541,6 +559,41 @@ def check_common_cause_against_oracle(a, b, cause) -> None:
     assert (report.decomposition_lhs, report.decomposition_rhs) == (_joint_excess(a, b), score.rhs)
     assert report.failure == failure
     assert report.verdict is (failure is None)
+
+
+FIRST_EVENT = "the cause does not raise the conditional probability of the first event"
+
+
+class TestSize2Orientation:
+    """A size-2 cause that screens off raises both events or lowers both.
+
+    With screening-off on the cause c and on ~c, the decomposition identity
+    reads excess = m(c) m(~c) (P(a|c) - P(a|~c)) (P(b|c) - P(b|~c)), and
+    the excess of a correlated pair is positive, so the two differences
+    share a sign.  The orientation is then decided by the first event
+    alone: the test on the second event can never be the one that fails.
+    """
+
+    def test_a_screening_cause_raises_both_events_or_neither(self):
+        rng = random.Random(420)
+        accepted = 0
+        for m in range(2, 7):
+            for space in (FiniteSpace((Fraction(1, m),) * m), random_space(rng, m), random_space(rng, m)):
+                for _ in range(10):
+                    a, b = random_subset(rng, space), random_subset(rng, space)
+                    while correlation(a, b) <= 0:
+                        a, b = random_subset(rng, space), random_subset(rng, space)
+                    for mask in range(1, (1 << m) - 1):
+                        cause = space.event(k for k in range(m) if mask >> k & 1)
+                        check_common_cause_against_oracle(a, b, cause)
+                        report = verify_common_cause(a, b, cause)
+                        assert report.failure is None or "second event" not in report.failure
+                        if report.verdict:
+                            accepted += 1
+                            flipped = verify_common_cause(a, b, cause.complement())
+                            assert flipped.failure == FIRST_EVENT
+                            assert flipped.cross_ok == ((0, 1, False),)
+        assert accepted >= 300
 
 
 def random_interval_partition(rng: random.Random, mixed: bool) -> Partition:

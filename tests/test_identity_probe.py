@@ -1,7 +1,8 @@
 """The float-free answers of ``bench/identity_probe.py`` match their recorded digests.
 
 The probe digests the construction, verification, predicate, size-2,
-search and enumeration answers of the public API on seeded inputs.  A
+search, enumeration and decomposition answers of the public API on
+seeded inputs, in six float-free families.  A
 change that alters any of those answers, an error text included, changes
 a digest here.  The ``cli`` family is left out: it prints numpy floats,
 which perfbench's reference digests pin.

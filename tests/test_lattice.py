@@ -195,6 +195,10 @@ class TestPartition:
         with pytest.raises(InputError):
             Partition(())
 
+    def test_rejects_a_cell_that_is_not_an_event(self):
+        with pytest.raises(InputError, match=r"^partition cell 0 is not an event$"):
+            Partition((1, 2))
+
     def test_precondition_error_on_incompatible_claim(self):
         # logical_independence_equiv demands compatibility up front
         with pytest.raises(PreconditionError):

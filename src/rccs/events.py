@@ -10,12 +10,13 @@ An event stores its endpoints as one flat tuple of Python ints, four per
 interval: ``(lo_num, lo_den, hi_num, hi_den)``, each endpoint a reduced
 fraction with a positive denominator of its own.  Endpoints are never
 rescaled to a common denominator, so their size does not grow with the
-number of distinct denominators in play.  ``meet``, ``join`` and
-``complement`` decide every comparison by cross-multiplying
-(``n1 * d2 < n2 * d1``) and copy endpoint pairs from their operands (or
-use 0 and 1), so they create no new rationals.  ``measure`` returns an
-exact :class:`fractions.Fraction`, and ``intervals`` presents the
-endpoints as Fraction pairs.
+number of distinct denominators in play.  Meet and complement are the
+only sweeps; ``join`` is the complement of the meet of the complements
+(De Morgan), which gives the tuple a direct merge would, as canonical
+form is unique.  The sweeps compare by cross-multiplying and copy
+endpoint pairs from their operands (or use 0 and 1), so they create no
+new rationals.  ``measure`` returns an exact :class:`fractions.Fraction`,
+and ``intervals`` presents the endpoints as Fraction pairs.
 
 Half-open intervals make the representation closed under complement and
 union, and merged adjacent intervals make equal point sets equal
@@ -118,6 +119,49 @@ def _checked(ends: tuple[int, ...]) -> tuple[int, ...]:
     raise InternalInvariantError("endpoint sequence not rising, yet no interval is at fault")
 
 
+def _meet(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The intersection of two canonical endpoint tuples, in canonical form."""
+    len_a, len_b = len(a), len(b)
+    res: list[int] = []
+    if len_a and len_b:
+        i = j = 0
+        a_ln, a_ld, a_hn, a_hd = a[0:4]
+        b_ln, b_ld, b_hn, b_hd = b[0:4]
+        while True:
+            # the interval that ends first bounds the overlap and is used up
+            if a_hn * b_hd <= b_hn * a_hd:
+                if a_ln * b_ld >= b_ln * a_ld:
+                    res += (a_ln, a_ld, a_hn, a_hd)
+                elif b_ln * a_hd < a_hn * b_ld:
+                    res += (b_ln, b_ld, a_hn, a_hd)
+                i += 4
+                if i == len_a:
+                    break
+                a_ln, a_ld, a_hn, a_hd = a[i : i + 4]
+            else:
+                if b_ln * a_ld >= a_ln * b_ld:
+                    res += (b_ln, b_ld, b_hn, b_hd)
+                elif a_ln * b_hd < b_hn * a_ld:
+                    res += (a_ln, a_ld, b_hn, b_hd)
+                j += 4
+                if j == len_b:
+                    break
+                b_ln, b_ld, b_hn, b_hd = b[j : j + 4]
+    return tuple(res)
+
+
+def _complement(e: tuple[int, ...]) -> tuple[int, ...]:
+    """The complement in [0, 1) of a canonical endpoint tuple, in canonical form.
+
+    Its endpoints are 0, the event's endpoints, and 1, less a 0 or 1
+    that the event already starts or ends at.
+    """
+    if not e:
+        return (0, 1, 1, 1)
+    ends = (0, 1) + e if e[0] > 0 else e[2:]
+    return ends + (1, 1) if e[-2] < e[-1] else ends[:-2]
+
+
 class IntervalEvent:
     """A canonical finite union of half-open intervals [lo, hi) inside [0, 1).
 
@@ -207,73 +251,18 @@ class IntervalEvent:
 
     def meet(self, other: "IntervalEvent") -> "IntervalEvent":
         """Set intersection, returned in canonical form."""
-        a, b = self._ends, other._ends
-        len_a, len_b = len(a), len(b)
-        res: list[int] = []
-        if len_a and len_b:
-            i = j = 0
-            a_ln, a_ld, a_hn, a_hd = a[0:4]
-            b_ln, b_ld, b_hn, b_hd = b[0:4]
-            while True:
-                # the interval that ends first bounds the overlap and is used up
-                if a_hn * b_hd <= b_hn * a_hd:
-                    if a_ln * b_ld >= b_ln * a_ld:
-                        res += (a_ln, a_ld, a_hn, a_hd)
-                    elif b_ln * a_hd < a_hn * b_ld:
-                        res += (b_ln, b_ld, a_hn, a_hd)
-                    i += 4
-                    if i == len_a:
-                        break
-                    a_ln, a_ld, a_hn, a_hd = a[i : i + 4]
-                else:
-                    if b_ln * a_ld >= a_ln * b_ld:
-                        res += (b_ln, b_ld, b_hn, b_hd)
-                    elif a_ln * b_hd < b_hn * a_ld:
-                        res += (a_ln, a_ld, b_hn, b_hd)
-                    j += 4
-                    if j == len_b:
-                        break
-                    b_ln, b_ld, b_hn, b_hd = b[j : j + 4]
-        return IntervalEvent._from_ends(tuple(res))
+        return IntervalEvent._from_ends(_meet(self._ends, other._ends))
 
     def join(self, other: "IntervalEvent") -> "IntervalEvent":
-        """Set union, returned in canonical form (adjacent pieces merged).
+        """Set union in canonical form: the complement of the meet of the complements (De Morgan).
 
-        A linear merge of the two ascending interval sequences.
+        Canonical form is unique, so a direct merge of the two would give the same tuple.
         """
-        a, b = self._ends, other._ends
-        len_a, len_b = len(a), len(b)
-        res: list[int] = []
-        i = j = 0
-        while i < len_a or j < len_b:
-            # take whichever next interval starts first
-            if j >= len_b or (i < len_a and a[i] * b[j + 1] <= b[j] * a[i + 1]):
-                lo_n, lo_d, hi_n, hi_d = a[i], a[i + 1], a[i + 2], a[i + 3]
-                i += 4
-            else:
-                lo_n, lo_d, hi_n, hi_d = b[j], b[j + 1], b[j + 2], b[j + 3]
-                j += 4
-            if res and lo_n * res[-1] <= res[-2] * lo_d:
-                # overlaps or touches the last merged interval: extend it
-                if hi_n * res[-1] > res[-2] * hi_d:
-                    res[-2] = hi_n
-                    res[-1] = hi_d
-            else:
-                res += (lo_n, lo_d, hi_n, hi_d)
-        return IntervalEvent._from_ends(tuple(res))
+        return IntervalEvent._from_ends(_complement(_meet(_complement(self._ends), _complement(other._ends))))
 
     def complement(self) -> "IntervalEvent":
-        """Complement inside [0, 1).
-
-        The complement's endpoints are 0, this event's endpoints, and 1,
-        less a 0 or 1 that this event already starts or ends at.
-        """
-        e = self._ends
-        if not e:
-            return IntervalEvent._from_ends((0, 1, 1, 1))
-        ends = (0, 1) + e if e[0] > 0 else e[2:]
-        ends = ends + (1, 1) if e[-2] < e[-1] else ends[:-2]
-        return IntervalEvent._from_ends(ends)
+        """Complement inside [0, 1)."""
+        return IntervalEvent._from_ends(_complement(self._ends))
 
     def leq(self, other: "IntervalEvent") -> bool:
         """Containment as point sets: true iff meet(self, other) == self."""

@@ -61,6 +61,12 @@ class LatticeEvent(Protocol):
 E = TypeVar("E", bound=LatticeEvent)
 
 
+def _require_one_model(a: E, b: E) -> None:
+    """Refuse a pair in which neither event is an instance of the other's class: two models."""
+    if not (isinstance(a, b.__class__) or isinstance(b, a.__class__)):
+        raise InputError(f"events of different models: {type(a).__name__} and {type(b).__name__}")
+
+
 def _split(a: E, b: E) -> tuple[bool, E, E, E]:
     """The two-sided compatibility test, with the atoms it is built from.
 
@@ -69,7 +75,9 @@ def _split(a: E, b: E) -> tuple[bool, E, E, E]:
     a&~b and ~a&b.  Meet commutes, so a&b serves both sides.  The test is
     symmetric in any orthomodular lattice, so a disagreement between the
     sides is raised as an internal invariant failure rather than returned.
+    A pair of two models is refused first.
     """
+    _require_one_model(a, b)
     not_b = b.complement()
     not_a = a.complement()
     a_and_b = a.meet(b)
@@ -101,6 +109,7 @@ def logically_independent(a: E, b: E) -> bool:
     constraint between the events: no truth value of one forces a truth
     value of the other.
     """
+    _require_one_model(a, b)
     not_a = a.complement()
     not_b = b.complement()
     return not (
@@ -143,6 +152,7 @@ def correlation(a: E, b: E) -> Fraction:
 
     A strictly positive value means the events are correlated.
     """
+    _require_one_model(a, b)
     return a.meet(b).measure() - a.measure() * b.measure()
 
 

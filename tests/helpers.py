@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,17 +78,25 @@ def assert_canonical(event: IntervalEvent) -> IntervalEvent:
     return event
 
 
-def _contains(event: IntervalEvent, point: Fraction) -> bool:
-    return any(lo <= point < hi for lo, hi in event.intervals)
+def _membership(event: IntervalEvent | None):
+    """Point membership in ``event`` (none in ``None``), by binary search on its ascending starts."""
+    intervals = event.intervals if event is not None else ()
+    starts = [lo for lo, _ in intervals]
+
+    def contains(point: Fraction) -> bool:
+        k = bisect_right(starts, point) - 1
+        return k >= 0 and point < intervals[k][1]
+
+    return contains
 
 
 def set_oracle(a: IntervalEvent, b: IntervalEvent | None, op) -> IntervalEvent:
-    """Recompute a set operation by brute membership on elementary pieces.
+    """Recompute a set operation by membership on elementary pieces.
 
     Collects every endpoint of both operands plus 0 and 1, then decides
-    membership of each elementary piece by testing its midpoint, and
-    finally merges contiguous pieces.  Independent of the two-pointer
-    sweeps in the implementation.
+    membership of each elementary piece by a binary search for its
+    midpoint among each operand's intervals, and finally merges contiguous
+    pieces.  Independent of the two-pointer sweeps in the implementation.
     """
     points = {Fraction(0), Fraction(1)}
     for ev in (a, b):
@@ -97,12 +106,11 @@ def set_oracle(a: IntervalEvent, b: IntervalEvent | None, op) -> IntervalEvent:
             points.add(lo)
             points.add(hi)
     grid = sorted(points)
+    in_a, in_b = _membership(a), _membership(b)
     pieces = []
     for lo, hi in zip(grid, grid[1:]):
         mid = (lo + hi) / 2
-        in_a = _contains(a, mid)
-        in_b = _contains(b, mid) if b is not None else False
-        if op(in_a, in_b):
+        if op(in_a(mid), in_b(mid)):
             pieces.append((lo, hi))
     merged: list[list[Fraction]] = []
     for lo, hi in pieces:

@@ -232,6 +232,49 @@ class TestWrongModelCells:
             verify_rccs(WORKED_A, WORKED_B, Partition((space.event((0,)), space.event((1,)))))
 
 
+_QUARTERS = FiniteSpace((Fraction(1, 4),) * 4)
+_FINITE_A, _FINITE_B = _QUARTERS.event((0, 1)), _QUARTERS.event((0, 1, 2))
+
+
+class TestTwoModelPair:
+    """A pair of events of two models is refused with InputError wherever it comes in."""
+
+    @pytest.mark.parametrize(
+        "call, first, second",
+        [
+            (lambda: verify_rccs(WORKED_A, _FINITE_B, Partition((FULL,))), "IntervalEvent", "FiniteEvent"),
+            (lambda: verify_rccs(_FINITE_A, WORKED_B, Partition((FULL,))), "FiniteEvent", "IntervalEvent"),
+            (lambda: correlation_decomposition(WORKED_A, _FINITE_B, Partition((FULL,))), "IntervalEvent", "FiniteEvent"),
+            (lambda: verify_common_cause(WORKED_A, WORKED_B, _FINITE_A), "IntervalEvent", "FiniteEvent"),
+            (lambda: verify_common_cause(_FINITE_A, _FINITE_B, WORKED_A), "FiniteEvent", "IntervalEvent"),
+            (lambda: compatible(WORKED_A, _FINITE_B), "IntervalEvent", "FiniteEvent"),
+            (lambda: construction_steps(_FINITE_A, WORKED_B), "FiniteEvent", "IntervalEvent"),
+            (lambda: correlation(WORKED_A, _FINITE_B), "IntervalEvent", "FiniteEvent"),
+            (lambda: logically_independent(_FINITE_A, WORKED_B), "FiniteEvent", "IntervalEvent"),
+        ],
+        ids=[
+            "verify_rccs-interval-finite",
+            "verify_rccs-finite-interval",
+            "correlation_decomposition",
+            "verify_common_cause-finite-cause",
+            "verify_common_cause-interval-cause",
+            "compatible",
+            "construction_steps",
+            "correlation",
+            "logically_independent",
+        ],
+    )
+    def test_refused_at_one_gate(self, call, first, second):
+        with pytest.raises(InputError, match=rf"^events of different models: {first} and {second}$"):
+            call()
+
+    def test_finite_pair_of_two_spaces_keeps_its_refusal(self):
+        other = FiniteSpace((Fraction(1, 2),) * 2).event((0,))
+        for call in (lambda: compatible(_FINITE_A, other), lambda: verify_common_cause(_FINITE_A, _FINITE_B, other)):
+            with pytest.raises(InputError, match=r"^events belong to different spaces$"):
+                call()
+
+
 class TestDecomposition:
     def test_worked_example(self):
         system = construct_size3(WORKED_A, WORKED_B)

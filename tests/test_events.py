@@ -433,6 +433,60 @@ class TestIntegerKernel:
             assert clone == ev and hash(clone) == hash(ev)
 
 
+def _point_source(rng: random.Random, mixed: bool):
+    """Draw endpoints in [0, 1]: on one grid k/den with den near 10**6, or each on a denominator of its own."""
+    if not mixed:
+        den = rng.randint(999_000, 1_001_000)
+        return lambda: Fraction(rng.randint(0, den), den)
+
+    def draw() -> Fraction:
+        own = rng.choice(MIXED_DENOMINATORS) if rng.random() < 0.5 else rng.randint(999_000, 1_001_000)
+        return Fraction(rng.randint(0, own), own)
+
+    return draw
+
+
+def _event_on(draw, count: int, shared: tuple[Fraction, ...] = ()) -> IntervalEvent:
+    """An event of ``count`` intervals whose endpoints are ``shared`` and fresh draws."""
+    points = set(shared[: 2 * count])
+    while len(points) < 2 * count:
+        points.add(draw())
+    ends = sorted(points)
+    return IntervalEvent(tuple(zip(ends[0::2], ends[1::2])))
+
+
+class TestJoinAtBenchmarkSize:
+    """``join`` and ``normalized`` against independent oracles on events as large as the
+    benchmark's: 20-150 intervals, endpoints on one denominator near 10**6 or each on its own,
+    and pairs that share endpoints, so that their pieces touch."""
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one-denominator", "mixed-denominators"])
+    def test_join_matches_set_oracle(self, mixed):
+        rng = random.Random(f"join-benchmark-size/{mixed}")
+        for _ in range(14):
+            draw = _point_source(rng, mixed)
+            a = _event_on(draw, rng.randint(20, 150))
+            a_ends = [x for pair in a.intervals for x in pair]
+            shared = tuple(rng.sample(a_ends, rng.randint(0, len(a_ends))))
+            b = _event_on(draw, rng.randint(20, 150), shared)
+            for x, y in ((a, b), (b, a), (a, b.complement())):
+                assert assert_canonical(x.join(y)) == set_oracle(x, y, lambda p, q: p or q)
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one-denominator", "mixed-denominators"])
+    def test_normalized_merges_hundreds_of_overlapping_pieces(self, mixed):
+        rng = random.Random(f"normalized-benchmark-size/{mixed}")
+        for _ in range(3):
+            draw = _point_source(rng, mixed)
+            starts = [draw() for _ in range(rng.randint(200, 400))]
+            # pieces of up to about 1/100, some degenerate, many starting where an earlier one ends
+            pairs = []
+            for lo in starts:
+                if pairs and rng.random() < 0.3:
+                    lo = rng.choice(pairs)[1]
+                pairs.append((lo, min(Fraction(1), lo + rng.randint(0, 10_000) * Fraction(1, 10**6))))
+            assert assert_canonical(IntervalEvent.normalized(pairs)).intervals == _sort_and_merge(pairs)
+
+
 class TestTrustBoundary:
     """Kernel results skip the canonical-form check; every way in from outside keeps it."""
 

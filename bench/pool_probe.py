@@ -12,10 +12,13 @@ puts its tree's ``src`` first on ``sys.path`` and then:
   untimed, against ``perfbench/reference.json``, so a wrong answer
   fails the probe.
 
-Workloads are ``interval-pipeline`` and ``finite-search``.  ``cli-cold``
-is left out: its children always run this checkout's ``src``.
+Workloads are ``interval-pipeline``, ``finite-search`` and ``cli-cold``.
+A ``cli-cold`` operation is one fresh ``python -m rccs`` process; the
+probe points those processes at the tree under test by setting the
+workload's ``PYTHONPATH`` to its ``src``.
 
     python3 bench/pool_probe.py ../parent/src src --workload interval-pipeline --pairs 12
+    python3 bench/pool_probe.py ../parent/src src --workload cli-cold --pairs 10
 
 Prints, per tree, the median ms/op, the quartiles and the number of
 pairs in which it was the faster; each pair's times go to stderr.
@@ -33,17 +36,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-WORKLOADS = ("interval-pipeline", "finite-search")
+WORKLOADS = ("interval-pipeline", "finite-search", "cli-cold")
 SEED = 1
 
 
 def run_pass(src: str, name: str) -> float:
     """Time one pass of ``execute`` over the pool, after a warm-up pass; check every output; return ms/op."""
-    sys.path[:0] = [str(Path(src).resolve()), str(PERFBENCH)]
+    src = str(Path(src).resolve())
+    sys.path[:0] = [src, str(PERFBENCH)]
     from workloads import WORKLOADS as ALL
 
     reference = json.loads((PERFBENCH / "reference.json").read_text())[name]
     wl = ALL[name](SEED, reference)
+    if name == "cli-cold":
+        wl.env["PYTHONPATH"] = src  # its children run this tree, not the checkout perfbench sits in
     ops = range(len(wl.pool))
     for k in ops:
         wl.execute(k)

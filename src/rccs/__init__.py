@@ -10,8 +10,8 @@ once.
 
 ``import rccs`` loads none of the submodules.  Each one, and each public
 name, is loaded on first use (PEP 562), so a computation loads only the
-modules it runs: the classical ones never load numpy, which only the
-Bell witness needs.
+modules it runs.  numpy is loaded only by the array functions of the
+Bell witness; no subcommand loads it.
 """
 
 import importlib

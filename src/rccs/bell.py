@@ -13,46 +13,190 @@ partition screens off all four observable pairs at once, so the negative
 value rules out such a "common" common cause system.  Per-pair systems
 are untouched by this argument.
 
-Operators are plain complex numpy arrays; states are complex vectors.
-All tolerances live in the two module constants below, chosen because the
+Every number comes from one private kernel over plain Python ``complex``:
+a matrix is a tuple of rows, each a tuple of complex numbers, and a state
+is a tuple of complex numbers.  Its sums run left to right from their
+first term, and a norm is the sum of the squared real parts plus the sum
+of the squared imaginary parts, as in numpy, so the printed floats are
+numpy's, bit for bit; the tests pin them.  numpy appears only at the
+public array boundary: ``BellWitness`` holds numpy arrays, and
+``build_witness``, ``bell_expectations``, ``bell_value``,
+``is_projection``, ``is_partial_isometry``, ``commutator_norm`` and
+``basis_product_state`` take or return them and import numpy inside the
+call, so the ``bell`` and ``demo`` subcommands never load it.  All
+tolerances live in the two module constants below, chosen because the
 entries involve sqrt(3) and 1/sqrt(2) rather than rationals.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import cache, reduce
 from numbers import Rational
-
-import numpy as np
+from operator import add, mul, sub
+from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantError, PreconditionError
 from .events import format_rational
 
+if TYPE_CHECKING:
+    import numpy as np
+
 TOLERANCE = 1e-12  # matrix and state identities
 IDENTITY_TOLERANCE = 1e-15  # scalar algebraic identity residuals
 
-_LOWERING = np.array([[0, 1], [0, 0]], dtype=complex)  # e1 -> e0, e0 -> 0
-_IDENTITY2 = np.eye(2, dtype=complex)
+# The kernel.  ``reduce`` sums left to right from the first term; ``sum``
+# would start from 0, and newer Pythons compensate its float rounding.
 
 
-def _sup_norm(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m)))
+def _matmul(x: tuple, y: tuple) -> tuple:
+    cols = tuple(zip(*y))
+    return tuple(tuple(reduce(add, map(mul, row, col)) for col in cols) for row in x)
+
+
+def _apply(x: tuple, v: tuple) -> tuple:
+    return tuple(reduce(add, map(mul, row, v)) for row in x)
+
+
+def _adjoint(x: tuple) -> tuple:
+    return tuple(tuple(z.conjugate() for z in col) for col in zip(*x))
+
+
+def _kron(x: tuple, y: tuple) -> tuple:
+    return tuple(tuple(p * q for p in xrow for q in yrow) for xrow in x for yrow in y)
+
+
+def _entrywise(op, x: tuple, y: tuple) -> tuple:
+    return tuple(tuple(map(op, p, q)) for p, q in zip(x, y))
+
+
+def _scale(s: float, x: tuple) -> tuple:
+    return tuple(tuple(s * z for z in row) for row in x)
+
+
+def _vdot(u: tuple, v: tuple) -> complex:
+    return reduce(add, (p.conjugate() * q for p, q in zip(u, v)))
+
+
+def _norm(v: tuple) -> float:
+    return math.sqrt(reduce(add, (z.real * z.real for z in v)) + reduce(add, (z.imag * z.imag for z in v)))
+
+
+def _normalized(v: tuple, norm: float) -> tuple:
+    scale = 1.0 / norm  # numpy divides by a real scalar by multiplying with its reciprocal
+    return tuple(scale * z for z in v)
+
+
+def _sup_norm(x: tuple) -> float:
+    return max(abs(z) for row in x for z in row)
+
+
+def _is_projection(op: tuple, tol: float) -> bool:
+    return _sup_norm(_entrywise(sub, _matmul(op, op), op)) < tol and _sup_norm(_entrywise(sub, op, _adjoint(op))) < tol
+
+
+def _commutator_norm(x: tuple, y: tuple) -> float:
+    return _sup_norm(_entrywise(sub, _matmul(x, y), _matmul(y, x)))
+
+
+_LOWERING = ((0j, 1 + 0j), (0j, 0j))  # e1 -> e0, e0 -> 0
+_IDENTITY2 = ((1 + 0j, 0j), (0j, 1 + 0j))
+_E11 = (0j, 0j, 0j, 1 + 0j)  # e1 (x) e1, the default seed
+
+
+def _observable(v: tuple, sign) -> tuple:
+    """3/4 V* V + 1/4 V V* (+ or -) sqrt(3)/4 (V + V*): scaled first, then multiplied, then summed left to right."""
+    vh = _adjoint(v)
+    diagonal = _entrywise(add, _matmul(_scale(0.75, vh), v), _matmul(_scale(0.25, v), vh))
+    return _entrywise(sign, diagonal, _scale(math.sqrt(3) / 4, _entrywise(add, v, vh)))
+
+
+def _witness(psi: tuple) -> tuple:
+    """v1, v2, a1, b1, a2, b2 and the state phi built from the seed psi, in the order of ``BellWitness``."""
+    v1, v2 = _kron(_LOWERING, _IDENTITY2), _kron(_IDENTITY2, _LOWERING)
+    a1, a2 = _matmul(_adjoint(v1), v1), _matmul(_adjoint(v2), v2)
+    b1, b2 = _observable(v1, add), _observable(v2, sub)
+    norm = _norm(psi)
+    if norm < TOLERANCE:
+        raise PreconditionError("seed state must be nonzero")
+    psi = _normalized(psi, norm)
+    if _norm(_apply(_matmul(a1, a2), psi)) < TOLERANCE:
+        raise PreconditionError(
+            "seed state has no component along e1 (x) e1, so the entangled combination degenerates"
+        )
+    raw_phi = tuple(map(add, psi, _apply(_matmul(v1, v2), psi)))
+    return v1, v2, a1, b1, a2, b2, _normalized(raw_phi, _norm(raw_phi))
+
+
+def _expect(state: tuple, op: tuple) -> float:
+    value = _vdot(state, _apply(op, state))
+    if abs(value.imag) >= TOLERANCE:
+        raise InternalInvariantError(f"expectation of a projection came out non-real: {value}")
+    return value.real
+
+
+def _expectations(state: tuple, a1: tuple, b1: tuple, a2: tuple, b2: tuple) -> dict[str, float]:
+    """The six expectations, after checking the state's norm, the projections and the cross-site commutation."""
+    if abs(_norm(state) - 1.0) >= TOLERANCE:
+        raise PreconditionError("state vector must have unit norm")
+    for name, op in (("A1", a1), ("B1", b1), ("A2", a2), ("B2", b2)):
+        if not _is_projection(op, TOLERANCE):
+            raise PreconditionError(f"{name} is not a projection")
+    for n1, site1 in (("A1", a1), ("B1", b1)):
+        for n2, site2 in (("A2", a2), ("B2", b2)):
+            if _commutator_norm(site1, site2) >= TOLERANCE:
+                raise PreconditionError(f"{n1} does not commute with {n2}")
+    return {
+        "a1": _expect(state, a1),
+        "a2": _expect(state, a2),
+        "b1b2": _expect(state, _matmul(b1, b2)),
+        "a1a2": _expect(state, _matmul(a1, a2)),
+        "b1a2": _expect(state, _matmul(b1, a2)),
+        "a1b2": _expect(state, _matmul(a1, b2)),
+    }
+
+
+def _combination(e: dict[str, float]) -> float:
+    return e["a1"] + e["a2"] + e["b1b2"] - e["a1a2"] - e["b1a2"] - e["a1b2"]
+
+
+@cache
+def _default_bell() -> tuple[tuple[tuple[str, float], ...], float]:
+    """The six expectations of the default witness in its own state, and their combination; built once."""
+    _, _, a1, b1, a2, b2, phi = _witness(_E11)
+    e = _expectations(phi, a1, b1, a2, b2)
+    return tuple(e.items()), _combination(e)
+
+
+# The public array boundary.
+
+
+def _operators(*ops) -> list[tuple]:
+    """The arrays ``ops`` as kernel matrices; they must be square and of one size."""
+    import numpy as np
+
+    arrays = [np.asarray(op, dtype=complex) for op in ops]
+    if any(a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != arrays[0].shape for a in arrays):
+        raise PreconditionError("operators must be square matrices of one size")
+    return [tuple(map(tuple, a.tolist())) for a in arrays]
 
 
 def is_projection(op: np.ndarray, tol: float = TOLERANCE) -> bool:
     """True when op is self-adjoint and idempotent within tol (sup norm)."""
-    return _sup_norm(op @ op - op) < tol and _sup_norm(op - op.conj().T) < tol
+    return _is_projection(*_operators(op), tol)
 
 
 def is_partial_isometry(op: np.ndarray, tol: float = TOLERANCE) -> bool:
     """True when both op* op and op op* are projections within tol."""
-    adj = op.conj().T
-    return is_projection(adj @ op, tol) and is_projection(op @ adj, tol)
+    (op,) = _operators(op)
+    adj = _adjoint(op)
+    return _is_projection(_matmul(adj, op), tol) and _is_projection(_matmul(op, adj), tol)
 
 
 def commutator_norm(x: np.ndarray, y: np.ndarray) -> float:
-    return _sup_norm(x @ y - y @ x)
+    return _commutator_norm(*_operators(x, y))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +214,8 @@ class BellWitness:
 
 def basis_product_state(i: int, j: int) -> np.ndarray:
     """The product basis vector e_i (x) e_j of C^2 (x) C^2."""
+    import numpy as np
+
     if i not in (0, 1) or j not in (0, 1):
         raise PreconditionError("basis labels must be 0 or 1")
     vec = np.zeros(4, dtype=complex)
@@ -93,67 +239,21 @@ def build_witness(psi: np.ndarray | None = None) -> BellWitness:
     commutation on every call.  For a unit seed, psi + V1 V2 psi has norm
     at least (sqrt(5) - 1)/2, so it never vanishes.
     """
-    v1 = np.kron(_LOWERING, _IDENTITY2)
-    v2 = np.kron(_IDENTITY2, _LOWERING)
-    a1 = v1.conj().T @ v1
-    a2 = v2.conj().T @ v2
-    root3_over_4 = np.sqrt(3) / 4
-    b1 = 0.75 * v1.conj().T @ v1 + 0.25 * v1 @ v1.conj().T + root3_over_4 * (v1 + v1.conj().T)
-    b2 = 0.75 * v2.conj().T @ v2 + 0.25 * v2 @ v2.conj().T - root3_over_4 * (v2 + v2.conj().T)
+    import numpy as np
 
-    if psi is None:
-        psi = basis_product_state(1, 1)
-    psi = np.asarray(psi, dtype=complex).reshape(4)
-    norm = np.linalg.norm(psi)
-    if norm < TOLERANCE:
-        raise PreconditionError("seed state must be nonzero")
-    psi = psi / norm
-    if np.linalg.norm(a1 @ a2 @ psi) < TOLERANCE:
-        raise PreconditionError(
-            "seed state has no component along e1 (x) e1, so the entangled combination degenerates"
-        )
-    raw_phi = psi + v1 @ v2 @ psi
-    phi = raw_phi / np.linalg.norm(raw_phi)
-    return BellWitness(v1=v1, v2=v2, a1=a1, b1=b1, a2=a2, b2=b2, phi=phi)
-
-
-def _expect(state: np.ndarray, op: np.ndarray) -> float:
-    value = complex(np.vdot(state, op @ state))
-    if abs(value.imag) >= TOLERANCE:
-        raise InternalInvariantError(f"expectation of a projection came out non-real: {value}")
-    return value.real
-
-
-def _require_unit(state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(state) - 1.0) >= TOLERANCE:
-        raise PreconditionError("state vector must have unit norm")
-    return state
-
-
-def _require_witness_ops(witness: BellWitness) -> None:
-    for name, op in (("A1", witness.a1), ("B1", witness.b1), ("A2", witness.a2), ("B2", witness.b2)):
-        if not is_projection(op):
-            raise PreconditionError(f"{name} is not a projection")
-    for n1, site1 in (("A1", witness.a1), ("B1", witness.b1)):
-        for n2, site2 in (("A2", witness.a2), ("B2", witness.b2)):
-            if commutator_norm(site1, site2) >= TOLERANCE:
-                raise PreconditionError(f"{n1} does not commute with {n2}")
+    seed = _E11 if psi is None else tuple(np.asarray(psi, dtype=complex).reshape(4).tolist())
+    return BellWitness(*(np.array(x, dtype=complex) for x in _witness(seed)))
 
 
 def bell_expectations(state: np.ndarray, witness: BellWitness) -> dict[str, float]:
     """The six expectation values entering the Clauser-Horne combination."""
-    state = _require_unit(state)
-    _require_witness_ops(witness)
-    a1, b1, a2, b2 = witness.a1, witness.b1, witness.a2, witness.b2
-    return {
-        "a1": _expect(state, a1),
-        "a2": _expect(state, a2),
-        "b1b2": _expect(state, b1 @ b2),
-        "a1a2": _expect(state, a1 @ a2),
-        "b1a2": _expect(state, b1 @ a2),
-        "a1b2": _expect(state, a1 @ b2),
-    }
+    import numpy as np
+
+    state = tuple(np.asarray(state, dtype=complex).reshape(-1).tolist())
+    ops = _operators(witness.a1, witness.b1, witness.a2, witness.b2)
+    if len(state) != len(ops[0]):
+        raise PreconditionError("state and operators differ in dimension")
+    return _expectations(state, *ops)
 
 
 def bell_value(state: np.ndarray, witness: BellWitness) -> float:
@@ -162,8 +262,7 @@ def bell_value(state: np.ndarray, witness: BellWitness) -> float:
     For the default witness state this is -1/8; any value outside [0, 1]
     is impossible under a single all-pairs screening partition.
     """
-    e = bell_expectations(state, witness)
-    return e["a1"] + e["a2"] + e["b1b2"] - e["a1a2"] - e["b1a2"] - e["a1b2"]
+    return _combination(bell_expectations(state, witness))
 
 
 def _identity_sides(a1: float, a2: float, b1: float, b2: float) -> tuple[float, float]:
@@ -206,8 +305,7 @@ def no_common_ccs_demo(samples: int = 100_000, seed: int = 20260808) -> dict:
 
     The impossibility is analytic, so it is reported, not searched for.
     """
-    witness = build_witness()
-    value = bell_value(witness.phi, witness)
+    value = _default_bell()[1]
     rng = random.Random(seed)
     max_residual = 0.0
     all_in_bounds = True

@@ -182,12 +182,10 @@ def _run_search(args) -> int:
 
 
 def _bell_obj() -> dict:
-    from . import bell  # numpy is loaded only by the bell and demo subcommands
+    from . import bell  # loaded only by the bell and demo subcommands
 
-    witness = bell.build_witness()
-    expectations = bell.bell_expectations(witness.phi, witness)
-    value = bell.bell_value(witness.phi, witness)
-    return {"expectations": expectations, "bell_value": value}
+    expectations, value = bell._default_bell()
+    return {"expectations": dict(expectations), "bell_value": value}
 
 
 def _print_bell_human(obj: dict) -> None:
@@ -214,8 +212,8 @@ def _run_bell(args) -> int:
 
 
 def _run_demo(args) -> int:
-    from .engine import construction_steps  # before numpy: loaded after it, the engine adds ~0.8 MB peak RSS
     from . import bell
+    from .engine import construction_steps
 
     lam = _parse_lam(args.lam)
     steps = construction_steps(DEMO_A, DEMO_B, lam)

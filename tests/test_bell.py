@@ -1,6 +1,7 @@
 """Bell witness: operator invariants, the -1/8 value, the classical bound."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from rccs import (
     BellWitness,
     CommonCauseSystem,
+    InternalInvariantError,
     PreconditionError,
     basis_product_state,
     bell_expectations,
@@ -22,7 +24,8 @@ from rccs import (
     is_projection,
     no_common_ccs_demo,
 )
-from rccs.bell import IDENTITY_TOLERANCE, TOLERANCE, _identity_sides
+from rccs.bell import IDENTITY_TOLERANCE, TOLERANCE, _expect, _identity_sides
+from rccs.cli import _bell_obj
 
 from .helpers import (
     EXACT_PHI,
@@ -155,6 +158,122 @@ class TestExactWitness:
         bad = BellWitness(v1=w.v1, v2=w.v2, a1=w.a1, b1=w.b1, a2=w.b1, b2=w.b2, phi=w.phi)
         with pytest.raises(PreconditionError, match=r"^A1 does not commute with A2$"):
             bell_expectations(w.phi, bad)
+
+
+# The floats the witness printed when it was computed with numpy, by float.hex; the kernel keeps them.
+PINNED_HEX = {
+    "a1": "0x1.ffffffffffffep-2",
+    "a2": "0x1.ffffffffffffep-2",
+    "b1b2": "0x1.0000000000001p-3",
+    "a1a2": "0x1.ffffffffffffep-2",
+    "b1a2": "0x1.7ffffffffffffp-2",
+    "a1b2": "0x1.7ffffffffffffp-2",
+}
+PINNED_VALUE_HEX = "-0x1.0000000000000p-3"
+
+
+class TestPinnedFloats:
+    """The six expectations and the combination, bit for bit, on the CLI's path and on the public one."""
+
+    def test_cli_path(self):
+        obj = _bell_obj()
+        assert {key: value.hex() for key, value in obj["expectations"].items()} == PINNED_HEX
+        assert list(obj["expectations"]) == list(PINNED_HEX)
+        assert obj["bell_value"].hex() == PINNED_VALUE_HEX
+
+    def test_public_path(self):
+        witness = build_witness()
+        e = bell_expectations(build_witness().phi, witness)
+        assert {key: value.hex() for key, value in e.items()} == PINNED_HEX
+        assert bell_value(witness.phi, witness).hex() == PINNED_VALUE_HEX
+        assert no_common_ccs_demo(samples=1)["bell_value"].hex() == PINNED_VALUE_HEX
+
+
+def _numpy_witness(psi: np.ndarray) -> dict[str, np.ndarray]:
+    """The witness built with numpy's own operations: the reference for the kernel."""
+    lowering, eye = np.array([[0, 1], [0, 0]], dtype=complex), np.eye(2, dtype=complex)
+    v1, v2 = np.kron(lowering, eye), np.kron(eye, lowering)
+    r = np.sqrt(3) / 4
+    psi = psi / np.linalg.norm(psi)
+    raw = psi + v1 @ v2 @ psi
+    return {
+        "v1": v1,
+        "v2": v2,
+        "a1": v1.conj().T @ v1,
+        "b1": 0.75 * v1.conj().T @ v1 + 0.25 * v1 @ v1.conj().T + r * (v1 + v1.conj().T),
+        "a2": v2.conj().T @ v2,
+        "b2": 0.75 * v2.conj().T @ v2 + 0.25 * v2 @ v2.conj().T - r * (v2 + v2.conj().T),
+        "phi": raw / np.linalg.norm(raw),
+    }
+
+
+def _numpy_expectations(state: np.ndarray, w: dict[str, np.ndarray]) -> dict[str, float]:
+    """The six expectations by ``@`` and ``np.vdot``; a key such as "b1a2" names the product B1 A2."""
+    ops = {key: w[key[:2]] @ w[key[2:]] if key[2:] else w[key] for key in EXACT_EXPECTATIONS}
+    return {key: np.vdot(state, op @ state).real for key, op in ops.items()}
+
+
+def _random_vector(rng: np.random.Generator) -> np.ndarray:
+    return rng.normal(size=4) + 1j * rng.normal(size=4)
+
+
+def _random_state(rng: np.random.Generator) -> np.ndarray:
+    z = _random_vector(rng)
+    return z / np.linalg.norm(z)
+
+
+class TestNumpyOracle:
+    """The kernel against numpy's ``@`` and ``np.vdot`` on seeded random seeds and states.
+
+    An expectation of a projection in a unit state lies in [0, 1], and the
+    rounding of its terms scales with 1, not with the value, so the
+    tolerance is relative to that scale; the combination's is relative to
+    the sum of its six terms' sizes.  numpy's BLAS may add in another
+    order or fuse a multiply-add, so the two can differ in the last bit.
+    """
+
+    REL = 1e-15
+
+    def _check(self, state: np.ndarray, witness, reference: dict[str, np.ndarray]) -> None:
+        e, want = bell_expectations(state, witness), _numpy_expectations(state, reference)
+        assert e.keys() == want.keys()
+        for key in want:
+            assert abs(e[key] - want[key]) <= self.REL * max(1.0, abs(want[key])), key
+        scale = sum(abs(v) for v in want.values())
+        combination = want["a1"] + want["a2"] + want["b1b2"] - want["a1a2"] - want["b1a2"] - want["a1b2"]
+        assert abs(bell_value(state, witness) - combination) <= self.REL * scale
+
+    def test_random_seeds_and_states(self):
+        rng = np.random.default_rng(20261019)
+        for trial in range(120):
+            psi = _random_vector(rng)  # not normalized: build_witness normalizes its seed
+            if trial % 3 == 0:
+                psi = psi.real  # real seeds too
+            witness, reference = build_witness(psi), _numpy_witness(psi)
+            for name, op in reference.items():
+                assert np.max(np.abs(getattr(witness, name) - op)) <= self.REL, name
+            for state in (witness.phi, _random_state(rng)):
+                self._check(state, witness, reference)
+
+    def test_product_states(self, witness):
+        reference = _numpy_witness(basis_product_state(1, 1))
+        for i, j in itertools.product((0, 1), repeat=2):
+            self._check(basis_product_state(i, j), witness, reference)
+
+    def test_shapes_are_checked_at_the_array_boundary(self, witness):
+        with pytest.raises(PreconditionError, match=r"^state and operators differ in dimension$"):
+            bell_expectations(np.ones(3) / math.sqrt(3), witness)
+        with pytest.raises(PreconditionError, match=r"^operators must be square matrices of one size$"):
+            is_projection(np.ones((2, 3)))
+        with pytest.raises(PreconditionError, match=r"^operators must be square matrices of one size$"):
+            commutator_norm(witness.a1, np.eye(2))
+
+
+def test_non_real_expectation_is_an_internal_error():
+    # the projection checks keep a non-self-adjoint operator from reaching _expect; called directly, it refuses one
+    lowering = ((0j, 1 + 0j), (0j, 0j))
+    with pytest.raises(InternalInvariantError, match=r"^expectation of a projection came out non-real: 1j$"):
+        _expect((1 + 0j, 1j), lowering)
 
 
 def _pair_statistics(x: str, y: str) -> tuple[Q3, Q3, Q3]:

@@ -735,17 +735,35 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("rccs."))]
         assert json.loads(_fresh_interpreter(code, json.dumps(argv))) == [0, sorted(_CLASSICAL + extra)]
 
     def test_numpy_is_loaded_only_for_bell(self):
+        # numpy is loaded only by the array API of rccs.bell, never by a subcommand; the six command
+        # lines are the six kinds of perfbench's cli-cold workload
+        worked = json.loads(WORKED_INPUT)
+        cells = json.loads(run_cli(["construct", WORKED_INPUT, "--json"])[1])["cells"]
+        argvs = [
+            ["construct", WORKED_INPUT, "--json"],
+            ["verify", json.dumps({**worked, "partition": cells}), "--json"],
+            ["search", _SEARCH_INPUT, "--json"],
+            ["bell", "--json"],
+            ["demo", "--json"],
+            ["construct", json.dumps({**worked, "a": {"intervals": [["0", "1/0"]]}}), "--json"],
+        ]
         code = """
 import contextlib, io, json, sys
-import rccs, rccs.cli
-loaded = []
-for argv in (["construct", sys.argv[1], "--json"], ["bell", "--json"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert rccs.cli.main(argv) == 0
-    loaded.append("numpy" in sys.modules)
+import rccs.bell
+loaded = ["numpy" in sys.modules]
+from rccs.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        loaded.append([main(argv), "numpy" in sys.modules])
+import numpy
+witness = rccs.bell.build_witness()
+fields = ("v1", "v2", "a1", "b1", "a2", "b2", "phi")
+loaded.append(all(type(getattr(witness, f)) is numpy.ndarray and getattr(witness, f).dtype == complex for f in fields))
 print(json.dumps(loaded))
 """
-        assert json.loads(_fresh_interpreter(code, WORKED_INPUT)) == [False, True]
+        assert json.loads(_fresh_interpreter(code, json.dumps(argvs))) == [
+            False, [0, False], [0, False], [0, False], [0, False], [0, False], [1, False], True,
+        ]
 
     def test_every_public_name_resolves(self):
         code = """

@@ -1,11 +1,13 @@
-"""The float-free answers of ``bench/identity_probe.py`` match their recorded digests.
+"""The answers of ``bench/identity_probe.py`` match their recorded digests.
 
 The probe digests the construction, verification, predicate, size-2,
 search, enumeration and decomposition answers of the public API on
-seeded inputs, in six float-free families.  A
-change that alters any of those answers, an error text included, changes
-a digest here.  The ``cli`` family is left out: it prints numpy floats,
-which perfbench's reference digests pin.
+seeded inputs, and the exit code, stdout and stderr of a fixed list of
+command lines, in seven families.  A change that alters any of those
+answers, an error text or a printed Bell float included, changes a
+digest here.  The Bell floats are pinned because they come from the
+pure-Python kernel in ``rccs.bell``, which rounds the same way on every
+platform.
 """
 
 import importlib.util
@@ -23,7 +25,7 @@ def _load_probe():
     return module
 
 
-def test_float_free_families_match_recorded_digests():
+def test_families_match_recorded_digests():
     expected = json.loads((ROOT / "tests" / "data" / "identity_digests.json").read_text())
     probe = _load_probe()
     assert {name: probe.digest(records) for name, records in probe.family_records().items()} == expected

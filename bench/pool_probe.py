@@ -4,13 +4,14 @@ For ``--pairs`` alternating pairs, one fresh subprocess runs per tree
 (which tree goes first alternates from pair to pair).  Each subprocess
 puts its tree's ``src`` first on ``sys.path`` and then:
 
-* builds the seed-1 workload from ``perfbench/workloads.py``, which it
-  only reads;
+* builds the workload at ``--seed`` (default 1) from
+  ``perfbench/workloads.py``, which it only reads;
 * warms up with one pass of ``execute`` over the whole pool;
-* times one more pass;
+* times one more pass, operation by operation;
 * runs the workload's ``check`` on every output of the timed pass,
-  untimed, against ``perfbench/reference.json``, so a wrong answer
-  fails the probe.
+  untimed, so a wrong answer fails the probe.  At seed 1 the check also
+  compares each output's digest with ``perfbench/reference.json``, which
+  holds seed-1 digests only.
 
 Workloads are ``interval-pipeline``, ``finite-search`` and ``cli-cold``.
 A ``cli-cold`` operation is one fresh ``python -m rccs`` process; the
@@ -19,9 +20,12 @@ workload's ``PYTHONPATH`` to its ``src``.
 
     python3 bench/pool_probe.py ../parent/src src --workload interval-pipeline --pairs 12
     python3 bench/pool_probe.py ../parent/src src --workload cli-cold --pairs 10
+    python3 bench/pool_probe.py ../parent/src src --workload finite-search --seed 7919
 
-Prints, per tree, the median ms/op, the quartiles and the number of
-pairs in which it was the faster; each pair's times go to stderr.
+Prints, per tree, the median over pairs of the pass's mean ms/op, with its
+quartiles and the number of pairs in which the tree was the faster, and
+the medians over pairs of the pass's per-operation p50 and p90 (the
+latency metrics the benchmark reads); each pair's figures go to stderr.
 """
 
 from __future__ import annotations
@@ -37,62 +41,79 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 WORKLOADS = ("interval-pipeline", "finite-search", "cli-cold")
-SEED = 1
+REFERENCE_SEED = 1  # the seed of the digests in perfbench/reference.json
 
 
-def run_pass(src: str, name: str) -> float:
-    """Time one pass of ``execute`` over the pool, after a warm-up pass; check every output; return ms/op."""
+def run_pass(src: str, name: str, seed: int) -> dict[str, float]:
+    """Time one pass of ``execute`` over the pool, after a warm-up pass; check every output.
+
+    Returns the pass's mean ms/op and its per-operation p50 and p90 in ms.
+    """
     src = str(Path(src).resolve())
     sys.path[:0] = [src, str(PERFBENCH)]
     from workloads import WORKLOADS as ALL
 
-    reference = json.loads((PERFBENCH / "reference.json").read_text())[name]
-    wl = ALL[name](SEED, reference)
+    reference = json.loads((PERFBENCH / "reference.json").read_text())[name] if seed == REFERENCE_SEED else None
+    wl = ALL[name](seed, reference)
     if name == "cli-cold":
         wl.env["PYTHONPATH"] = src  # its children run this tree, not the checkout perfbench sits in
     ops = range(len(wl.pool))
     for k in ops:
         wl.execute(k)
-    start = time.perf_counter()
-    outs = [wl.execute(k) for k in ops]
-    elapsed = time.perf_counter() - start
+    outs, lat_ms = [], []
+    for k in ops:
+        start = time.perf_counter()
+        outs.append(wl.execute(k))
+        lat_ms.append((time.perf_counter() - start) * 1e3)
     for k, out in zip(ops, outs):
         wl.check(k, out)
-    return elapsed * 1e3 / len(ops)
+    deciles = statistics.quantiles(lat_ms, n=10)
+    return {"mean": statistics.fmean(lat_ms), "p50": statistics.median(lat_ms), "p90": deciles[8]}
 
 
-def child(src: str, name: str) -> float:
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--child", src, name]
+def child(src: str, name: str, seed: int) -> dict[str, float]:
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--child", src, name, str(seed)]
     done = subprocess.run(cmd, capture_output=True, text=True, check=False)
     if done.returncode:
         raise SystemExit(f"pool probe child for {src} failed:\n{done.stderr}")
-    return float(done.stdout)
+    return json.loads(done.stdout)
 
 
-def summary(label: str, times: list[float], wins: int) -> str:
-    q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
-    return f"{label}: median {median:.3f} ms/op, quartiles {q1:.3f}-{q3:.3f}, faster in {wins} of {len(times)} pairs"
+def summary(label: str, passes: list[dict[str, float]], wins: int) -> str:
+    means = [p["mean"] for p in passes]
+    q1, median, q3 = statistics.quantiles(means, n=4) if len(means) > 1 else means * 3
+    p50, p90 = (statistics.median(p[key] for p in passes) for key in ("p50", "p90"))
+    return (
+        f"{label}: median {median:.3f} ms/op, quartiles {q1:.3f}-{q3:.3f}, "
+        f"faster in {wins} of {len(means)} pairs; p50 {p50:.3f} ms, p90 {p90:.3f} ms"
+    )
 
 
 def main() -> None:
     if sys.argv[1:2] == ["--child"]:
-        print(run_pass(sys.argv[2], sys.argv[3]))
+        print(json.dumps(run_pass(sys.argv[2], sys.argv[3], int(sys.argv[4]))))
         return
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("base", help="the src directory of the tree to compare against")
     parser.add_argument("head", help="the src directory of the tree under test")
     parser.add_argument("--workload", choices=WORKLOADS, default="interval-pipeline")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=REFERENCE_SEED)
     args = parser.parse_args()
     base, head = [], []
     for pair in range(args.pairs):
         order = ((base, args.base), (head, args.head))
-        for times, src in order if pair % 2 == 0 else reversed(order):
-            times.append(child(src, args.workload))
-        print(f"pair {pair}: base {base[-1]:.3f}, head {head[-1]:.3f} ms/op", file=sys.stderr)
-    print(f"{args.workload}, seed {SEED}, {args.pairs} pairs")
-    print(summary(f"base {args.base}", base, sum(b < h for b, h in zip(base, head))))
-    print(summary(f"head {args.head}", head, sum(h < b for b, h in zip(base, head))))
+        for passes, src in order if pair % 2 == 0 else reversed(order):
+            passes.append(child(src, args.workload, args.seed))
+        b, h = base[-1], head[-1]
+        print(
+            f"pair {pair}: base {b['mean']:.3f} (p50 {b['p50']:.3f}, p90 {b['p90']:.3f}), "
+            f"head {h['mean']:.3f} (p50 {h['p50']:.3f}, p90 {h['p90']:.3f}) ms/op",
+            file=sys.stderr,
+        )
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs")
+    print(summary(f"base {args.base}", base, sum(b["mean"] < h["mean"] for b, h in zip(base, head))))
+    print(summary(f"head {args.head}", head, sum(h["mean"] < b["mean"] for b, h in zip(base, head))))
 
 
 if __name__ == "__main__":

@@ -176,6 +176,13 @@ def _first_failure(screening: tuple[bool, ...], cross: _Cross) -> str | None:
     return None
 
 
+def _cells(partition: Partition) -> tuple[LatticeEvent, ...]:
+    """The cells of ``partition``, after refusing anything that is not a :class:`Partition`."""
+    if not isinstance(partition, Partition):
+        raise InputError(f"expected a Partition, got {type(partition).__name__}")
+    return partition.cells
+
+
 def _verify(atoms: _Atoms, excess: Fraction, cells: tuple[LatticeEvent, ...]) -> VerificationReport:
     """The report on ``cells`` for a pair split into its atoms, with joint excess ``excess``.
 
@@ -228,7 +235,7 @@ def verify_rccs(a: LatticeEvent, b: LatticeEvent, partition: Partition) -> Verif
     it, reuses them; every precondition is still checked on every call.
     """
     atoms, measures = _pair(a, b)
-    return _verify(atoms, _require_correlated(measures)[3], partition.cells)
+    return _verify(atoms, _require_correlated(measures)[3], _cells(partition))
 
 
 def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -> VerificationReport:
@@ -280,7 +287,7 @@ def correlation_decomposition(
     offending cell.
     """
     atoms, measures = _pair(a, b)
-    report = _verify(atoms, measures[3], partition.cells)
+    report = _verify(atoms, measures[3], _cells(partition))
     for k, ok in enumerate(report.screening_off_ok):
         if not ok:
             raise PreconditionError(

@@ -8,7 +8,9 @@ are built from masks, and the tests check them against a set oracle.
 This is the exhaustive instrument of the package: every partition into a
 given number of cells can be enumerated, and ``search_rccs`` covers all
 of them, which turns nonexistence claims about small common cause
-systems into finite checks.
+systems into finite checks.  The search builds partitions only from
+subsets that screen off, and lists those by a join over the four atoms
+a&b, a&~b, ~a&b and ~a&~b of the pair, never by a scan of all 2^m subsets.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import InputError, PreconditionError, echo
 from .events import as_fraction, format_rational
 from .lattice import Partition
 
-DEFAULT_MAX_POINTS = 14  # the search tabulates all 2^m subsets of the points
+DEFAULT_MAX_POINTS = 14  # larger spaces only on request: the cover's work can still grow as 2^m
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,45 @@ def enumerate_partitions(space: FiniteSpace, n: int) -> Iterator[Partition]:
     yield from walk(0, 0)
 
 
+def _screening_cells(point_weight: list[int], mask_a: int, mask_b: int, m: int) -> dict[int, tuple[int, int, int]]:
+    """Every nonempty subset that screens off (a, b), mapped to its scaled (w, w_a, w_b).
+
+    The test ``w * w_ab == w_a * w_b`` says that the subset's weights in two
+    opposite atoms (a&b and ~a&~b; a&~b and ~a&b) have equal products.  So
+    with x4 its weight in the largest atom, x1 in the opposite one and x2, x3
+    in the other two, x4 is looked up as x2 * x3 / x1 for each triple of
+    subsets of the three small atoms; at x1 = 0 (the zero-product class) every
+    x4 or none fits.  Every subset of the largest atom screens off, so the cost is
+    2^(m - k) triples, k the largest atom's size, plus the answer.
+    """
+    atoms = [mask_a & mask_b, mask_a & ~mask_b, mask_b & ~mask_a, ((1 << m) - 1) & ~(mask_a | mask_b)]
+    big = max(range(4), key=lambda k: atoms[k].bit_count())
+    listed = []
+    for atom in (atoms[big ^ 3], atoms[big ^ 2], atoms[big ^ 1], atoms[big]):
+        sums = [(0, 0)]  # (subset, weight) pairs, by doubling
+        for i in range(m):
+            if atom >> i & 1:
+                sums += [(s | 1 << i, x + point_weight[i]) for s, x in sums]
+        listed.append(sums)
+    (sums1, sums2, sums3, sums4), by_x4, cells = listed, {}, {}
+    for t, x in sums4:
+        by_x4.setdefault(x, []).append(t)
+    in_a, in_b = big < 2, big % 2 == 0  # whether the largest atom lies in a, in b
+    for s1, x1 in sums1:
+        for s2, x2 in sums2:
+            for s3, x3 in sums3:
+                if x1:
+                    x4, r = divmod(x2 * x3, x1)
+                    tail = [] if r else [(t, x4) for t in by_x4.get(x4, ())]
+                else:  # the zero-product class
+                    tail = [] if x2 * x3 else sums4
+                # a holds the atoms of x1 and x2, or those of x3 and x4; b those of x1 and x3, or x2 and x4
+                head, k, ka, kb = s1 | s2 | s3, x1 + x2 + x3, x3 if in_a else x1 + x2, x2 if in_b else x1 + x3
+                cells.update({head | t: (k + x, ka + x * in_a, kb + x * in_b) for t, x in tail})
+    del cells[0]
+    return cells
+
+
 def search_rccs(
     space: FiniteSpace,
     a: FiniteEvent,
@@ -195,23 +236,23 @@ def search_rccs(
     """Exhaustively find every size-n common cause system for a correlated pair.
 
     Solves an exact-cover problem over the screening-off subsets of the
-    points.  With the weights scaled to integers, the measure of every
-    subset is tabulated, so its meets with a, b and a&b are lookups too;
-    only subsets that screen off (``w * w_ab == w_a * w_b``) can be
-    cells.  Partitions are then built cell by cell, always covering the
-    lowest unassigned point next, and a cell is kept only if it meets the
-    strict same-sign cross-difference condition against every cell
-    already chosen.  All decisions are exact integer comparisons, and
-    every partition of the space into n cells is covered, so an empty
-    result is a proof that no such system exists in the space.
+    points, with the weights scaled to integers.  Those subsets are listed
+    by a join over the atoms of the pair (see :func:`_screening_cells`),
+    not by a scan of all 2^m subsets.  Partitions are then built cell by
+    cell, always covering the lowest unassigned point next, and a cell is
+    kept only if it meets the strict same-sign cross-difference condition
+    against every cell already chosen.  All decisions are exact integer
+    comparisons, and every partition of the space into n cells is covered,
+    so an empty result is a proof that no such system exists in the space.
 
     Hits come in the order of :func:`enumerate_partitions` (restricted
     growth order of the cell labels), cells ordered by smallest member.
 
     The pair must be correlated (positive joint excess), which is decided
-    in the same integers before the table is built: ``scale * w_ab - w_a *
+    in the same integers before any cell is listed: ``scale * w_ab - w_a *
     w_b`` is scale^2 times the joint excess.  Spaces larger than
-    ``max_points`` are refused because the subset table has 2^m entries.
+    ``max_points`` are refused: the screening-off subsets, and the cover's
+    work with them, can still number about 2^m.
     """
     if not all(isinstance(e, FiniteEvent) and e.space == space for e in (a, b)):
         raise InputError("events do not belong to the given space")
@@ -242,19 +283,10 @@ def search_rccs(
         )
     _require_cell_count(n, m)
 
-    full = (1 << m) - 1
-    # weight[s] is the scaled measure of subset s; a meet is a mask away
-    weight = [0] * (full + 1)
-    for s in range(1, full + 1):
-        low = s & -s
-        weight[s] = weight[s ^ low] + point_weight[low.bit_length() - 1]
-    cell: list[tuple[int, int, int] | None] = [None] * (full + 1)
+    cell = _screening_cells(point_weight, mask_a, mask_b, m)
     by_lowest: list[list[int]] = [[] for _ in range(m)]
-    for s in range(1, full + 1):
-        w, wa, wb = weight[s], weight[s & mask_a], weight[s & mask_b]
-        if w * weight[s & mask_ab] == wa * wb:
-            cell[s] = (w, wa, wb)
-            by_lowest[(s & -s).bit_length() - 1].append(s)
+    for s in sorted(cell):
+        by_lowest[(s & -s).bit_length() - 1].append(s)
 
     def crosses(s: int, chosen: list[int]) -> bool:
         w, wa, wb = cell[s]
@@ -269,22 +301,31 @@ def search_rccs(
     def cover(rest: int, chosen: list[int]) -> None:
         need = n - len(chosen)
         if need == 1:
-            if cell[rest] is not None and crosses(rest, chosen):
+            if rest in cell and crosses(rest, chosen):
                 found.append(chosen + [rest])
             return
-        for s in by_lowest[(rest & -rest).bit_length() - 1]:
-            if s & rest == s and (rest ^ s).bit_count() >= need - 1 and crosses(s, chosen):
-                cover(rest ^ s, chosen + [s])
+        low = rest & -rest
+        bucket = by_lowest[low.bit_length() - 1]
+        if 1 << rest.bit_count() < len(bucket):  # a lookup costs about two steps of the scan
+            bucket, others, sub = [], rest ^ low, rest ^ low
+            while sub >= 0:  # every submask of rest that holds its lowest point, looked up
+                if sub | low in cell:
+                    bucket.append(sub | low)
+                sub = (sub - 1) & others if sub else -1
+        for s in bucket:
+            if s & rest != s:
+                continue
+            r = rest ^ s
+            if need == 2:  # the rest is the last cell
+                if r in cell and crosses(s, chosen) and crosses(r, chosen + [s]):
+                    found.append(chosen + [s, r])
+            elif r.bit_count() >= need - 1 and crosses(s, chosen):
+                cover(r, chosen + [s])
 
-    cover(full, [])
+    cover((1 << m) - 1, [])
 
-    def labels(cells: list[int]) -> list[int]:
-        out = [0] * m
-        for k, s in enumerate(cells):
-            for i in range(m):
-                if s >> i & 1:
-                    out[i] = k
-        return out
+    def labels(cells: list[int]) -> list[int]:  # the cell of each point, in point order
+        return [k for i in range(m) for k, s in enumerate(cells) if s >> i & 1]
 
     found.sort(key=labels)
     return [Partition._from_cells(tuple(FiniteEvent._from_mask(space, s) for s in cells)) for cells in found]

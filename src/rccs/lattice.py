@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Protocol, TypeVar
 
-from .errors import InputError, InternalInvariantError, PreconditionError
+from .errors import InputError, InternalInvariantError, PreconditionError, echo
 from .events import format_rational
 
 
@@ -61,8 +61,18 @@ class LatticeEvent(Protocol):
 E = TypeVar("E", bound=LatticeEvent)
 
 
+# the surface of LatticeEvent, which is not a runtime-checkable protocol
+_SURFACE = ("meet", "join", "complement", "leq", "measure", "is_zero", "is_one")
+
+
 def _require_one_model(a: E, b: E) -> None:
-    """Refuse a pair in which neither event is an instance of the other's class: two models."""
+    """Refuse a value without the event surface, then a pair of two models.
+
+    A pair is of one model when one event is an instance of the other's class.
+    """
+    for x in (a, b):
+        if not all(hasattr(x, name) for name in _SURFACE):
+            raise InputError(f"not an event: {echo(x)}")
     if not (isinstance(a, b.__class__) or isinstance(b, a.__class__)):
         raise InputError(f"events of different models: {type(a).__name__} and {type(b).__name__}")
 

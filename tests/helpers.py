@@ -5,8 +5,10 @@ check.  The set-operation oracle works pointwise on the elementary
 subintervals induced by all endpoints; the Stirling numbers come from the
 standard recurrence; the conditions oracle scores a list of cells with
 Fraction conditionals, and the search oracle applies it to every
-enumerated partition.  With the int-string limit lifted, ``str`` is the
-oracle for exact output of any size.  The fake events at the end are
+enumerated partition.  The screening-cell oracle scans all 2^m subsets of
+a finite space, and the orbit oracle counts the search's hits in a
+uniform space from the cells' count vectors alone.  With the int-string
+limit lifted, ``str`` is the oracle for exact output of any size.  The fake events at the end are
 models in which the compatibility test fails, which no shipped model does;
 like the shipped events they are hashable, since the engine memoizes the
 split of each pair.  The exact Bell witness at the very end has its
@@ -16,6 +18,7 @@ tolerance.
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from bisect import bisect_right
@@ -23,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, sqrt
+from math import factorial, gcd, prod, sqrt
 
 from rccs import FiniteSpace, IntervalEvent, enumerate_partitions
 
@@ -312,6 +315,60 @@ def brute_force_search(space: FiniteSpace, a, b, n: int) -> list:
     :func:`oracle_score`.
     """
     return [p for p in enumerate_partitions(space, n) if oracle_score(a, b, p.cells).accepted]
+
+
+def screening_cells_oracle(point_weight: list[int], mask_a: int, mask_b: int, m: int) -> dict:
+    """Every nonempty subset s with ``w * w_ab == w_a * w_b``, mapped to ``(w, w_a, w_b)``.
+
+    A scan of all 2^m subsets over a table of their integer weights, each
+    entry built from the entry with its lowest bit cleared; a meet with a,
+    b or a&b is a mask away.
+    """
+    full = (1 << m) - 1
+    weight = [0] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        weight[s] = weight[s ^ low] + point_weight[low.bit_length() - 1]
+    cells = {}
+    for s in range(1, full + 1):
+        w, wa, wb = weight[s], weight[s & mask_a], weight[s & mask_b]
+        if w * weight[s & mask_a & mask_b] == wa * wb:
+            cells[s] = (w, wa, wb)
+    return cells
+
+
+def orbit_count(sizes: tuple[int, int, int, int], n: int) -> int:
+    """The number of size-n systems in a uniform space, from count vectors alone.
+
+    ``sizes`` are the point counts of the atoms a&b, a&~b, ~a&b and ~a&~b.
+    With equal weights a cell's conditions depend only on its count vector
+    (k1, k2, k3, k4): it screens off when k1 k4 == k2 k3, and two cells meet
+    the strict cross condition when their differences in P(a|c) and P(b|c)
+    have a positive product, so no two cells of a system share a vector.
+    Each set of n distinct vectors that passes and adds up to ``sizes``
+    stands for prod K_i! / prod over cells of prod k_i! partitions: the
+    ways to deal each atom's points out to the cells.
+    """
+    vectors = [
+        k for k in itertools.product(*(range(size + 1) for size in sizes))
+        if any(k) and k[0] * k[3] == k[1] * k[2]
+    ]
+
+    def crosses(u, v) -> bool:
+        (wu, au, bu), (wv, av, bv) = ((sum(k), k[0] + k[1], k[0] + k[2]) for k in (u, v))
+        return (au * wv - av * wu) * (bu * wv - bv * wu) > 0
+
+    def count(start: int, rest: tuple[int, ...], chosen: list) -> int:
+        if len(chosen) == n:
+            return prod(map(factorial, sizes)) // prod(factorial(x) for k in chosen for x in k) if not any(rest) else 0
+        total = 0
+        for j in range(start, len(vectors)):
+            k = vectors[j]
+            if all(x <= r for x, r in zip(k, rest)) and all(crosses(k, c) for c in chosen):
+                total += count(j + 1, tuple(r - x for x, r in zip(k, rest)), chosen + [k])
+        return total
+
+    return count(0, tuple(sizes), [])
 
 
 class Q3:

@@ -275,6 +275,41 @@ class TestTwoModelPair:
                 call()
 
 
+class TestPlainValues:
+    """A value that is not an event, or not a Partition, is refused with InputError at the public entry."""
+
+    def test_correlation_of_two_ints(self):
+        with pytest.raises(InputError, match=r"^not an event: 1$"):
+            correlation(1, 2)
+
+    def test_compatible_of_two_strings(self):
+        with pytest.raises(InputError, match=r"^not an event: 'x'$"):
+            compatible("x", "y")
+
+    def test_list_in_place_of_a_partition(self):
+        with pytest.raises(InputError, match=r"^expected a Partition, got list$"):
+            verify_rccs(WORKED_A, WORKED_B, [FULL, FULL])
+
+    def test_list_in_place_of_a_partition_in_the_decomposition(self):
+        with pytest.raises(InputError, match=r"^expected a Partition, got tuple$"):
+            correlation_decomposition(WORKED_A, WORKED_B, (FULL,))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: correlation(WORKED_A, 3),
+            lambda: logically_independent(3, WORKED_B),
+            lambda: verify_rccs(WORKED_A, 3, Partition((FULL,))),
+            lambda: verify_common_cause(WORKED_A, WORKED_B, 3),
+        ],
+        ids=["correlation", "logically_independent", "verify_rccs", "verify_common_cause-cause"],
+    )
+    def test_event_paired_with_a_non_event(self, call):
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == "not an event: 3"
+
+
 class TestDecomposition:
     def test_worked_example(self):
         system = construct_size3(WORKED_A, WORKED_B)

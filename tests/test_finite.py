@@ -23,8 +23,17 @@ from rccs import (
 )
 
 from rccs.events import format_rational
+from rccs.finite import _screening_cells
 
-from .helpers import brute_force_search, iv, random_space, random_subset, stirling2
+from .helpers import (
+    brute_force_search,
+    iv,
+    orbit_count,
+    random_space,
+    random_subset,
+    screening_cells_oracle,
+    stirling2,
+)
 
 
 def uniform_space(m: int) -> FiniteSpace:
@@ -369,6 +378,86 @@ class TestSearch:
             cases += 1
             nonempty += bool(want)
         assert nonempty >= 50
+
+
+class TestScreeningCells:
+    """The atom join lists exactly the cells that a scan of all 2^m subsets finds."""
+
+    @staticmethod
+    def pairs(rng: random.Random, m: int):
+        full = (1 << m) - 1
+        x, y = rng.getrandbits(m), rng.getrandbits(m)
+        return {
+            "random": (x, y),
+            "a = b": (x, x),
+            "a inside b": (x & y, y),
+            "b inside a": (x, x & y),
+            "a&b empty": (x & ~y, y),
+            "a or b is everything": (x | ~y & full, y),
+            "a empty": (0, y),
+            "a full": (full, y),
+            "one point each": (1 << rng.randrange(m), 1 << rng.randrange(m)),
+        }
+
+    def test_matches_the_subset_scan(self):
+        rng = random.Random(1974)
+        zero_heavy = 0
+        for case in range(192):
+            m = case % 12 + 1
+            weights = [1] * m if case % 3 == 0 else [rng.randint(1, 9) for _ in range(m)]
+            for kind, (mask_a, mask_b) in self.pairs(rng, m).items():
+                want = screening_cells_oracle(weights, mask_a, mask_b, m)
+                got = _screening_cells(weights, mask_a, mask_b, m)
+                assert got == want, (kind, weights, mask_a, mask_b)  # key for key and value for value
+                a_b, rest = mask_a & mask_b, ((1 << m) - 1) & ~(mask_a | mask_b)
+                zero = sum(
+                    (not s & a_b or not s & rest) and (not s & mask_a & ~mask_b or not s & mask_b & ~mask_a)
+                    for s in got
+                )
+                if a_b and rest and mask_a != mask_b and 2 * zero > len(got):
+                    zero_heavy += 1
+        assert zero_heavy >= 300  # pairs whose zero-product class is most of the answer
+
+
+class TestOrbitOracle:
+    """In a uniform space the number of hits follows from the cells' count vectors."""
+
+    @staticmethod
+    def search_count(sizes, n, seed, **kwargs) -> int:
+        m = sum(sizes)
+        space = uniform_space(m)
+        points = list(range(m))
+        random.Random(seed).shuffle(points)
+        k1, k2, k3, _ = sizes
+        a = space.event(points[: k1 + k2])
+        b = space.event(points[:k1] + points[k1 + k2 : k1 + k2 + k3])
+        return len(search_rccs(space, a, b, n, **kwargs))
+
+    def test_every_correlated_shape_up_to_nine_points(self):
+        searches = hits = 0
+        for m in range(2, 10):
+            for sizes in itertools.product(range(m + 1), repeat=4):
+                k1, k2, k3, _ = sizes
+                if sum(sizes) != m or k1 * m <= (k1 + k2) * (k1 + k3):
+                    continue
+                for n in range(2, min(4, m) + 1):
+                    want = orbit_count(sizes, n)
+                    assert self.search_count(sizes, n, seed=searches) == want, (sizes, n)
+                    searches += 1
+                    hits += want
+        assert (searches, hits) == (774, 2943)
+
+    @pytest.mark.parametrize(
+        "sizes, n, want",
+        [((4, 2, 2, 4), 4, 0), ((4, 3, 2, 5), 3, 1990), ((5, 3, 3, 5), 3, 8950), ((4, 3, 3, 6), 4, 3240)],
+    )
+    def test_beyond_the_cutoff(self, sizes, n, want):
+        assert orbit_count(sizes, n) == want
+        if sum(sizes) > 14:
+            with pytest.warns(UserWarning):
+                assert self.search_count(sizes, n, seed=16, max_points=16) == want
+        else:
+            assert self.search_count(sizes, n, seed=16) == want
 
 
 def scrambled(rng, points: set) -> list:

@@ -8,9 +8,8 @@ are built from masks, and the tests check them against a set oracle.
 This is the exhaustive instrument of the package: every partition into a
 given number of cells can be enumerated, and ``search_rccs`` covers all
 of them, which turns nonexistence claims about small common cause
-systems into finite checks.  The search builds partitions only from
-subsets that screen off, and lists those by a join over the four atoms
-a&b, a&~b, ~a&b and ~a&~b of the pair, never by a scan of all 2^m subsets.
+systems into finite checks.  Its cells, the subsets that screen off, are
+listed by a join over the four atoms of the pair, not a scan of all 2^m.
 """
 
 from __future__ import annotations
@@ -189,38 +188,33 @@ def enumerate_partitions(space: FiniteSpace, n: int) -> Iterator[Partition]:
 def _screening_cells(point_weight: list[int], mask_a: int, mask_b: int, m: int) -> dict[int, tuple[int, int, int]]:
     """Every nonempty subset that screens off (a, b), mapped to its scaled (w, w_a, w_b).
 
-    The test ``w * w_ab == w_a * w_b`` says that the subset's weights in two
-    opposite atoms (a&b and ~a&~b; a&~b and ~a&b) have equal products.  So
-    with x4 its weight in the largest atom, x1 in the opposite one and x2, x3
-    in the other two, x4 is looked up as x2 * x3 / x1 for each triple of
-    subsets of the three small atoms; at x1 = 0 (the zero-product class) every
-    x4 or none fits.  Every subset of the largest atom screens off, so the cost is
-    2^(m - k) triples, k the largest atom's size, plus the answer.
+    A subset screens off when its weights in opposite atoms have equal
+    products, x1 * x4 == x2 * x3.  With x4 in the largest atom (k points),
+    x4 = x2 * x3 / x1 is looked up for each of the 2^(m - k) triples of
+    subsets of the other three; at x1 = 0 every x4 fits or none.
     """
     atoms = [mask_a & mask_b, mask_a & ~mask_b, mask_b & ~mask_a, ((1 << m) - 1) & ~(mask_a | mask_b)]
     big = max(range(4), key=lambda k: atoms[k].bit_count())
     listed = []
-    for atom in (atoms[big ^ 3], atoms[big ^ 2], atoms[big ^ 1], atoms[big]):
-        sums = [(0, 0)]  # (subset, weight) pairs, by doubling
-        for i in range(m):
-            if atom >> i & 1:
-                sums += [(s | 1 << i, x + point_weight[i]) for s, x in sums]
+    for k in (big ^ 3, big ^ 2, big ^ 1, big):  # atom k lies in a when k < 2, in b when k is even
+        sums = [(0, 0, 0, 0)]  # (subset, w, w_a, w_b), by doubling
+        for i, x in enumerate(point_weight):
+            if atoms[k] >> i & 1:
+                sums += [(s | 1 << i, w + x, wa + x * (k < 2), wb + x * (k % 2 == 0)) for s, w, wa, wb in sums]
         listed.append(sums)
     (sums1, sums2, sums3, sums4), by_x4, cells = listed, {}, {}
-    for t, x in sums4:
-        by_x4.setdefault(x, []).append(t)
-    in_a, in_b = big < 2, big % 2 == 0  # whether the largest atom lies in a, in b
-    for s1, x1 in sums1:
-        for s2, x2 in sums2:
-            for s3, x3 in sums3:
+    for t in sums4:
+        by_x4.setdefault(t[1], []).append(t)
+    for s1, x1, a1, b1 in sums1:
+        for s2, x2, a2, b2 in sums2:
+            for s3, x3, a3, b3 in sums3:
                 if x1:
                     x4, r = divmod(x2 * x3, x1)
-                    tail = [] if r else [(t, x4) for t in by_x4.get(x4, ())]
+                    tail = () if r else by_x4.get(x4, ())
                 else:  # the zero-product class
-                    tail = [] if x2 * x3 else sums4
-                # a holds the atoms of x1 and x2, or those of x3 and x4; b those of x1 and x3, or x2 and x4
-                head, k, ka, kb = s1 | s2 | s3, x1 + x2 + x3, x3 if in_a else x1 + x2, x2 if in_b else x1 + x3
-                cells.update({head | t: (k + x, ka + x * in_a, kb + x * in_b) for t, x in tail})
+                    tail = () if x2 * x3 else sums4
+                s, w, wa, wb = s1 | s2 | s3, x1 + x2 + x3, a1 + a2 + a3, b1 + b2 + b3
+                cells.update({s | t: (w + x, wa + xa, wb + xb) for t, x, xa, xb in tail})
     del cells[0]
     return cells
 
@@ -299,20 +293,8 @@ def search_rccs(
     found: list[list[int]] = []
 
     def cover(rest: int, chosen: list[int]) -> None:
-        need = n - len(chosen)
-        if need == 1:
-            if rest in cell and crosses(rest, chosen):
-                found.append(chosen + [rest])
-            return
-        low = rest & -rest
-        bucket = by_lowest[low.bit_length() - 1]
-        if 1 << rest.bit_count() < len(bucket):  # a lookup costs about two steps of the scan
-            bucket, others, sub = [], rest ^ low, rest ^ low
-            while sub >= 0:  # every submask of rest that holds its lowest point, looked up
-                if sub | low in cell:
-                    bucket.append(sub | low)
-                sub = (sub - 1) & others if sub else -1
-        for s in bucket:
+        need = n - len(chosen)  # at least 2: the last two cells are decided together
+        for s in by_lowest[(rest & -rest).bit_length() - 1]:
             if s & rest != s:
                 continue
             r = rest ^ s
@@ -322,7 +304,8 @@ def search_rccs(
             elif r.bit_count() >= need - 1 and crosses(s, chosen):
                 cover(r, chosen + [s])
 
-    cover((1 << m) - 1, [])
+    if n > 1:  # one cell, the whole space, never screens off a correlated pair
+        cover((1 << m) - 1, [])
 
     def labels(cells: list[int]) -> list[int]:  # the cell of each point, in point order
         return [k for i in range(m) for k, s in enumerate(cells) if s >> i & 1]

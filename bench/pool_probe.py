@@ -7,8 +7,10 @@ puts its tree's ``src`` first on ``sys.path`` and then:
 * builds the workload at ``--seed`` (default 1) from
   ``perfbench/workloads.py``, which it only reads;
 * warms up with one pass of ``execute`` over the whole pool;
-* times one more pass, operation by operation;
-* runs the workload's ``check`` on every output of the timed pass,
+* times ``PASSES`` more passes, operation by operation, and reports the
+  median pass (by mean ms/op), so one pass slowed by the host does not
+  decide a pair;
+* runs the workload's ``check`` on every output of every timed pass,
   untimed, so a wrong answer fails the probe.  At seed 1 the check also
   compares each output's digest with ``perfbench/reference.json``, which
   holds seed-1 digests only.
@@ -22,10 +24,11 @@ workload's ``PYTHONPATH`` to its ``src``.
     python3 bench/pool_probe.py ../parent/src src --workload cli-cold --pairs 10
     python3 bench/pool_probe.py ../parent/src src --workload finite-search --seed 7919
 
-Prints, per tree, the median over pairs of the pass's mean ms/op, with its
-quartiles and the number of pairs in which the tree was the faster, and
-the medians over pairs of the pass's per-operation p50 and p90 (the
-latency metrics the benchmark reads); each pair's figures go to stderr.
+Prints, per tree, the median over pairs of the median pass's mean ms/op,
+with its quartiles and the number of pairs in which the tree was the
+faster, and the medians over pairs of that pass's per-operation p50 and
+p90 (the latency metrics the benchmark reads); each pair's figures go to
+stderr.
 """
 
 from __future__ import annotations
@@ -42,12 +45,13 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 WORKLOADS = ("interval-pipeline", "finite-search", "cli-cold")
 REFERENCE_SEED = 1  # the seed of the digests in perfbench/reference.json
+PASSES = 3  # timed passes per child; the median one is reported
 
 
 def run_pass(src: str, name: str, seed: int) -> dict[str, float]:
-    """Time one pass of ``execute`` over the pool, after a warm-up pass; check every output.
+    """Time ``PASSES`` passes of ``execute`` over the pool, after a warm-up pass; check every output.
 
-    Returns the pass's mean ms/op and its per-operation p50 and p90 in ms.
+    Returns the median pass's mean ms/op and its per-operation p50 and p90 in ms.
     """
     src = str(Path(src).resolve())
     sys.path[:0] = [src, str(PERFBENCH)]
@@ -60,15 +64,18 @@ def run_pass(src: str, name: str, seed: int) -> dict[str, float]:
     ops = range(len(wl.pool))
     for k in ops:
         wl.execute(k)
-    outs, lat_ms = [], []
-    for k in ops:
-        start = time.perf_counter()
-        outs.append(wl.execute(k))
-        lat_ms.append((time.perf_counter() - start) * 1e3)
-    for k, out in zip(ops, outs):
-        wl.check(k, out)
-    deciles = statistics.quantiles(lat_ms, n=10)
-    return {"mean": statistics.fmean(lat_ms), "p50": statistics.median(lat_ms), "p90": deciles[8]}
+    passes = []
+    for _ in range(PASSES):
+        outs, lat_ms = [], []
+        for k in ops:
+            start = time.perf_counter()
+            outs.append(wl.execute(k))
+            lat_ms.append((time.perf_counter() - start) * 1e3)
+        for k, out in zip(ops, outs):
+            wl.check(k, out)
+        deciles = statistics.quantiles(lat_ms, n=10)
+        passes.append({"mean": statistics.fmean(lat_ms), "p50": statistics.median(lat_ms), "p90": deciles[8]})
+    return sorted(passes, key=lambda p: p["mean"])[PASSES // 2]
 
 
 def child(src: str, name: str, seed: int) -> dict[str, float]:

@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cache, reduce
 from numbers import Rational
 from operator import add, mul, sub
 from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantError, PreconditionError
-from .events import format_rational
+from .events import _Value, format_rational
 
 if TYPE_CHECKING:
     import numpy as np
@@ -199,17 +198,14 @@ def commutator_norm(x: np.ndarray, y: np.ndarray) -> float:
     return _commutator_norm(*_operators(x, y))
 
 
-@dataclass(frozen=True, eq=False)
-class BellWitness:
-    """The two partial isometries, four observables, and the entangled state."""
+class BellWitness(_Value):
+    """The two partial isometries, four observables, and the entangled state; equal only to itself."""
 
-    v1: np.ndarray
-    v2: np.ndarray
-    a1: np.ndarray
-    b1: np.ndarray
-    a2: np.ndarray
-    b2: np.ndarray
-    phi: np.ndarray
+    __slots__ = ("v1", "v2", "a1", "b1", "a2", "b2", "phi")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, v1, v2, a1, b1, a2, b2, phi) -> None:
+        super().__init__(v1, v2, a1, b1, a2, b2, phi)
 
 
 def basis_product_state(i: int, j: int) -> np.ndarray:

@@ -21,12 +21,12 @@ so serialized results are bit-stable.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError, PreconditionError
-from .events import IntervalEvent, as_fraction, format_rational
+from .events import IntervalEvent, _Value, as_fraction, format_rational
 from .lattice import LatticeEvent, Partition, _split, compatible
 
 # the atoms a&b, a&~b, ~a&b of a compatible pair (a, b)
@@ -102,36 +102,33 @@ def _conditions(quads: _Quads) -> tuple[tuple[bool, ...], _Cross, Fraction]:
     return screening, tuple(cross), rhs
 
 
-@dataclass(frozen=True)
-class CommonCauseSystem:
+class CommonCauseSystem(_Value):
     """A verified common cause system: a partition plus its conditionals.
 
-    The constructor enforces the defining conditions exactly, so an
-    instance of this type is always a genuine system: ``cond_ab`` equals
-    the cellwise product of ``cond_a`` and ``cond_b``, and the
+    The constructor and unpickling enforce the defining conditions exactly,
+    so an instance of this type is always a genuine system: ``cond_ab``
+    equals the cellwise product of ``cond_a`` and ``cond_b``, and the
     cross-differences have a strictly positive product on every pair of
-    cells.
+    cells.  Only :func:`construction_steps` skips them, with ``_trusted``.
     """
 
-    cells: Partition
-    cond_a: tuple[Fraction, ...]
-    cond_b: tuple[Fraction, ...]
-    cond_ab: tuple[Fraction, ...]
+    __slots__ = ("cells", "cond_a", "cond_b", "cond_ab")
 
-    def __post_init__(self) -> None:
-        n = self.cells.size
-        if not (len(self.cond_a) == len(self.cond_b) == len(self.cond_ab) == n):
+    def __init__(self, cells: Partition, cond_a: tuple, cond_b: tuple, cond_ab: tuple) -> None:
+        n = len(_cells(cells))
+        if not (len(cond_a) == len(cond_b) == len(cond_ab) == n):
             raise InputError("conditional lists must align with the partition cells")
         if n < 2:
             raise InputError("a common cause system needs at least two cells")
-        for name, row in (("cond_a", self.cond_a), ("cond_b", self.cond_b), ("cond_ab", self.cond_ab)):
+        for name, row in (("cond_a", cond_a), ("cond_b", cond_b), ("cond_ab", cond_ab)):
             for k, value in enumerate(row):
                 if not 0 <= value <= 1:
                     raise InputError(f"{name}[{k}] = {format_rational(value)} is outside [0, 1]")
-        screening, cross, _ = _conditions(tuple(zip((1,) * n, self.cond_a, self.cond_b, self.cond_ab)))
+        screening, cross, _ = _conditions(tuple(zip((1,) * n, cond_a, cond_b, cond_ab)))
         failure = _first_failure(screening, cross)
         if failure is not None:
             raise InputError(failure)
+        super().__init__(cells, cond_a, cond_b, cond_ab)
 
     @property
     def size(self) -> int:
@@ -142,8 +139,7 @@ class CommonCauseSystem:
         return tuple(cell.measure() for cell in self.cells.cells)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking the defining conditions on a candidate.
 
     ``screening_off_ok`` has one flag per cell, ``cross_ok`` one entry
@@ -265,7 +261,7 @@ def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -
     failure = _first_failure(report.screening_off_ok, ())
     if failure is None and not raises_a:
         failure = "the cause does not raise the conditional probability of the first event"
-    return replace(report, cross_ok=((0, 1, raises_a and raises_b),), verdict=failure is None, failure=failure)
+    return report._replace(cross_ok=((0, 1, raises_a and raises_b),), verdict=failure is None, failure=failure)
 
 
 def correlation_decomposition(
@@ -296,8 +292,7 @@ def correlation_decomposition(
     return report.decomposition_lhs, report.decomposition_rhs
 
 
-@dataclass(frozen=True)
-class ConstructionSteps:
+class ConstructionSteps(NamedTuple):
     """Trace of the size-3 construction, for explanation and debugging.
 
     ``carve_bound`` is the admissible upper bound for the first cell's
@@ -365,7 +360,7 @@ def construction_steps(
     construction, so the partition is not validated again.  The runtime
     checks are both carves' own range checks and one exact verification
     of the cells, the one :func:`verify_rccs` runs, on the same atoms;
-    it is the check on ``carve`` and gives the cell measures.
+    it checks ``carve``, gives the cell measures and decides the system, built by ``_trusted``.
     """
     lam = as_fraction(lam)
     if not 0 < lam < 1:
@@ -395,18 +390,17 @@ def construction_steps(
     full_cell = atoms[0].carve(full_measure)
     null_cell = a.join(b).complement().carve((1 - lam) * excess / (m_ab - full_measure))
     mixed_cell = full_cell.join(null_cell).complement()
-    cells = Partition._from_cells((full_cell, null_cell, mixed_cell))
+    cells = Partition._trusted((full_cell, null_cell, mixed_cell))
     report = _verify(atoms, excess, cells.cells)
     if not report.verdict:
         raise InternalInvariantError(f"constructed system failed verification: {report.failure}")
-    system = CommonCauseSystem(cells=cells, cond_a=report.cond_a, cond_b=report.cond_b, cond_ab=report.cond_ab)
     return ConstructionSteps(
         joint_excess=excess,
         carve_bound=bound,
         lam=lam,
         full_cell_measure=report.cell_measures[0],
         null_cell_measure=report.cell_measures[1],
-        system=system,
+        system=CommonCauseSystem._trusted(cells, report.cond_a, report.cond_b, report.cond_ab),
         report=report,
     )
 

@@ -21,7 +21,7 @@ and ``intervals`` presents the endpoints as Fraction pairs.
 Half-open intervals make the representation closed under complement and
 union, and merged adjacent intervals make equal point sets equal
 representations.  The constructor and unpickling check canonical form;
-kernel results are canonical by construction, and the tests check them.
+kernel results, built by ``_trusted``, are canonical by construction; the tests check them.
 """
 
 from __future__ import annotations
@@ -162,7 +162,51 @@ def _complement(e: tuple[int, ...]) -> tuple[int, ...]:
     return ends + (1, 1) if e[-2] < e[-1] else ends[:-2]
 
 
-class IntervalEvent:
+class _Value:
+    """An immutable value whose fields are its ``__slots__``: field-wise equality, hash and repr.
+
+    A subclass's constructor checks its arguments, then sets the fields with ``super().__init__``;
+    copying and unpickling call it again.  ``_trusted``, the one trusted constructor, checks nothing.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        for name, field in zip(self.__slots__, fields):
+            object.__setattr__(self, name, field)
+
+    @classmethod
+    def _trusted(cls, *fields):
+        value = object.__new__(cls)
+        _Value.__init__(value, *fields)
+        return value
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class IntervalEvent(_Value):
     """A canonical finite union of half-open intervals [lo, hi) inside [0, 1).
 
     The constructor is strict: it coerces endpoints to fractions but
@@ -178,14 +222,7 @@ class IntervalEvent:
         ends: list[int] = []
         for lo, hi in _coerce_pairs(intervals):
             ends += (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-        object.__setattr__(self, "_ends", _checked(tuple(ends)))
-
-    @classmethod
-    def _from_ends(cls, ends: tuple[int, ...]) -> "IntervalEvent":
-        """Build an event from a flat tuple of reduced integer endpoints already in canonical form."""
-        event = object.__new__(cls)
-        object.__setattr__(event, "_ends", ends)
-        return event
+        super().__init__(_checked(tuple(ends)))
 
     @classmethod
     def normalized(cls, pairs: Iterable) -> "IntervalEvent":
@@ -203,7 +240,7 @@ class IntervalEvent:
                     f"got [{format_rational(lo)}, {format_rational(hi)})"
                 )
             if lo < hi:
-                pieces.append(cls._from_ends((lo.numerator, lo.denominator, hi.numerator, hi.denominator)))
+                pieces.append(cls._trusted((lo.numerator, lo.denominator, hi.numerator, hi.denominator)))
         # join pairwise, level by level: each level is linear in the intervals, so O(n log n) in all
         while len(pieces) > 1:
             pieces = [x.join(y) for x, y in zip(pieces[0::2], pieces[1::2])] + pieces[len(pieces) // 2 * 2 :]
@@ -251,18 +288,18 @@ class IntervalEvent:
 
     def meet(self, other: "IntervalEvent") -> "IntervalEvent":
         """Set intersection, returned in canonical form."""
-        return IntervalEvent._from_ends(_meet(self._ends, other._ends))
+        return IntervalEvent._trusted(_meet(self._ends, other._ends))
 
     def join(self, other: "IntervalEvent") -> "IntervalEvent":
         """Set union in canonical form: the complement of the meet of the complements (De Morgan).
 
         Canonical form is unique, so a direct merge of the two would give the same tuple.
         """
-        return IntervalEvent._from_ends(_complement(_meet(_complement(self._ends), _complement(other._ends))))
+        return IntervalEvent._trusted(_complement(_meet(_complement(self._ends), _complement(other._ends))))
 
     def complement(self) -> "IntervalEvent":
         """Complement inside [0, 1)."""
-        return IntervalEvent._from_ends(_complement(self._ends))
+        return IntervalEvent._trusted(_complement(self._ends))
 
     def leq(self, other: "IntervalEvent") -> bool:
         """Containment as point sets: true iff meet(self, other) == self."""
@@ -297,7 +334,7 @@ class IntervalEvent:
                 remaining = Fraction(0)
             if remaining == 0:
                 break
-        return IntervalEvent._from_ends(tuple(res))
+        return IntervalEvent._trusted(tuple(res))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -306,12 +343,6 @@ class IntervalEvent:
 
     def __hash__(self) -> int:
         return hash(self._ends)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return (IntervalEvent, (self.intervals,))

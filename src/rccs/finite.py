@@ -4,7 +4,7 @@ A :class:`FiniteSpace` is a list of strictly positive rational weights
 summing to one; an event is a subset of the sample points, stored as a
 bitmask with bit i for point i.  Only ``FiniteEvent(space, members)``
 checks member indices; kernel results, enumerated cells and search hits
-are built from masks, and the tests check them against a set oracle.
+are built from masks (``_trusted``); the tests check them against a set oracle.
 This is the exhaustive instrument of the package: every partition into a
 given number of cells can be enumerated, and ``search_rccs`` covers all
 of them, which turns nonexistence claims about small common cause
@@ -15,31 +15,28 @@ listed by a join over the four atoms of the pair, not a scan of all 2^m.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import InputError, PreconditionError, echo
-from .events import as_fraction, format_rational
+from .events import _Value, as_fraction, format_rational
 from .lattice import Partition
 
 DEFAULT_MAX_POINTS = 14  # larger spaces only on request: the cover's work can still grow as 2^m
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(_Value):
     """A finite sample space with one strictly positive weight per point.
 
     Weights must sum to exactly one, so the induced measure is faithful:
     only the empty event has measure zero.
     """
 
-    weights: tuple[Fraction, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self) -> None:
-        cleaned = tuple(as_fraction(w) for w in self.weights)
-        object.__setattr__(self, "weights", cleaned)
+    def __init__(self, weights: Iterable) -> None:
+        cleaned = tuple(as_fraction(w) for w in weights)
         if not cleaned:
             raise InputError("a finite space needs at least one point")
         for k, w in enumerate(cleaned):
@@ -48,34 +45,30 @@ class FiniteSpace:
         total = sum(cleaned)
         if total != 1:
             raise InputError(f"weights must sum to exactly 1, got {format_rational(total)}")
+        super().__init__(cleaned)
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def __reduce__(self):
-        return (FiniteSpace, (self.weights,))
 
     def event(self, members: Iterable[int]) -> "FiniteEvent":
         return FiniteEvent(self, members)
 
     @property
     def empty(self) -> "FiniteEvent":
-        return FiniteEvent._from_mask(self, 0)
+        return FiniteEvent._trusted(self, 0)
 
     @property
     def full(self) -> "FiniteEvent":
-        return FiniteEvent._from_mask(self, (1 << len(self.weights)) - 1)
+        return FiniteEvent._trusted(self, (1 << len(self.weights)) - 1)
 
 
-@dataclass(frozen=True, init=False)
-class FiniteEvent:
+class FiniteEvent(_Value):
     """A subset of the sample points of a :class:`FiniteSpace`: bit i of ``mask`` is point i.
 
-    The constructor checks the member indices; kernel results skip the check.
+    The constructor and unpickling check the member indices; kernel results skip it (``_trusted``).
     """
 
-    space: FiniteSpace
-    mask: int
+    __slots__ = ("space", "mask")
 
     def __init__(self, space: FiniteSpace, members: Iterable[int]) -> None:
         mask = 0
@@ -85,15 +78,7 @@ class FiniteEvent:
             if not 0 <= idx < len(space):
                 raise InputError(f"sample point {echo(idx)} out of range for a {len(space)}-point space")
             mask |= 1 << idx
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mask", mask)
-
-    @classmethod
-    def _from_mask(cls, space: FiniteSpace, mask: int) -> "FiniteEvent":
-        event = object.__new__(cls)
-        object.__setattr__(event, "space", space)
-        object.__setattr__(event, "mask", mask)
-        return event
+        super().__init__(space, mask)
 
     def __reduce__(self):
         return (FiniteEvent, (self.space, self.members))
@@ -119,14 +104,14 @@ class FiniteEvent:
 
     def meet(self, other: "FiniteEvent") -> "FiniteEvent":
         self._require_same_space(other)
-        return FiniteEvent._from_mask(self.space, self.mask & other.mask)
+        return FiniteEvent._trusted(self.space, self.mask & other.mask)
 
     def join(self, other: "FiniteEvent") -> "FiniteEvent":
         self._require_same_space(other)
-        return FiniteEvent._from_mask(self.space, self.mask | other.mask)
+        return FiniteEvent._trusted(self.space, self.mask | other.mask)
 
     def complement(self) -> "FiniteEvent":
-        return FiniteEvent._from_mask(self.space, self.mask ^ ((1 << len(self.space)) - 1))
+        return FiniteEvent._trusted(self.space, self.mask ^ ((1 << len(self.space)) - 1))
 
     def leq(self, other: "FiniteEvent") -> bool:
         self._require_same_space(other)
@@ -175,7 +160,7 @@ def enumerate_partitions(space: FiniteSpace, n: int) -> Iterator[Partition]:
         if used + (m - i) < n:
             return
         if i == m:  # the test above leaves only used == n here
-            yield Partition._from_cells(tuple(FiniteEvent._from_mask(space, s) for s in masks))
+            yield Partition._trusted(tuple(FiniteEvent._trusted(space, s) for s in masks))
             return
         for lab in range(min(used + 1, n)):
             masks[lab] |= 1 << i
@@ -311,4 +296,4 @@ def search_rccs(
         return [k for i in range(m) for k, s in enumerate(cells) if s >> i & 1]
 
     found.sort(key=labels)
-    return [Partition._from_cells(tuple(FiniteEvent._from_mask(space, s) for s in cells)) for cells in found]
+    return [Partition._trusted(tuple(FiniteEvent._trusted(space, s) for s in cells)) for cells in found]

@@ -25,13 +25,12 @@ deliberately not part of the interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Protocol, TypeVar
+from typing import Iterable, Protocol, TypeVar
 
 from .errors import InputError, InternalInvariantError, PreconditionError, echo
-from .events import format_rational
+from .events import _Value, format_rational
 
 
 class LatticeEvent(Protocol):
@@ -186,39 +185,33 @@ def check_product_inequality(a: E, b: E, c: E) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Value):
     """An ordered tuple of pairwise disjoint nonzero events covering the space.
 
     The constructor always checks the cells, and refuses a cell that is
-    not an event at all; partitions that are valid by construction are
-    built by ``_from_cells``, which skips the check.
+    not an event at all; so does unpickling.  Partitions that are valid by
+    construction are built by ``_trusted``, which skips the check.
     """
 
-    cells: tuple[LatticeEvent, ...]
+    __slots__ = ("cells",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cells", tuple(self.cells))
-        if not self.cells:
+    def __init__(self, cells: Iterable[LatticeEvent]) -> None:
+        cells = tuple(cells)
+        if not cells:
             raise InputError("a partition needs at least one cell")
-        for k, cell in enumerate(self.cells):
+        for k, cell in enumerate(cells):
             if not hasattr(cell, "is_zero"):
                 raise InputError(f"partition cell {k} is not an event")
             if cell.is_zero:
                 raise InputError(f"partition cell {k} is empty")
-        for i in range(len(self.cells)):
-            for j in range(i + 1, len(self.cells)):
-                if not self.cells[i].meet(self.cells[j]).is_zero:
+        for i in range(len(cells)):
+            for j in range(i + 1, len(cells)):
+                if not cells[i].meet(cells[j]).is_zero:
                     raise InputError(f"partition cells {i} and {j} overlap")
-        whole = reduce(lambda x, y: x.join(y), self.cells)
+        whole = reduce(lambda x, y: x.join(y), cells)
         if not whole.is_one:
             raise InputError("partition cells do not cover the whole space")
-
-    @classmethod
-    def _from_cells(cls, cells: tuple[LatticeEvent, ...]) -> "Partition":
-        partition = object.__new__(cls)
-        object.__setattr__(partition, "cells", cells)
-        return partition
+        super().__init__(cells)
 
     @property
     def size(self) -> int:

@@ -698,7 +698,7 @@ print(json.dumps([before, engine is sys.modules["rccs.engine"] and "engine" in d
         assert json.loads(_fresh_interpreter(code)) == [
             ["rccs"],
             True,
-            ["dataclasses", "rccs", "rccs.engine", "rccs.errors", "rccs.events", "rccs.lattice"],
+            ["rccs", "rccs.engine", "rccs.errors", "rccs.events", "rccs.lattice"],
         ]
 
     def test_import_events_loads_no_dataclasses(self):
@@ -735,8 +735,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("rccs."))]
         assert json.loads(_fresh_interpreter(code, json.dumps(argv))) == [0, sorted(_CLASSICAL + extra)]
 
     def test_numpy_is_loaded_only_for_bell(self):
-        # numpy is loaded only by the array API of rccs.bell, never by a subcommand; the six command
-        # lines are the six kinds of perfbench's cli-cold workload
+        # numpy is loaded only by the array API of rccs.bell, never by a subcommand, and no subcommand
+        # loads dataclasses or inspect; the six command lines are the six kinds of perfbench's cli-cold workload
         worked = json.loads(WORKED_INPUT)
         cells = json.loads(run_cli(["construct", WORKED_INPUT, "--json"])[1])["cells"]
         argvs = [
@@ -754,7 +754,7 @@ loaded = ["numpy" in sys.modules]
 from rccs.cli import main
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        loaded.append([main(argv), "numpy" in sys.modules])
+        loaded.append([main(argv), [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]])
 import numpy
 witness = rccs.bell.build_witness()
 fields = ("v1", "v2", "a1", "b1", "a2", "b2", "phi")
@@ -762,7 +762,7 @@ loaded.append(all(type(getattr(witness, f)) is numpy.ndarray and getattr(witness
 print(json.dumps(loaded))
 """
         assert json.loads(_fresh_interpreter(code, json.dumps(argvs))) == [
-            False, [0, False], [0, False], [0, False], [0, False], [0, False], [1, False], True,
+            False, [0, []], [0, []], [0, []], [0, []], [0, []], [1, []], True,
         ]
 
     def test_every_public_name_resolves(self):

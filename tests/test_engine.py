@@ -294,6 +294,11 @@ class TestPlainValues:
         with pytest.raises(InputError, match=r"^expected a Partition, got tuple$"):
             correlation_decomposition(WORKED_A, WORKED_B, (FULL,))
 
+    def test_list_in_place_of_a_partition_in_a_system(self):
+        cells = iv("0", "1/2"), iv("1/2", "1")
+        with pytest.raises(InputError, match=r"^expected a Partition, got list$"):
+            CommonCauseSystem(list(cells), (1, 0), (1, 0), (1, 0))
+
     @pytest.mark.parametrize(
         "call",
         [

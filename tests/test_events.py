@@ -507,11 +507,11 @@ class TestTrustBoundary:
     )
     def test_assert_canonical_rejects(self, ends):
         with pytest.raises(AssertionError):
-            assert_canonical(IntervalEvent._from_ends(ends))
+            assert_canonical(IntervalEvent._trusted(ends))
 
     def test_assert_canonical_accepts(self):
         for ends in ((), (0, 1, 1, 1), (0, 1, 1, 7, 1, 2, 999982, 999983)):
-            event = IntervalEvent._from_ends(ends)
+            event = IntervalEvent._trusted(ends)
             assert assert_canonical(event) is event
 
     @pytest.mark.parametrize(

@@ -104,12 +104,22 @@ def _print_report_human(report) -> None:
         print(f"  first failing condition: {report.failure}")
 
 
+def _print_system_human(steps) -> None:
+    for k, cell in enumerate(steps.system.cells.cells):
+        print(f"  cell {k + 1}: {cell}")
+    _print_report_human(steps.report)
+
+
+def _read_pair(args):
+    payload = _read_payload(args.input)
+    a, b = (serialize.interval_event_from_obj(serialize._field(payload, k), normalize=args.normalize) for k in "ab")
+    return payload, a, b
+
+
 def _run_construct(args) -> int:
     from .engine import construction_steps  # the engine is loaded only by the subcommands that run it
 
-    payload = _read_payload(args.input)
-    a = serialize.interval_event_from_obj(serialize._field(payload, "a"), normalize=args.normalize)
-    b = serialize.interval_event_from_obj(serialize._field(payload, "b"), normalize=args.normalize)
+    _, a, b = _read_pair(args)
     lam = _parse_lam(args.lam)
     steps = construction_steps(a, b, lam)
     if args.json:
@@ -125,18 +135,14 @@ def _run_construct(args) -> int:
         print(f"second cell measure forced by screening-off: {_fmt(steps.null_cell_measure)}")
         print("third cell is the complement of the union of the first two")
     print("size-3 common cause system:")
-    for k, cell in enumerate(steps.system.cells.cells):
-        print(f"  cell {k + 1}: {cell}")
-    _print_report_human(steps.report)
+    _print_system_human(steps)
     return 0
 
 
 def _run_verify(args) -> int:
     from .engine import verify_rccs
 
-    payload = _read_payload(args.input)
-    a = serialize.interval_event_from_obj(serialize._field(payload, "a"), normalize=args.normalize)
-    b = serialize.interval_event_from_obj(serialize._field(payload, "b"), normalize=args.normalize)
+    payload, a, b = _read_pair(args)
     partition = serialize.interval_partition_from_obj(
         serialize._field(payload, "partition"), normalize=args.normalize
     )
@@ -235,9 +241,7 @@ def _run_demo(args) -> int:
     print(f"b = {DEMO_B}")
     print(f"joint excess: {_fmt(steps.joint_excess)}")
     print(f"first-cell measure bound: {_fmt(steps.carve_bound)}, lambda = {steps.lam}")
-    for k, cell in enumerate(steps.system.cells.cells):
-        print(f"  cell {k + 1}: {cell}")
-    _print_report_human(steps.report)
+    _print_system_human(steps)
     print()
     print("== Bell witness ==")
     _print_bell_human(bell_obj)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError, PreconditionError
 from .events import IntervalEvent, _Value, as_fraction, format_rational
-from .lattice import LatticeEvent, Partition, _split, compatible
+from .lattice import LatticeEvent, Partition, _require_one_model, _split, compatible
 
 # the atoms a&b, a&~b, ~a&b of a compatible pair (a, b)
 _Atoms = tuple[LatticeEvent, LatticeEvent, LatticeEvent]
@@ -63,6 +63,12 @@ def _pair(a: LatticeEvent, b: LatticeEvent) -> tuple[_Atoms, _Measures]:
     m_ab, m_a_only, m_b_only = (atom.measure() for atom in atoms)
     m_a, m_b = m_ab + m_a_only, m_ab + m_b_only
     return tuple(atoms), (m_a, m_b, m_ab, m_ab - m_a * m_b)
+
+
+def _checked_pair(a: LatticeEvent, b: LatticeEvent) -> tuple[_Atoms, _Measures]:
+    """:func:`_pair`, after the lattice refuses a non-event or a pair of two models: before the memo hashes it."""
+    _require_one_model(a, b)
+    return _pair(a, b)
 
 
 def _require_correlated(measures: _Measures) -> _Measures:
@@ -230,7 +236,7 @@ def verify_rccs(a: LatticeEvent, b: LatticeEvent, partition: Partition) -> Verif
     verification of a partition that :func:`construction_steps` built for
     it, reuses them; every precondition is still checked on every call.
     """
-    atoms, measures = _pair(a, b)
+    atoms, measures = _checked_pair(a, b)
     return _verify(atoms, _require_correlated(measures)[3], _cells(partition))
 
 
@@ -246,7 +252,7 @@ def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -
     lowers both: the joint excess is then m(c) m(~c) times the product of
     the two differences.  So only the first event's test can fail.
     """
-    atoms, measures = _pair(a, b)
+    atoms, measures = _checked_pair(a, b)
     _require_compat_pair(a, cause)
     _require_compat_pair(b, cause)
     cause_measure = cause.measure()
@@ -282,7 +288,7 @@ def correlation_decomposition(
     Screening-off is a precondition and its failure raises, naming the
     offending cell.
     """
-    atoms, measures = _pair(a, b)
+    atoms, measures = _checked_pair(a, b)
     report = _verify(atoms, measures[3], _cells(partition))
     for k, ok in enumerate(report.screening_off_ok):
         if not ok:
@@ -365,7 +371,7 @@ def construction_steps(
     lam = as_fraction(lam)
     if not 0 < lam < 1:
         raise InputError(f"lam must lie strictly between 0 and 1, got {format_rational(lam)}")
-    atoms, measures = _pair(a, b)
+    atoms, measures = _checked_pair(a, b)
     m_a, m_b, m_ab, excess = _require_correlated(measures)
     # with m(a&b) > m(a)m(b) >= 0 and m(~a&~b) = (1 - m(a))(1 - m(b)) + excess > 0, only
     # a&~b and ~a&b can be empty, and each is empty exactly when m(a) - m(a&b) or m(b) - m(a&b) is 0

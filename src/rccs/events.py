@@ -163,10 +163,12 @@ def _complement(e: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _Value:
-    """An immutable value whose fields are its ``__slots__``: field-wise equality, hash and repr.
+    """An immutable value whose fields are its ``__slots__``.
 
-    A subclass's constructor checks its arguments, then sets the fields with ``super().__init__``;
-    copying and unpickling call it again.  ``_trusted``, the one trusted constructor, checks nothing.
+    Here live ``__eq__``, ``__hash__`` and ``__repr__`` over the fields, ``__reduce__``, and the
+    ``__setattr__`` and ``__delattr__`` that refuse.  A subclass's constructor checks its arguments,
+    then sets the fields with ``super().__init__``; copying and unpickling call it again.
+    ``_trusted``, the one trusted constructor, checks nothing.
     """
 
     __slots__ = ()
@@ -206,7 +208,22 @@ class _Value:
         return f"{type(self).__qualname__}({fields})"
 
 
-class IntervalEvent(_Value):
+class _Event(_Value):
+    """An event of either model: ``&``, ``|`` and ``~`` are its ``meet``, ``join`` and ``complement``."""
+
+    __slots__ = ()
+
+    def __and__(self, other):
+        return self.meet(other)
+
+    def __or__(self, other):
+        return self.join(other)
+
+    def __invert__(self):
+        return self.complement()
+
+
+class IntervalEvent(_Event):
     """A canonical finite union of half-open intervals [lo, hi) inside [0, 1).
 
     The constructor is strict: it coerces endpoints to fractions but
@@ -336,37 +353,20 @@ class IntervalEvent(_Value):
                 break
         return IntervalEvent._trusted(tuple(res))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._ends == other._ends
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._ends)
-
     def __reduce__(self):
         return (IntervalEvent, (self.intervals,))
-
-    def __and__(self, other: "IntervalEvent") -> "IntervalEvent":
-        return self.meet(other)
-
-    def __or__(self, other: "IntervalEvent") -> "IntervalEvent":
-        return self.join(other)
-
-    def __invert__(self) -> "IntervalEvent":
-        return self.complement()
 
     def __repr__(self) -> str:
         return f"IntervalEvent(intervals={self.intervals!r})"
 
+    def _texts(self) -> list[list[str]]:
+        """The intervals as ``[lo, hi]`` endpoint texts, straight from the stored reduced int pairs."""
+        return [
+            [_rational_str(lo_n, lo_d), _rational_str(hi_n, hi_d)] for lo_n, lo_d, hi_n, hi_d in _quads(self._ends)
+        ]
+
     def __str__(self) -> str:
-        if self.is_zero:
-            return "(empty)"
-        e = self._ends
-        return " | ".join(
-            f"[{_rational_str(lo_n, lo_d)}, {_rational_str(hi_n, hi_d)})"
-            for lo_n, lo_d, hi_n, hi_d in _quads(e)
-        )
+        return " | ".join(f"[{lo}, {hi})" for lo, hi in self._texts()) or "(empty)"
 
 
 EMPTY = IntervalEvent(())

@@ -20,7 +20,7 @@ from math import lcm
 from typing import Iterable, Iterator
 
 from .errors import InputError, PreconditionError, echo
-from .events import _Value, as_fraction, format_rational
+from .events import _Event, _Value, as_fraction, format_rational
 from .lattice import Partition
 
 DEFAULT_MAX_POINTS = 14  # larger spaces only on request: the cover's work can still grow as 2^m
@@ -62,7 +62,7 @@ class FiniteSpace(_Value):
         return FiniteEvent._trusted(self, (1 << len(self.weights)) - 1)
 
 
-class FiniteEvent(_Value):
+class FiniteEvent(_Event):
     """A subset of the sample points of a :class:`FiniteSpace`: bit i of ``mask`` is point i.
 
     The constructor and unpickling check the member indices; kernel results skip it (``_trusted``).
@@ -116,15 +116,6 @@ class FiniteEvent(_Value):
     def leq(self, other: "FiniteEvent") -> bool:
         self._require_same_space(other)
         return self.mask & ~other.mask == 0
-
-    def __and__(self, other: "FiniteEvent") -> "FiniteEvent":
-        return self.meet(other)
-
-    def __or__(self, other: "FiniteEvent") -> "FiniteEvent":
-        return self.join(other)
-
-    def __invert__(self) -> "FiniteEvent":
-        return self.complement()
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(i) for i in self.members) + "}"

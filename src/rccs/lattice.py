@@ -61,7 +61,7 @@ E = TypeVar("E", bound=LatticeEvent)
 
 
 # the surface of LatticeEvent, which is not a runtime-checkable protocol
-_SURFACE = ("meet", "join", "complement", "leq", "measure", "is_zero", "is_one")
+_SURFACE = tuple(name for name in vars(LatticeEvent) if not name.startswith("_"))
 
 
 def _require_one_model(a: E, b: E) -> None:

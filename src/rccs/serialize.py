@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 from .errors import InputError, echo
-from .events import IntervalEvent, _quads, _rational_str, format_rational
+from .events import IntervalEvent, format_rational
 from .finite import FiniteEvent, FiniteSpace
 from .lattice import Partition
 
@@ -66,20 +66,19 @@ def _field(obj: Any, key: str) -> Any:
     return obj[key]
 
 
+def _list_field(obj: Any, key: str, items: str) -> list:
+    raw = _field(obj, key)
+    if not isinstance(raw, list):
+        raise InputError(f"{key!r} must be a list of {items}")
+    return raw
+
+
 def interval_event_to_obj(event: IntervalEvent) -> dict:
-    # straight from the stored reduced int pairs, without building Fractions
-    return {
-        "intervals": [
-            [_rational_str(lo_n, lo_d), _rational_str(hi_n, hi_d)]
-            for lo_n, lo_d, hi_n, hi_d in _quads(event._ends)
-        ]
-    }
+    return {"intervals": event._texts()}
 
 
 def interval_event_from_obj(obj: Any, *, normalize: bool = False) -> IntervalEvent:
-    raw = _field(obj, "intervals")
-    if not isinstance(raw, list):
-        raise InputError("'intervals' must be a list of [lo, hi] pairs")
+    raw = _list_field(obj, "intervals", "[lo, hi] pairs")
     pairs = []
     for k, item in enumerate(raw):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
@@ -106,9 +105,7 @@ def finite_space_to_obj(space: FiniteSpace) -> dict:
 
 
 def finite_space_from_obj(obj: Any) -> FiniteSpace:
-    raw = _field(obj, "weights")
-    if not isinstance(raw, list):
-        raise InputError("'weights' must be a list of rational strings")
+    raw = _list_field(obj, "weights", "rational strings")
     return FiniteSpace(tuple(parse_rational(w) for w in raw))
 
 
@@ -117,9 +114,7 @@ def finite_event_to_obj(event: FiniteEvent) -> dict:
 
 
 def finite_event_from_obj(obj: Any, space: FiniteSpace) -> FiniteEvent:
-    raw = _field(obj, "members")
-    if not isinstance(raw, list):
-        raise InputError("'members' must be a list of sample point indices")
+    raw = _list_field(obj, "members", "sample point indices")
     event = space.event(raw)  # checks each member's type and range, before any set lookup
     seen = set()
     for idx in raw:

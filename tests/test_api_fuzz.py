@@ -1,0 +1,123 @@
+"""Seeded fuzz of the event-taking public API: every call returns or raises an RccsError.
+
+Arguments come from interval events, finite events of two spaces, partitions of both models, the
+fake events of ``helpers`` and plain values.  Most arguments of one call are of one model, so that
+calls reach past the entry checks; the rest are drawn from everything at once.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from rccs import (
+    FiniteSpace,
+    IntervalEvent,
+    Partition,
+    RccsError,
+    check_product_inequality,
+    compatible,
+    construct_size3,
+    construction_steps,
+    correlation,
+    correlation_decomposition,
+    finite_measure,
+    logical_independence_equiv,
+    logically_independent,
+    search_rccs,
+    verify_common_cause,
+    verify_rccs,
+)
+
+from .helpers import Absorbing, Incompatible, IncompatibleZero, iv
+
+_SPACES = (FiniteSpace(("1/4",) * 4), FiniteSpace(("1/2", "1/3", "1/6")))
+
+# each entry point with the roles of its positional arguments: an event, a partition, a space or a
+# cell count; construction_steps and construct_size3 take their lambda from anything, if at all
+_ENTRY_POINTS = [
+    (compatible, "ee"),
+    (correlation, "ee"),
+    (logically_independent, "ee"),
+    (logical_independence_equiv, "ee"),
+    (check_product_inequality, "eee"),
+    (verify_rccs, "eep"),
+    (verify_common_cause, "eee"),
+    (correlation_decomposition, "eep"),
+    (construction_steps, "ee"),
+    (construction_steps, "ee?"),
+    (construct_size3, "ee"),
+    (construct_size3, "ee?"),
+    (search_rccs, "seen"),
+    (finite_measure, "se"),
+]
+
+_POINTS = st.fractions(min_value=0, max_value=1, max_denominator=8)
+# the worked pair, correlated and logically independent, lets the construction run to its end
+_INTERVAL_EVENTS = st.sampled_from([iv("0", "1/2"), iv("1/10", "1/2", "9/10", "1")]) | st.lists(
+    _POINTS, unique=True, max_size=6
+).map(lambda ps: IntervalEvent(zip(sorted(ps)[0::2], sorted(ps)[1::2])))
+
+
+@st.composite
+def _interval_partitions(draw) -> Partition:
+    """The pieces between random cut points, each given to one of up to four cells."""
+    cuts = draw(st.lists(_POINTS.filter(lambda x: 0 < x < 1), unique=True, max_size=5))
+    ends = [Fraction(0), *sorted(cuts), Fraction(1)]
+    cells: dict[int, list] = {}
+    for piece in zip(ends, ends[1:]):
+        cells.setdefault(draw(st.integers(0, 3)), []).append(piece)
+    return Partition(IntervalEvent.normalized(pieces) for pieces in cells.values())
+
+
+def _finite_events(space: FiniteSpace):
+    return st.sets(st.integers(0, len(space) - 1)).map(space.event)
+
+
+def _finite_partitions(space: FiniteSpace):
+    def build(labels: list[int]) -> Partition:
+        cells = {}
+        for point, label in enumerate(labels):
+            cells.setdefault(label, []).append(point)
+        return Partition(space.event(members) for members in cells.values())
+
+    return st.lists(st.integers(0, 3), min_size=len(space), max_size=len(space)).map(build)
+
+
+_FAKES = st.sampled_from([Incompatible, IncompatibleZero, Absorbing]).map(lambda fake: fake())
+_PLAIN = st.one_of(
+    st.integers(-2, 5),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+_SPACE = st.sampled_from(_SPACES)
+_COUNT = st.integers(1, 4)
+# per model, the value of each role
+_MODELS = [{"e": _INTERVAL_EVENTS, "p": _interval_partitions(), "s": _SPACE, "n": _COUNT}] + [
+    {"e": _finite_events(space), "p": _finite_partitions(space), "s": st.just(space), "n": _COUNT}
+    for space in _SPACES
+]
+_ANYTHING = st.one_of(*(role for model in _MODELS for role in model.values()), _FAKES, _PLAIN)
+
+
+@st.composite
+def _calls(draw):
+    """An entry point and its arguments: each the model's value of its role seven times in eight, else anything."""
+    entry, roles = draw(st.sampled_from(_ENTRY_POINTS))
+    model = draw(st.sampled_from(_MODELS))
+    rare = st.integers(0, 7).map(lambda k: k == 7)
+    return entry, [draw(_ANYTHING if role == "?" or draw(rare) else model[role]) for role in roles]
+
+
+class TestPublicApiFuzz:
+    @seed(2004)
+    @settings(max_examples=1000, deadline=None, database=None)
+    @given(call=_calls())
+    def test_every_call_returns_or_raises_an_rccs_error(self, call):
+        entry, args = call
+        try:
+            entry(*args)
+        except RccsError:
+            pass

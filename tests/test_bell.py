@@ -354,6 +354,14 @@ class TestBellValue:
         with pytest.raises(PreconditionError):
             build_witness(basis_product_state(0, 0))
 
+    def test_zero_seed_rejected(self):
+        with pytest.raises(PreconditionError, match=r"^seed state must be nonzero$"):
+            build_witness(np.zeros(4, dtype=complex))
+
+    def test_basis_label_out_of_range_rejected(self):
+        with pytest.raises(PreconditionError, match=r"^basis labels must be 0 or 1$"):
+            basis_product_state(2, 0)
+
 
 class TestClassicalBound:
     def test_corners(self):

@@ -408,6 +408,14 @@ class TestResourceLimits:
             assert code == 1 and not out
             assert _one_line(err, "usage error: argument --max-points: must be at least 1")
 
+    def test_max_points_not_an_integer_is_a_usage_error(self):
+        payload = json.dumps(
+            {"space": {"weights": ["1/2", "1/2"]}, "a": {"members": [0]}, "b": {"members": [0]}, "n": 2}
+        )
+        code, out, err = run_cli(["search", payload, "--max-points", "abc"])
+        assert code == 1 and not out
+        assert _one_line(err, "usage error: argument --max-points: invalid int value: 'abc'")
+
 
 class TestExactOutput:
     """Reports and diagnostics print exact rationals past the int-string limit, which guards parsing only."""

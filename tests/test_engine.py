@@ -314,6 +314,25 @@ class TestPlainValues:
             call()
         assert str(err.value) == "not an event: 3"
 
+    @pytest.mark.parametrize(
+        "call, value",
+        [
+            (lambda: verify_rccs(WORKED_A, [1], Partition((FULL,))), "[1]"),
+            (lambda: verify_common_cause({}, WORKED_B, CC_CAUSE), "{}"),
+            (lambda: correlation_decomposition(WORKED_A, [], Partition((FULL,))), "[]"),
+            (lambda: construction_steps([], WORKED_B), "[]"),
+            (lambda: construct_size3(WORKED_A, {}), "{}"),
+        ],
+        ids=[
+            "verify_rccs", "verify_common_cause", "correlation_decomposition", "construction_steps", "construct_size3"
+        ],
+    )
+    def test_unhashable_non_event_refused_before_the_pair_memo(self, call, value):
+        # the memo hashes its arguments, so the gate must run first or a list ends in a raw TypeError
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == f"not an event: {value}"
+
 
 class TestDecomposition:
     def test_worked_example(self):
@@ -561,6 +580,11 @@ class TestSystemType:
                 cond_b=(Fraction(3, 4), Fraction(1, 4)),
                 cond_ab=(Fraction(3, 8), Fraction(1, 8)),
             )
+
+    def test_rejects_conditionals_not_aligned_with_the_cells(self):
+        cells = Partition((iv("0", "1/2"), iv("1/2", "1")))
+        with pytest.raises(InputError, match=r"^conditional lists must align with the partition cells$"):
+            CommonCauseSystem(cells=cells, cond_a=(1, 0), cond_b=(1, 0), cond_ab=(1, 0, 0))
 
     def test_rejects_single_cell(self):
         with pytest.raises(InputError):

@@ -1,10 +1,12 @@
 """Interval event algebra: canonical form, Boolean laws, measure, carve."""
 
+import ast
 import copy
 import pickle
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -406,6 +408,7 @@ class TestIntegerKernel:
             ((("0", "1/0"),), "zero denominator in rational '1/0'"),
             ((("0", "a/b"),), "malformed rational 'a/b'"),
             (((True, "1/2"),), "booleans are not rational scalars"),
+            ((([1], "1/2"),), "cannot interpret list as a rational scalar"),
             ((("1/2",),), "each interval must be a (lo, hi) pair"),
         ],
     )
@@ -531,3 +534,23 @@ class TestTrustBoundary:
             with pytest.raises(InputError) as err:
                 rebuild(tampered)
             assert str(err.value) == str(expected.value)
+
+
+_STORED_FORM = {"_ends", "_quads", "_rational_str"}
+
+
+class TestStoredFormIsPrivate:
+    """Only ``rccs.events`` reads an interval event's stored int endpoints; the others go through its methods."""
+
+    def test_no_other_module_names_the_stored_form(self):
+        sources = sorted((Path(__file__).parents[1] / "src" / "rccs").glob("*.py"))
+        assert "events.py" in [path.name for path in sources]
+        found = []
+        for path in sources:
+            if path.name == "events.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+                if name in _STORED_FORM:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+        assert found == []

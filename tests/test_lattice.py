@@ -163,6 +163,12 @@ class TestProductInequality:
                 random_subset(rng, space), random_subset(rng, space), random_subset(rng, space)
             )
 
+    def test_incompatible_pair_refused(self):
+        # an inequality over a triple that is not mutually compatible would be no theorem at all
+        a, b = Incompatible(), Incompatible()
+        with pytest.raises(PreconditionError, match=r"^events .+ and .+ are not compatible$"):
+            check_product_inequality(a, b, FULL)
+
     def test_violation_diagnostic_past_digit_limit(self, monkeypatch):
         # a broken model whose measures violate the inequality by numbers past the int-string limit
         monkeypatch.setattr(lattice, "compatible", lambda x, y: True)

@@ -116,6 +116,26 @@ class TestSpaces:
             finite_event_from_obj({"members": [0, "1"]}, space)
 
 
+class TestListFields:
+    @pytest.mark.parametrize(
+        "read, obj, message",
+        [
+            (interval_event_from_obj, {"intervals": "0 1/2"}, "'intervals' must be a list of [lo, hi] pairs"),
+            (finite_space_from_obj, {"weights": {"0": "1"}}, "'weights' must be a list of rational strings"),
+            (
+                lambda obj: finite_event_from_obj(obj, FiniteSpace(("1/2", "1/2"))),
+                {"members": 0},
+                "'members' must be a list of sample point indices",
+            ),
+        ],
+        ids=["intervals", "weights", "members"],
+    )
+    def test_a_field_that_is_not_a_list_is_refused_by_name(self, read, obj, message):
+        with pytest.raises(InputError) as err:
+            read(obj)
+        assert str(err.value) == message
+
+
 class TestPartitionsAndReports:
     def test_partition_round_trip(self):
         p = Partition((iv("0", "1/3"), iv("1/3", "1")))

@@ -408,8 +408,8 @@ class TestIntegerKernel:
             ((("0", "1/0"),), "zero denominator in rational '1/0'"),
             ((("0", "a/b"),), "malformed rational 'a/b'"),
             (((True, "1/2"),), "booleans are not rational scalars"),
-            ((([1], "1/2"),), "cannot interpret list as a rational scalar"),
             ((("1/2",),), "each interval must be a (lo, hi) pair"),
+            ((([1], "1/2"),), "cannot interpret list as a rational scalar"),
         ],
     )
     def test_constructor_rejections_keep_their_messages(self, pairs, message):

@@ -23,21 +23,39 @@ workload's ``PYTHONPATH`` to its ``src``.
     python3 bench/pool_probe.py ../parent/src src --workload interval-pipeline --pairs 12
     python3 bench/pool_probe.py ../parent/src src --workload cli-cold --pairs 10
     python3 bench/pool_probe.py ../parent/src src --workload finite-search --seed 7919
+    python3 bench/pool_probe.py ../parent/src src --workload cli-cold --compiled
+
+Every child runs with ``PYTHONDONTWRITEBYTECODE=1``, so by default each
+``cli-cold`` process compiles the package from source, as the benchmark's
+children do when that variable is set, and no run writes ``__pycache__``
+into a tree it measures: bytecode left there would speed up later runs of
+that checkout.  With ``--compiled`` each tree is first copied, without its
+``__pycache__``, into a temporary directory and byte-compiled there, and
+the probe measures the copies; the trees themselves are only read.  A
+``cli-cold`` gain measured both ways splits into the part that is compile
+time and the part that an installed, compiled package keeps.
 
 Prints, per tree, the median over pairs of the median pass's mean ms/op,
 with its quartiles and the number of pairs in which the tree was the
 faster, and the medians over pairs of that pass's per-operation p50 and
-p90 (the latency metrics the benchmark reads); each pair's figures go to
-stderr.
+p90 (the latency metrics the benchmark reads), and the median and quartiles
+over pairs of head/base, the ratio of the two trees' mean ms/op in one
+pair: the two children of a pair run back to back, so the ratio cancels
+most of a drift in host speed that the per-tree medians keep.  Each
+pair's figures go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -78,9 +96,18 @@ def run_pass(src: str, name: str, seed: int) -> dict[str, float]:
     return sorted(passes, key=lambda p: p["mean"])[PASSES // 2]
 
 
+def compiled_copy(src: str, dest: Path) -> str:
+    """Copy the tree ``src`` to ``dest`` without its ``__pycache__``, byte-compile the copy and return its path."""
+    shutil.copytree(src, dest, ignore=shutil.ignore_patterns("__pycache__"))
+    if not compileall.compile_dir(dest, quiet=1):
+        raise SystemExit(f"cannot byte-compile the copy of {src}")
+    return str(dest)
+
+
 def child(src: str, name: str, seed: int) -> dict[str, float]:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child", src, name, str(seed)]
-    done = subprocess.run(cmd, capture_output=True, text=True, check=False)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # inherited by the cli-cold processes too
+    done = subprocess.run(cmd, capture_output=True, text=True, check=False, env=env)
     if done.returncode:
         raise SystemExit(f"pool probe child for {src} failed:\n{done.stderr}")
     return json.loads(done.stdout)
@@ -96,6 +123,22 @@ def summary(label: str, passes: list[dict[str, float]], wins: int) -> str:
     )
 
 
+def compare(args: argparse.Namespace, base_src: str, head_src: str) -> tuple[list, list]:
+    """Run ``args.pairs`` alternating pairs of children; return each tree's median passes."""
+    base, head = [], []
+    for pair in range(args.pairs):
+        order = ((base, base_src), (head, head_src))
+        for passes, src in order if pair % 2 == 0 else reversed(order):
+            passes.append(child(src, args.workload, args.seed))
+        b, h = base[-1], head[-1]
+        print(
+            f"pair {pair}: base {b['mean']:.3f} (p50 {b['p50']:.3f}, p90 {b['p90']:.3f}), "
+            f"head {h['mean']:.3f} (p50 {h['p50']:.3f}, p90 {h['p90']:.3f}) ms/op",
+            file=sys.stderr,
+        )
+    return base, head
+
+
 def main() -> None:
     if sys.argv[1:2] == ["--child"]:
         print(json.dumps(run_pass(sys.argv[2], sys.argv[3], int(sys.argv[4]))))
@@ -106,21 +149,20 @@ def main() -> None:
     parser.add_argument("--workload", choices=WORKLOADS, default="interval-pipeline")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=REFERENCE_SEED)
+    parser.add_argument("--compiled", action="store_true", help="measure byte-compiled copies of the two trees")
     args = parser.parse_args()
-    base, head = [], []
-    for pair in range(args.pairs):
-        order = ((base, args.base), (head, args.head))
-        for passes, src in order if pair % 2 == 0 else reversed(order):
-            passes.append(child(src, args.workload, args.seed))
-        b, h = base[-1], head[-1]
-        print(
-            f"pair {pair}: base {b['mean']:.3f} (p50 {b['p50']:.3f}, p90 {b['p90']:.3f}), "
-            f"head {h['mean']:.3f} (p50 {h['p50']:.3f}, p90 {h['p90']:.3f}) ms/op",
-            file=sys.stderr,
-        )
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs")
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = (args.base, args.head)
+        if args.compiled:
+            trees = tuple(compiled_copy(src, Path(tmp) / side) for src, side in zip(trees, ("base", "head")))
+        base, head = compare(args, *trees)
+    label = ", byte-compiled copies" if args.compiled else ""
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs{label}")
     print(summary(f"base {args.base}", base, sum(b["mean"] < h["mean"] for b, h in zip(base, head))))
     print(summary(f"head {args.head}", head, sum(h["mean"] < b["mean"] for b, h in zip(base, head))))
+    ratios = [h["mean"] / b["mean"] for b, h in zip(base, head)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    print(f"head/base per pair: median {median:.3f}, quartiles {q1:.3f}-{q3:.3f}")
 
 
 if __name__ == "__main__":

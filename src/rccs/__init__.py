@@ -10,13 +10,25 @@ once.
 
 ``import rccs`` loads none of the submodules.  Each one, and each public
 name, is loaded on first use (PEP 562), so a computation loads only the
-modules it runs.  numpy is loaded only by the array functions of the
-Bell witness; no subcommand loads it.
+modules it runs.  Each subcommand of the command line loads, besides
+``cli``, ``serialize``, ``events`` and ``errors``:
+
+* ``construct`` and ``verify``: ``lattice``, and ``engine`` once their
+  input is read and checked;
+* ``search``: ``finite`` and ``lattice``;
+* ``bell``: ``bell``;
+* ``demo``: ``bell``, ``lattice`` and ``engine``.
+
+An input or usage error loads nothing more.  numpy is loaded only by the
+array functions of the Bell witness; no subcommand loads it.
 """
 
 import importlib
 
 __version__ = "0.1.0"
+
+# the search's point cutoff, stated here so that the command line reads it without loading rccs.finite
+DEFAULT_MAX_POINTS = 14  # larger spaces only on request: the cover's work can still grow as 2^m
 
 # every submodule and the public names it defines; each name is listed once
 _NAMES = {
@@ -46,7 +58,6 @@ _NAMES = {
     "errors": ("InputError", "InternalInvariantError", "PreconditionError", "RccsError"),
     "events": ("EMPTY", "FULL", "IntervalEvent", "as_fraction"),
     "finite": (
-        "DEFAULT_MAX_POINTS",
         "FiniteEvent",
         "FiniteSpace",
         "enumerate_partitions",
@@ -66,7 +77,7 @@ _NAMES = {
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}
 
-__all__ = sorted(_HOME)
+__all__ = sorted([*_HOME, "DEFAULT_MAX_POINTS"])
 
 
 def __getattr__(name: str):

@@ -33,12 +33,11 @@ from __future__ import annotations
 import math
 import random
 from functools import cache, reduce
-from numbers import Rational
 from operator import add, mul, sub
 from typing import TYPE_CHECKING
 
 from .errors import InternalInvariantError, PreconditionError
-from .events import _Value, format_rational
+from .events import _outside_unit, _Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -279,9 +278,9 @@ def classical_bound_check(a1: float, a2: float, b1: float, b2: float) -> bool:
     float slack on the upper end).
     """
     for name, v in (("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2)):
-        if not 0 <= v <= 1:
-            text = format_rational(v) if isinstance(v, Rational) else v
-            raise PreconditionError(f"{name} = {text} is outside [0, 1]")
+        failure = _outside_unit(name, v)
+        if failure:
+            raise PreconditionError(failure)
     lhs, rhs = _identity_sides(a1, a2, b1, b2)
     if abs(lhs - rhs) >= IDENTITY_TOLERANCE:
         return False

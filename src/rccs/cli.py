@@ -27,10 +27,9 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-from . import serialize
+from . import DEFAULT_MAX_POINTS, serialize
 from .errors import InputError, PreconditionError, echo
 from .events import IntervalEvent
-from .finite import DEFAULT_MAX_POINTS, search_rccs
 
 DEMO_A = IntervalEvent((("0", "1/2"),))
 DEMO_B = IntervalEvent((("1/10", "1/2"), ("9/10", "1")))
@@ -117,10 +116,11 @@ def _read_pair(args):
 
 
 def _run_construct(args) -> int:
-    from .engine import construction_steps  # the engine is loaded only by the subcommands that run it
-
     _, a, b = _read_pair(args)
     lam = _parse_lam(args.lam)
+    # the engine is loaded only by the subcommands that run it, after their input is read
+    from .engine import construction_steps
+
     steps = construction_steps(a, b, lam)
     if args.json:
         print(serialize.dumps(serialize.steps_to_obj(steps)))
@@ -140,12 +140,12 @@ def _run_construct(args) -> int:
 
 
 def _run_verify(args) -> int:
-    from .engine import verify_rccs
-
     payload, a, b = _read_pair(args)
     partition = serialize.interval_partition_from_obj(
         serialize._field(payload, "partition"), normalize=args.normalize
     )
+    from .engine import verify_rccs
+
     report = verify_rccs(a, b, partition)
     if args.json:
         print(serialize.dumps(serialize.report_to_obj(report)))
@@ -160,6 +160,8 @@ def _run_verify(args) -> int:
 
 
 def _run_search(args) -> int:
+    from .finite import search_rccs
+
     payload = _read_payload(args.input)
     space = serialize.finite_space_from_obj(serialize._field(payload, "space"))
     a = serialize.finite_event_from_obj(serialize._field(payload, "a"), space)
@@ -218,10 +220,10 @@ def _run_bell(args) -> int:
 
 
 def _run_demo(args) -> int:
+    lam = _parse_lam(args.lam)
     from . import bell
     from .engine import construction_steps
 
-    lam = _parse_lam(args.lam)
     steps = construction_steps(DEMO_A, DEMO_B, lam)
     bell_obj = _bell_obj()
     impossibility = bell.no_common_ccs_demo(samples=10_000)

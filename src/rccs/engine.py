@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InputError, InternalInvariantError, PreconditionError
-from .events import IntervalEvent, _Value, as_fraction, format_rational
+from .errors import InputError, InternalInvariantError, PreconditionError, echo
+from .events import IntervalEvent, _outside_unit, _Value, as_fraction, format_rational
 from .lattice import LatticeEvent, Partition, _require_one_model, _split, compatible
 
 # the atoms a&b, a&~b, ~a&b of a compatible pair (a, b)
@@ -122,14 +122,19 @@ class CommonCauseSystem(_Value):
 
     def __init__(self, cells: Partition, cond_a: tuple, cond_b: tuple, cond_ab: tuple) -> None:
         n = len(_cells(cells))
+        rows = (("cond_a", cond_a), ("cond_b", cond_b), ("cond_ab", cond_ab))
+        for name, row in rows:
+            if not isinstance(row, (tuple, list)):
+                raise InputError(f"{name} must be a tuple of conditionals, got {echo(row)}")
         if not (len(cond_a) == len(cond_b) == len(cond_ab) == n):
             raise InputError("conditional lists must align with the partition cells")
         if n < 2:
             raise InputError("a common cause system needs at least two cells")
-        for name, row in (("cond_a", cond_a), ("cond_b", cond_b), ("cond_ab", cond_ab)):
+        for name, row in rows:
             for k, value in enumerate(row):
-                if not 0 <= value <= 1:
-                    raise InputError(f"{name}[{k}] = {format_rational(value)} is outside [0, 1]")
+                failure = _outside_unit(f"{name}[{k}]", value)
+                if failure:
+                    raise InputError(failure)
         screening, cross, _ = _conditions(tuple(zip((1,) * n, cond_a, cond_b, cond_ab)))
         failure = _first_failure(screening, cross)
         if failure is not None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from numbers import Rational
 from operator import lt, mul
 from typing import Iterable
 
@@ -59,14 +60,37 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise InputError(f"cannot interpret {type(value).__name__} as a rational scalar")
 
 
+def _outside_unit(name: str, value: object) -> str | None:
+    """The diagnostic for a number outside [0, 1], None for one inside; a value that is no number is refused."""
+    try:
+        inside = 0 <= value <= 1
+    except TypeError:
+        raise InputError(f"{name} = {echo(value)} is not a number") from None
+    if inside:
+        return None
+    return f"{name} = {format_rational(value) if isinstance(value, Rational) else value} is outside [0, 1]"
+
+
+def _require_iterable(value: object, what: str) -> None:
+    """Refuse a value that cannot be iterated, such as a plain number, with InputError."""
+    try:
+        iter(value)
+    except TypeError:
+        raise InputError(f"{what} must be iterable, got {echo(value)}") from None
+
+
 def _coerce_pairs(pairs: Iterable) -> tuple[tuple[Fraction, Fraction], ...]:
     out = []
-    for item in pairs:
-        try:
-            lo, hi = item
-        except (TypeError, ValueError):
-            raise InputError("each interval must be a (lo, hi) pair") from None
-        out.append((as_fraction(lo), as_fraction(hi)))
+    try:  # the read path of every event: a plain value is refused only once its iteration fails
+        for item in pairs:
+            try:
+                lo, hi = item
+            except (TypeError, ValueError):
+                raise InputError("each interval must be a (lo, hi) pair") from None
+            out.append((as_fraction(lo), as_fraction(hi)))
+    except TypeError:
+        _require_iterable(pairs, "the intervals")
+        raise
     return tuple(out)
 
 

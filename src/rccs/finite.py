@@ -19,11 +19,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator
 
+from . import DEFAULT_MAX_POINTS
 from .errors import InputError, PreconditionError, echo
-from .events import _Event, _Value, as_fraction, format_rational
+from .events import _Event, _require_iterable, _Value, as_fraction, format_rational
 from .lattice import Partition
-
-DEFAULT_MAX_POINTS = 14  # larger spaces only on request: the cover's work can still grow as 2^m
 
 
 class FiniteSpace(_Value):
@@ -36,6 +35,7 @@ class FiniteSpace(_Value):
     __slots__ = ("weights",)
 
     def __init__(self, weights: Iterable) -> None:
+        _require_iterable(weights, "the weights")
         cleaned = tuple(as_fraction(w) for w in weights)
         if not cleaned:
             raise InputError("a finite space needs at least one point")
@@ -62,6 +62,11 @@ class FiniteSpace(_Value):
         return FiniteEvent._trusted(self, (1 << len(self.weights)) - 1)
 
 
+def _require_space(space: object) -> None:
+    if not isinstance(space, FiniteSpace):
+        raise InputError(f"expected a FiniteSpace, got {echo(space)}")
+
+
 class FiniteEvent(_Event):
     """A subset of the sample points of a :class:`FiniteSpace`: bit i of ``mask`` is point i.
 
@@ -71,6 +76,8 @@ class FiniteEvent(_Event):
     __slots__ = ("space", "mask")
 
     def __init__(self, space: FiniteSpace, members: Iterable[int]) -> None:
+        _require_space(space)
+        _require_iterable(members, "the members")
         mask = 0
         for idx in members:
             if isinstance(idx, bool) or not isinstance(idx, int):
@@ -141,8 +148,10 @@ def enumerate_partitions(space: FiniteSpace, n: int) -> Iterator[Partition]:
     Cells are unlabeled; each partition appears exactly once, with its
     cells ordered by smallest member.  The stream is deterministic
     (lexicographic in the cell assignment of the points) and its length
-    is the Stirling number of the second kind S(m, n).
+    is the Stirling number of the second kind S(m, n).  The space and the
+    count are checked at the call, before the first partition is asked for.
     """
+    _require_space(space)
     m = len(space)
     _require_cell_count(n, m)
     masks = [0] * n  # masks[k] holds the points assigned to cell k so far
@@ -158,7 +167,7 @@ def enumerate_partitions(space: FiniteSpace, n: int) -> Iterator[Partition]:
             yield from walk(i + 1, used + 1 if lab == used else used)
             masks[lab] ^= 1 << i
 
-    yield from walk(0, 0)
+    return walk(0, 0)
 
 
 def _screening_cells(point_weight: list[int], mask_a: int, mask_b: int, m: int) -> dict[int, tuple[int, int, int]]:

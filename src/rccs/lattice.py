@@ -30,7 +30,7 @@ from functools import reduce
 from typing import Iterable, Protocol, TypeVar
 
 from .errors import InputError, InternalInvariantError, PreconditionError, echo
-from .events import _Value, format_rational
+from .events import _require_iterable, _Value, format_rational
 
 
 class LatticeEvent(Protocol):
@@ -196,6 +196,7 @@ class Partition(_Value):
     __slots__ = ("cells",)
 
     def __init__(self, cells: Iterable[LatticeEvent]) -> None:
+        _require_iterable(cells, "the cells")
         cells = tuple(cells)
         if not cells:
             raise InputError("a partition needs at least one cell")

@@ -16,11 +16,11 @@ from typing import TYPE_CHECKING, Any
 
 from .errors import InputError, echo
 from .events import IntervalEvent, format_rational
-from .finite import FiniteEvent, FiniteSpace
-from .lattice import Partition
 
-if TYPE_CHECKING:  # annotations only: reading and writing events never loads the engine
+if TYPE_CHECKING:  # annotations only: each reader loads the model it builds, and none loads the engine
     from .engine import ConstructionSteps, VerificationReport
+    from .finite import FiniteEvent, FiniteSpace
+    from .lattice import Partition
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
 
@@ -90,6 +90,8 @@ def interval_event_from_obj(obj: Any, *, normalize: bool = False) -> IntervalEve
 
 
 def interval_partition_from_obj(obj: Any, *, normalize: bool = False) -> Partition:
+    from .lattice import Partition
+
     if not isinstance(obj, list):
         raise InputError("a partition must be a JSON list of events")
     cells = tuple(interval_event_from_obj(cell, normalize=normalize) for cell in obj)
@@ -105,6 +107,8 @@ def finite_space_to_obj(space: FiniteSpace) -> dict:
 
 
 def finite_space_from_obj(obj: Any) -> FiniteSpace:
+    from .finite import FiniteSpace
+
     raw = _list_field(obj, "weights", "rational strings")
     return FiniteSpace(tuple(parse_rational(w) for w in raw))
 

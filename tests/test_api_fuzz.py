@@ -2,25 +2,33 @@
 
 Arguments come from interval events, finite events of two spaces, partitions of both models, the
 fake events of ``helpers`` and plain values.  Most arguments of one call are of one model, so that
-calls reach past the entry checks; the rest are drawn from everything at once.
+calls reach past the entry checks; the rest are drawn from everything at once.  The constructors
+and scalar entries that take no event are given plain values in a table of their own.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from rccs import (
+    FULL,
+    CommonCauseSystem,
+    FiniteEvent,
     FiniteSpace,
+    InputError,
     IntervalEvent,
     Partition,
     RccsError,
     check_product_inequality,
+    classical_bound_check,
     compatible,
     construct_size3,
     construction_steps,
     correlation,
     correlation_decomposition,
+    enumerate_partitions,
     finite_measure,
     logical_independence_equiv,
     logically_independent,
@@ -121,3 +129,48 @@ class TestPublicApiFuzz:
             entry(*args)
         except RccsError:
             pass
+
+
+_HALVES = Partition((iv("0", "1/2"), iv("1/2", "1")))
+
+# a plain value where a constructor or scalar entry takes an iterable, a space or a number, each refused
+# at the call; and a float conditional out of range, whose diagnostic is written without format_rational
+_PLAIN_CALLS = [
+    ("IntervalEvent", lambda: IntervalEvent(5), "the intervals must be iterable, got 5"),
+    ("IntervalEvent.normalized", lambda: IntervalEvent.normalized(5), "the intervals must be iterable, got 5"),
+    ("FiniteSpace", lambda: FiniteSpace(5), "the weights must be iterable, got 5"),
+    ("Partition", lambda: Partition(5), "the cells must be iterable, got 5"),
+    ("FiniteEvent-members", lambda: FiniteEvent(_SPACES[0], 5), "the members must be iterable, got 5"),
+    ("FiniteEvent-space", lambda: FiniteEvent(5, [0]), "expected a FiniteSpace, got 5"),
+    ("enumerate_partitions", lambda: enumerate_partitions(5, 2), "expected a FiniteSpace, got 5"),
+    ("CommonCauseSystem", lambda: CommonCauseSystem(_HALVES, 5, 5, 5), "cond_a must be a tuple of conditionals, got 5"),
+    (
+        "CommonCauseSystem-value",
+        lambda: CommonCauseSystem(_HALVES, (1, 0), (1, "0"), (1, 0)),
+        "cond_b[1] = '0' is not a number",
+    ),
+    (
+        "CommonCauseSystem-float",
+        lambda: CommonCauseSystem(_HALVES, (1.5, 0), (1, 0), (1, 0)),
+        "cond_a[0] = 1.5 is outside [0, 1]",
+    ),
+    ("classical_bound_check", lambda: classical_bound_check(FULL, 0, 0, 0), f"a1 = {FULL!r} is not a number"),
+    ("classical_bound_check-text", lambda: classical_bound_check(0, 0, 0, "1"), "b2 = '1' is not a number"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in _PLAIN_CALLS], ids=[case[0] for case in _PLAIN_CALLS])
+def test_plain_values_are_refused_on_one_line(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_a_generator_that_fails_inside_keeps_its_own_error():
+    # only a value that cannot be iterated at all is called plain; an error raised while iterating is kept
+    def pairs():
+        yield ("0", "1/2")
+        raise TypeError("from inside the generator")
+
+    with pytest.raises(TypeError, match="from inside the generator"):
+        IntervalEvent(pairs())

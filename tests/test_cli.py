@@ -671,7 +671,7 @@ def _fresh_interpreter(code: str, *args: str) -> str:
     return done.stdout
 
 
-_CLASSICAL = ["rccs.cli", "rccs.errors", "rccs.events", "rccs.finite", "rccs.lattice", "rccs.serialize"]
+_EVERY_COMMAND = ["cli", "errors", "events", "serialize"]
 _SEARCH_INPUT = json.dumps(
     {"space": {"weights": ["1/4"] * 4}, "a": {"members": [0, 1]}, "b": {"members": [0, 1, 2]}, "n": 2}
 )
@@ -717,30 +717,51 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("rccs") or m in (
 """
         assert json.loads(_fresh_interpreter(code)) == ["rccs", "rccs.errors", "rccs.events"]
 
+    def test_import_serialize_loads_no_model(self):
+        # reading and writing JSON loads only the interval model; each reader loads the model it builds
+        code = """
+import json, sys
+import rccs.serialize
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("rccs"))))
+"""
+        assert json.loads(_fresh_interpreter(code)) == ["rccs", "rccs.errors", "rccs.events", "rccs.serialize"]
+
+    # the modules each command line loads beyond the four that every one loads (_EVERY_COMMAND); the
+    # input error is the sixth kind of perfbench's cli-cold workload, a bad rational in 'construct'
     @pytest.mark.parametrize(
         "command, extra",
         [
-            ("search", []),
-            ("bell", ["rccs.bell"]),
-            ("construct", ["rccs.engine"]),
-            ("verify", ["rccs.engine"]),
-            ("demo", ["rccs.bell", "rccs.engine"]),
+            ("search", ["finite", "lattice"]),
+            ("bell", ["bell"]),
+            ("construct", ["engine", "lattice"]),
+            ("verify", ["engine", "lattice"]),
+            ("demo", ["bell", "engine", "lattice"]),
+            ("input_error", []),
+            ("usage_error", []),
         ],
     )
     def test_each_subcommand_loads_only_what_it_runs(self, command, extra):
+        worked = json.loads(WORKED_INPUT)
         if command == "verify":
             cells = json.loads(run_cli(["construct", WORKED_INPUT, "--json"])[1])["cells"]
-            argv = [command, json.dumps({**json.loads(WORKED_INPUT), "partition": cells})]
+            argv = [command, json.dumps({**worked, "partition": cells})]
         else:
-            argv = [command] + {"search": [_SEARCH_INPUT], "construct": [WORKED_INPUT]}.get(command, [])
+            argv = {
+                "search": ["search", _SEARCH_INPUT],
+                "construct": ["construct", WORKED_INPUT],
+                "input_error": ["construct", json.dumps({**worked, "a": {"intervals": [["0", "1/0"]]}}), "--json"],
+                "usage_error": ["construct", "--bogus"],
+            }.get(command, [command])
         code = """
 import contextlib, io, json, sys
 from rccs.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("rccs."))]))
 """
-        assert json.loads(_fresh_interpreter(code, json.dumps(argv))) == [0, sorted(_CLASSICAL + extra)]
+        expected_code = 1 if command.endswith("_error") else 0
+        loaded = sorted(f"rccs.{name}" for name in _EVERY_COMMAND + extra)
+        assert json.loads(_fresh_interpreter(code, json.dumps(argv))) == [expected_code, loaded]
 
     def test_numpy_is_loaded_only_for_bell(self):
         # numpy is loaded only by the array API of rccs.bell, never by a subcommand, and no subcommand

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -169,11 +168,7 @@ def _run_search(args) -> int:
     n = serialize._field(payload, "n")
     if isinstance(n, bool) or not isinstance(n, int):
         raise InputError(f"'n' must be an integer, got {echo(n)}")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        hits = search_rccs(space, a, b, n, max_points=args.max_points)
-    for warning in caught:  # one diagnostic line each, not the file:line form of warnings.warn
-        print(f"warning: {warning.message}", file=sys.stderr)
+    hits = search_rccs(space, a, b, n, max_points=args.max_points)
     if args.json:
         obj = {
             "points": len(space),

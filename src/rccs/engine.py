@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError, PreconditionError, echo
@@ -135,6 +136,8 @@ class CommonCauseSystem(_Value):
                 failure = _outside_unit(f"{name}[{k}]", value)
                 if failure:
                     raise InputError(failure)
+                if not isinstance(value, Rational):  # a float's rounding could pass an exact test it fails
+                    raise InputError(f"{name}[{k}] = {value!r} is not exact; pass a Fraction or an int")
         screening, cross, _ = _conditions(tuple(zip((1,) * n, cond_a, cond_b, cond_ab)))
         failure = _first_failure(screening, cross)
         if failure is not None:

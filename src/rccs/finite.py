@@ -14,7 +14,6 @@ listed by a join over the four atoms of the pair, not a scan of all 2^m.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator
@@ -240,12 +239,6 @@ def search_rccs(
         raise InputError(
             f"space has {m} points, above the cutoff {max_points}; "
             "raise max_points to force the search"
-        )
-    if m > DEFAULT_MAX_POINTS:
-        warnings.warn(
-            f"exhaustive search over {m} points tabulates all 2^{m} subsets "
-            "and may take a very long time",
-            stacklevel=2,
         )
 
     scale = lcm(*(w.denominator for w in space.weights))

@@ -203,6 +203,7 @@ class Partition(_Value):
         for k, cell in enumerate(cells):
             if not hasattr(cell, "is_zero"):
                 raise InputError(f"partition cell {k} is not an event")
+            _require_one_model(cells[0], cell)
             if cell.is_zero:
                 raise InputError(f"partition cell {k} is empty")
         for i in range(len(cells)):

@@ -1,9 +1,10 @@
-"""Seeded fuzz of the event-taking public API: every call returns or raises an RccsError.
+"""Seeded fuzz of the public API: every call returns or raises an RccsError.
 
 Arguments come from interval events, finite events of two spaces, partitions of both models, the
-fake events of ``helpers`` and plain values.  Most arguments of one call are of one model, so that
-calls reach past the entry checks; the rest are drawn from everything at once.  The constructors
-and scalar entries that take no event are given plain values in a table of their own.
+fake events of ``helpers`` and plain values, and for the constructors and scalar entries from
+interval lists, weights, member lists, cell lists and scalars.  Most arguments of one call are of
+one model, so that calls reach past the entry checks; the rest are drawn from everything at once.
+Plain values at the constructors and scalar entries are also refused in a table of their own.
 """
 
 from fractions import Fraction
@@ -41,8 +42,20 @@ from .helpers import Absorbing, Incompatible, IncompatibleZero, iv
 
 _SPACES = (FiniteSpace(("1/4",) * 4), FiniteSpace(("1/2", "1/3", "1/6")))
 
-# each entry point with the roles of its positional arguments: an event, a partition, a space or a
-# cell count; construction_steps and construct_size3 take their lambda from anything, if at all
+
+def _all_partitions(space, n) -> list:
+    return list(enumerate_partitions(space, n))
+
+
+def _aligned_system(partition, *rows) -> CommonCauseSystem:
+    """A system whose rows of conditionals are cut to the size of the partition, so that its values are checked."""
+    n = len(getattr(partition, "cells", ()))
+    return CommonCauseSystem(partition, *(row[:n] if isinstance(row, tuple) else row for row in rows))
+
+
+# each entry point with the roles of its positional arguments: an event, a partition, a space, a cell count,
+# a list of cells, of intervals, of weights or of members, a scalar, or a row of scalars;
+# construction_steps and construct_size3 take their lambda from anything, if at all
 _ENTRY_POINTS = [
     (compatible, "ee"),
     (correlation, "ee"),
@@ -58,6 +71,18 @@ _ENTRY_POINTS = [
     (construct_size3, "ee?"),
     (search_rccs, "seen"),
     (finite_measure, "se"),
+]
+# the constructors and the scalar entry, given lists and scalars
+_CONSTRUCTORS = [
+    (IntervalEvent, "I"),
+    (IntervalEvent.normalized, "I"),
+    (FiniteSpace, "w"),
+    (FiniteEvent, "sm"),
+    (Partition, "c"),
+    (_all_partitions, "sn"),
+    (CommonCauseSystem, "pqqq"),
+    (_aligned_system, "pqqq"),
+    (classical_bound_check, "xxxx"),
 ]
 
 _POINTS = st.fractions(min_value=0, max_value=1, max_denominator=8)
@@ -102,33 +127,57 @@ _PLAIN = st.one_of(
 )
 _SPACE = st.sampled_from(_SPACES)
 _COUNT = st.integers(1, 4)
-# per model, the value of each role
+_SCALARS = st.one_of(_POINTS, st.floats(), st.integers(-1, 2), st.text(max_size=2))
+# the roles that take no event, alike in every model
+_SHARED = {
+    "I": st.lists(st.tuples(_POINTS, _POINTS), max_size=3),
+    "w": st.sampled_from([space.weights for space in _SPACES]) | st.lists(_SCALARS, max_size=4),
+    "m": st.lists(st.integers(-1, 4), max_size=4),
+    "x": _SCALARS,
+    "q": st.lists(_SCALARS, min_size=2, max_size=4).map(tuple),
+}
+# per model, the value of each role that it shapes
 _MODELS = [{"e": _INTERVAL_EVENTS, "p": _interval_partitions(), "s": _SPACE, "n": _COUNT}] + [
     {"e": _finite_events(space), "p": _finite_partitions(space), "s": st.just(space), "n": _COUNT}
     for space in _SPACES
 ]
-_ANYTHING = st.one_of(*(role for model in _MODELS for role in model.values()), _FAKES, _PLAIN)
+_PARTITIONS = st.one_of(*(model["p"] for model in _MODELS))
+for model in _MODELS:  # its events, or the cells of one of its partitions with the last cell from any partition
+    model["c"] = st.lists(model["e"], min_size=1, max_size=3) | st.tuples(model["p"], _PARTITIONS).map(
+        lambda pair: [*pair[0].cells[:-1], pair[1].cells[-1]]
+    )
+_ANYTHING = st.one_of(*(role for model in _MODELS for role in model.values()), *_SHARED.values(), _FAKES, _PLAIN)
 
 
 @st.composite
-def _calls(draw):
+def _calls(draw, entry_points):
     """An entry point and its arguments: each the model's value of its role seven times in eight, else anything."""
-    entry, roles = draw(st.sampled_from(_ENTRY_POINTS))
-    model = draw(st.sampled_from(_MODELS))
+    entry, roles = draw(st.sampled_from(entry_points))
+    model = {**_SHARED, **draw(st.sampled_from(_MODELS))}
     rare = st.integers(0, 7).map(lambda k: k == 7)
     return entry, [draw(_ANYTHING if role == "?" or draw(rare) else model[role]) for role in roles]
+
+
+def _returns_or_raises_an_rccs_error(call) -> None:
+    entry, args = call
+    try:
+        entry(*args)
+    except RccsError:
+        pass
 
 
 class TestPublicApiFuzz:
     @seed(2004)
     @settings(max_examples=1000, deadline=None, database=None)
-    @given(call=_calls())
+    @given(call=_calls(_ENTRY_POINTS))
     def test_every_call_returns_or_raises_an_rccs_error(self, call):
-        entry, args = call
-        try:
-            entry(*args)
-        except RccsError:
-            pass
+        _returns_or_raises_an_rccs_error(call)
+
+    @seed(2006)
+    @settings(max_examples=250, deadline=None, database=None)
+    @given(call=_calls(_CONSTRUCTORS))
+    def test_every_constructor_call_returns_or_raises_an_rccs_error(self, call):
+        _returns_or_raises_an_rccs_error(call)
 
 
 _HALVES = Partition((iv("0", "1/2"), iv("1/2", "1")))

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import rccs.cli
 import rccs.engine
-import rccs.finite
 from rccs import FiniteSpace, InputError, InternalInvariantError, construction_steps
 from rccs.cli import main
 from rccs.serialize import interval_event_from_obj
@@ -283,22 +282,18 @@ class TestOutputs:
         assert run_cli(["search", payload])[0] == 1
         assert run_cli(["search", payload, "--max-points", "15"])[0] == 0
 
-    def test_search_over_cutoff_warns_on_one_line(self, monkeypatch):
+    def test_search_over_a_raised_cutoff_writes_nothing_to_stderr(self):
+        # one limit, and no warning tier above the default: a&b = {0, 1}, a&~b = {2}, ~a&b = {3}, 11 points in neither
         payload = json.dumps(
-            {"space": {"weights": ["1/4"] * 4}, "a": {"members": [0, 1]}, "b": {"members": [0, 1, 2]}, "n": 2}
+            {"space": {"weights": ["1/15"] * 15}, "a": {"members": [0, 1, 2]}, "b": {"members": [0, 1, 3]}, "n": 3}
         )
-        expected = run_cli(["search", payload, "--json"])
-        monkeypatch.setattr(rccs.finite, "DEFAULT_MAX_POINTS", 3)
-        code, out, err = run_cli(["search", payload, "--json"])
-        assert (code, out) == expected[:2]
-        assert json.loads(out)["count"] == 2
-        assert err == (
-            "warning: exhaustive search over 4 points tabulates all 2^4 subsets "
-            "and may take a very long time\n"
-        )
-        space = rccs.FiniteSpace(("1/4",) * 4)
-        with pytest.warns(UserWarning, match="exhaustive search over 4 points"):
-            rccs.search_rccs(space, space.event({0, 1}), space.event({0, 1, 2}), 2)
+        code, out, err = run_cli(["search", payload, "--json", "--max-points", "15"])
+        assert (code, err) == (0, "")
+        space = rccs.FiniteSpace(("1/15",) * 15)
+        hits = rccs.search_rccs(space, space.event([0, 1, 2]), space.event([0, 1, 3]), 3, max_points=15)
+        report = json.loads(out)
+        assert report["count"] == len(hits) == 22
+        assert report["partitions"] == [[{"members": list(c.members)} for c in p.cells] for p in hits]
 
     def test_search_human_output_lists_hits(self):
         payload = json.dumps(

@@ -173,6 +173,14 @@ class TestVerifySystem:
         assert report.cross_ok[0] == (0, 1, False)
         assert "cells (0, 1)" in report.failure
 
+    def test_cell_of_measure_zero_is_a_precondition_error(self):
+        # the shipped models are faithful; a space with a point of weight 0 has a null event that is not empty
+        space = FiniteSpace._trusted((Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+        a = space.event([0])
+        partition = Partition((space.event([0]), space.event([1]), space.event([2])))
+        with pytest.raises(PreconditionError, match=r"^cell 2 has measure zero; conditionals are undefined$"):
+            verify_rccs(a, a, partition)
+
     def test_size2_report_matches_common_cause_verdict(self):
         two_cell = Partition((CC_CAUSE, CC_CAUSE.complement()))
         assert verify_rccs(CC_A, CC_B, two_cell).verdict == verify_common_cause(
@@ -560,6 +568,18 @@ class TestSystemType:
             CommonCauseSystem(cells=cells, cond_a=(value, Fraction(0)), cond_b=(1, 0), cond_ab=(1, 0))
         with unlimited_int_digits():
             assert str(err.value) == f"cond_a[0] = {value} is outside [0, 1]"
+
+    def test_rejects_float_conditionals(self):
+        # in floats 0.1 * 0.2 == 0.020000000000000004 passes screening-off; the same values made exact fail it
+        cells = Partition((iv("0", "1/2"), iv("1/2", "1")))
+        rows = ((0.1, 0.0), (0.2, 0.0), (0.1 * 0.2, 0.0))
+        with pytest.raises(InputError) as err:
+            CommonCauseSystem(cells, *rows)
+        assert str(err.value) == "cond_a[0] = 0.1 is not exact; pass a Fraction or an int"
+        with pytest.raises(InputError, match=r"^screening-off fails on cell 0$"):
+            CommonCauseSystem(cells, *(tuple(map(Fraction, row)) for row in rows))
+        with pytest.raises(InputError, match=r"^cond_ab\[1\] = 0.0 is not exact; pass a Fraction or an int$"):
+            CommonCauseSystem(cells, (1, 0), (1, 0), (1, 0.0))
 
     def test_rejects_screening_violation(self):
         cells = Partition((iv("0", "1/2"), iv("1/2", "1")))

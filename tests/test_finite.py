@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -273,11 +274,15 @@ class TestSearch:
         with pytest.raises(InputError):
             search_rccs(space, a, b, 3)
 
-    def test_cutoff_override_warns(self):
+    def test_cutoff_override_searches_without_a_warning(self):
         space = uniform_space(15)
-        a, b = space.event([0]), space.event([0, 1])
-        with pytest.warns(UserWarning):
-            search_rccs(space, a, b, 15, max_points=15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sizes, n in (((1, 0, 1, 13), 15), ((2, 1, 1, 11), 3)):
+                k1, k2, k3, _ = sizes
+                a, b = space.event(range(k1 + k2)), space.event([*range(k1), *range(k1 + k2, k1 + k2 + k3)])
+                assert len(search_rccs(space, a, b, n, max_points=15)) == orbit_count(sizes, n)
+        assert orbit_count((2, 1, 1, 11), 3) == 22
 
     def test_interval_events_are_refused(self):
         a, b = iv("0", "1/2"), iv("0", "1/4")
@@ -312,9 +317,9 @@ class TestSearch:
         # so these answers show that neither refusal waits for the table
         space = uniform_space(64)
         a = space.event(range(32))
-        with pytest.warns(UserWarning), pytest.raises(PreconditionError, match=r"joint excess 0\)"):
+        with pytest.raises(PreconditionError, match=r"joint excess 0\)"):
             search_rccs(space, a, space.event([*range(16), *range(32, 48)]), 3, max_points=64)
-        with pytest.warns(UserWarning), pytest.raises(InputError, match="^cell count 65 out of range 1..64$"):
+        with pytest.raises(InputError, match="^cell count 65 out of range 1..64$"):
             search_rccs(space, a, space.event(range(16, 40)), 65, max_points=64)
 
     def test_correlation_refusal_against_the_lattice_oracle(self):
@@ -454,8 +459,7 @@ class TestOrbitOracle:
     def test_beyond_the_cutoff(self, sizes, n, want):
         assert orbit_count(sizes, n) == want
         if sum(sizes) > 14:
-            with pytest.warns(UserWarning):
-                assert self.search_count(sizes, n, seed=16, max_points=16) == want
+            assert self.search_count(sizes, n, seed=16, max_points=16) == want
         else:
             assert self.search_count(sizes, n, seed=16) == want
 

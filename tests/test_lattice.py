@@ -8,6 +8,7 @@ import pytest
 from rccs import (
     EMPTY,
     FULL,
+    FiniteSpace,
     InputError,
     InternalInvariantError,
     Partition,
@@ -204,6 +205,14 @@ class TestPartition:
     def test_rejects_a_cell_that_is_not_an_event(self):
         with pytest.raises(InputError, match=r"^partition cell 0 is not an event$"):
             Partition((1, 2))
+
+    def test_rejects_cells_of_two_models(self):
+        halves = FiniteSpace(("1/2", "1/2"))
+        for cells in ((iv("0", "1/2"), halves.event([1])), (halves.event([1]), iv("0", "1/2"))):
+            names = " and ".join(type(cell).__name__ for cell in cells)
+            with pytest.raises(InputError) as err:
+                Partition(cells)
+            assert str(err.value) == f"events of different models: {names}"
 
     def test_precondition_error_on_incompatible_claim(self):
         # logical_independence_equiv demands compatibility up front

@@ -134,7 +134,7 @@ MUTANTS = (
         "system-float", "engine.py",
         "                if not isinstance(value, Rational):", "                if isinstance(value, str):", _ENGINE,
     ),
-    # finite: the screening-off join, the cover, its cross test, the correlation test and the cutoff
+    # finite: the screening-off join, the edge cells, the cover, its cross test, the correlation test and the cutoff
     Mutant(
         "screening-remainder", "finite.py",
         "                    tail = () if r else by_x4.get(x4, ())", "                    tail = by_x4.get(x4, ())",
@@ -144,6 +144,20 @@ MUTANTS = (
         "screening-zero-class", "finite.py",
         "                    tail = () if x2 * x3 else sums4", "                    tail = () if x2 + x3 else sums4",
         _FINITE,
+    ),
+    Mutant(
+        "edge-top-mask", "finite.py",
+        "| (not s & neither) << 1", "| (not s & mask_ab) << 1", _FINITE,
+    ),
+    Mutant(
+        "edge-both-kept", "finite.py",
+        "        if k < 3:", "        if k <= 3:", _FINITE,
+        equivalent="a cell both bottom and top has P(a|C) and P(b|C) at opposite ends, so its cross product "
+        "with any other cell is at most 0 and crosses rejects it",
+    ),
+    Mutant(
+        "no-interior-guard", "finite.py",
+        "    if n >= 3 and not any(by_lowest[0]):", "    if not any(by_lowest[0]):", _FINITE,
     ),
     Mutant(
         "cover-prune", "finite.py",

@@ -136,6 +136,8 @@ class CommonCauseSystem(_Value):
                 failure = _outside_unit(f"{name}[{k}]", value)
                 if failure:
                     raise InputError(failure)
+                if isinstance(value, bool):  # a numbers.Rational, but never a probability here
+                    raise InputError(f"{name}[{k}] = {value!r}: booleans are not rational scalars")
                 if not isinstance(value, Rational):  # a float's rounding could pass an exact test it fails
                     raise InputError(f"{name}[{k}] = {value!r} is not exact; pass a Fraction or an int")
         screening, cross, _ = _conditions(tuple(zip((1,) * n, cond_a, cond_b, cond_ab)))

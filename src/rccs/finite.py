@@ -10,6 +10,10 @@ given number of cells can be enumerated, and ``search_rccs`` covers all
 of them, which turns nonexistence claims about small common cause
 systems into finite checks.  Its cells, the subsets that screen off, are
 listed by a join over the four atoms of the pair, not a scan of all 2^m.
+A system has at most one cell that misses a&b and one that misses
+~a&~b, so the cover spends each of these kinds once, and a search for
+three or more cells where no screening-off cell meets both atoms ends
+before it starts.
 """
 
 from __future__ import annotations
@@ -223,6 +227,23 @@ def search_rccs(
     comparisons, and every partition of the space into n cells is covered,
     so an empty result is a proof that no such system exists in the space.
 
+    The cover spends a budget of edge cells.  Call a screening-off cell C
+    *bottom* when P(a|C) = 0 or P(b|C) = 0, and *top* when P(a|C) = 1 or
+    P(b|C) = 1.  With x1..x4 its weights in a&b, a&~b, ~a&b and ~a&~b and
+    x1 * x4 == x2 * x3, C is bottom exactly when x1 = 0 (then x2 = 0 or
+    x3 = 0) and top exactly when x4 = 0.  The strict cross condition makes
+    every two cells of a system differ in the same direction in P(a|.)
+    and in P(b|.), so a bottom cell lies strictly below every other cell
+    (no other cell can be lower in the coordinate that is 0) and a top
+    cell strictly above.  Hence a system of two or more cells has at most
+    one bottom cell, at most one top cell and no cell that is both; the
+    last lie inside a&~b or ~a&b and are dropped.  A system of three or
+    more cells therefore has an interior cell, one that meets both a&b
+    and ~a&~b, and without one the answer is [] before any cover.  Every
+    logically dependent pair is such a case (an empty a&b or ~a&~b
+    leaves no cell meeting both, an empty a&~b or ~a&b forces x1 * x4 =
+    0), which is the no-go theorem for systems of size three or more.
+
     Hits come in the order of :func:`enumerate_partitions` (restricted
     growth order of the cell labels), cells ordered by smallest member.
 
@@ -256,9 +277,16 @@ def search_rccs(
     _require_cell_count(n, m)
 
     cell = _screening_cells(point_weight, mask_a, mask_b, m)
-    by_lowest: list[list[int]] = [[] for _ in range(m)]
+    neither = ((1 << m) - 1) & ~(mask_a | mask_b)
+    kind: dict[int, int] = {}  # the edges a cell spends: 0 interior, 1 bottom (misses a&b), 2 top (misses ~a&~b)
+    by_lowest: list[list[list[int]]] = [[[] for _ in range(m)] for _ in range(4)]
     for s in sorted(cell):
-        by_lowest[(s & -s).bit_length() - 1].append(s)
+        k = (not s & mask_ab) | (not s & neither) << 1
+        if k < 3:  # kind 3, both, lies inside a&~b or ~a&b and crosses no other cell: row 3 stays empty
+            kind[s] = k
+            by_lowest[k][(s & -s).bit_length() - 1].append(s)
+    if n >= 3 and not any(by_lowest[0]):  # at most one bottom and one top cell: no room for a third
+        return []
 
     def crosses(s: int, chosen: list[int]) -> bool:
         w, wa, wb = cell[s]
@@ -270,20 +298,23 @@ def search_rccs(
 
     found: list[list[int]] = []
 
-    def cover(rest: int, chosen: list[int]) -> None:
+    def cover(rest: int, chosen: list[int], free: int) -> None:  # free: the edges not yet spent
         need = n - len(chosen)  # at least 2: the last two cells are decided together
-        for s in by_lowest[(rest & -rest).bit_length() - 1]:
-            if s & rest != s:
-                continue
-            r = rest ^ s
-            if need == 2:  # the rest is the last cell
-                if r in cell and crosses(s, chosen) and crosses(r, chosen + [s]):
-                    found.append(chosen + [s, r])
-            elif r.bit_count() >= need - 1 and crosses(s, chosen):
-                cover(r, chosen + [s])
+        low = (rest & -rest).bit_length() - 1
+        for k in ((0,), (0, 1), (0, 2), (0, 1, 2, 3))[free]:  # the kinds whose edges are free
+            left = free & ~k
+            for s in by_lowest[k][low]:
+                if s & rest != s:
+                    continue
+                r = rest ^ s
+                if need == 2:  # the rest is the last cell
+                    if r in kind and kind[r] & left == kind[r] and crosses(s, chosen) and crosses(r, chosen + [s]):
+                        found.append(chosen + [s, r])
+                elif r.bit_count() >= need - 1 and crosses(s, chosen):
+                    cover(r, chosen + [s], left)
 
     if n > 1:  # one cell, the whole space, never screens off a correlated pair
-        cover((1 << m) - 1, [])
+        cover((1 << m) - 1, [], 3)
 
     def labels(cells: list[int]) -> list[int]:  # the cell of each point, in point order
         return [k for i in range(m) for k, s in enumerate(cells) if s >> i & 1]

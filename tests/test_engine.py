@@ -581,6 +581,16 @@ class TestSystemType:
         with pytest.raises(InputError, match=r"^cond_ab\[1\] = 0.0 is not exact; pass a Fraction or an int$"):
             CommonCauseSystem(cells, (1, 0), (1, 0), (1, 0.0))
 
+    def test_rejects_bool_conditionals(self):
+        # bool is a numbers.Rational, so the exactness check alone would build a system of True and False
+        cells = Partition((iv("0", "1/2"), iv("1/2", "1")))
+        with pytest.raises(InputError) as err:
+            CommonCauseSystem(cells, (True, False), (True, False), (True, False))
+        assert str(err.value) == "cond_a[0] = True: booleans are not rational scalars"
+        with pytest.raises(InputError, match=r"^cond_ab\[1\] = False: booleans are not rational scalars$"):
+            CommonCauseSystem(cells, (1, 0), (1, 0), (1, False))
+        assert CommonCauseSystem(cells, (1, 0), (1, 0), (1, 0)).cond_ab == (1, 0)
+
     def test_rejects_screening_violation(self):
         cells = Partition((iv("0", "1/2"), iv("1/2", "1")))
         with pytest.raises(InputError):

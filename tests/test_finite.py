@@ -284,6 +284,12 @@ class TestSearch:
                 assert len(search_rccs(space, a, b, n, max_points=15)) == orbit_count(sizes, n)
         assert orbit_count((2, 1, 1, 11), 3) == 22
 
+    def test_contained_pair_at_fifteen_points_is_empty(self):
+        # a inside b leaves no cell meeting both a&b and ~a&~b, so no cover is needed to prove it
+        space = uniform_space(15)
+        a, b = space.event([0]), space.event([0, 1])
+        assert search_rccs(space, a, b, 4, max_points=15) == []
+
     def test_interval_events_are_refused(self):
         a, b = iv("0", "1/2"), iv("0", "1/4")
         for space_a, space_b in ((a, b), (uniform_space(4).event([0]), b)):
@@ -422,6 +428,51 @@ class TestScreeningCells:
                 if a_b and rest and mask_a != mask_b and 2 * zero > len(got):
                     zero_heavy += 1
         assert zero_heavy >= 300  # pairs whose zero-product class is most of the answer
+
+
+class TestEdgeCells:
+    """A system has at most one cell missing a&b, at most one missing ~a&~b, and none missing both.
+
+    Checked on the partitions that ``verify_rccs`` accepts, independently of ``search_rccs``.
+    """
+
+    def test_accepted_partitions_have_one_edge_cell_of_each_kind_at_most(self):
+        rng = random.Random(2317)
+        accepted, edges = 0, {"bottom": 0, "top": 0}
+        for case in range(100):
+            m = rng.randint(3, 7)
+            space = uniform_space(m) if case % 2 else random_space(rng, m)
+            a, b = random_subset(rng, space), random_subset(rng, space)
+            if correlation(a, b) <= 0:
+                continue
+            both, neither = a & b, ~a & ~b
+            for n in range(2, min(4, m) + 1):
+                for p in enumerate_partitions(space, n):
+                    if not verify_rccs(a, b, p).verdict:
+                        continue
+                    bottom = [c.meet(both).is_zero for c in p.cells]
+                    top = [c.meet(neither).is_zero for c in p.cells]
+                    assert sum(bottom) <= 1 and sum(top) <= 1, (space.weights, a, b, p)
+                    assert not any(x and y for x, y in zip(bottom, top)), (space.weights, a, b, p)
+                    accepted += 1
+                    edges["bottom"] += any(bottom)
+                    edges["top"] += any(top)
+        assert (accepted, edges) == (127, {"bottom": 123, "top": 114})
+
+    def test_dependent_pair_has_no_interior_screening_cell(self):
+        rng = random.Random(1923)
+        edge_cells = 0
+        for case in range(200):
+            m = rng.randint(2, 9)
+            weights = [rng.randint(1, 9) for _ in range(m)]
+            a, b = rng.getrandbits(m), rng.getrandbits(m)
+            full = (1 << m) - 1
+            a, b = ((a & ~b, b), (a & b, b), (a, a & b), (a | ~b & full, b))[case % 4]  # one atom emptied
+            both, neither = a & b, full & ~(a | b)
+            cells = screening_cells_oracle(weights, a, b, m)
+            assert not [s for s in cells if s & both and s & neither], (weights, a, b)
+            edge_cells += sum(bool(s & (both | neither)) for s in cells)
+        assert edge_cells == 7246  # screening cells meeting a&b or ~a&~b, each checked above
 
 
 class TestOrbitOracle:

@@ -57,7 +57,7 @@ _FINITE = ("test_finite", "test_cross_model")
 _SERIALIZE = ("test_serialize", "test_cli")
 
 MUTANTS = (
-    # events: the sweeps, the measure and the canonical-form check
+    # events: the sweeps, the measure, the canonical-form check and the trusted constructor
     Mutant(
         "meet-tie-end", "events.py",
         "            if a_hn * b_hd <= b_hn * a_hd:", "            if a_hn * b_hd < b_hn * a_hd:", _EVENTS,
@@ -83,6 +83,10 @@ MUTANTS = (
         "            by_den[lo_d] = by_den.get(lo_d, 0) + lo_n", _EVENTS,
     ),
     Mutant("checked-lower-bound", "events.py", "        nums[0] >= 0", "        nums[0] > 0", _EVENTS),
+    Mutant(
+        "trusted-shifted-fields", "events.py",
+        "zip(cls.__slots__, fields)", "zip(cls.__slots__[1:], fields)", ("test_events", "test_finite"),
+    ),
     Mutant(
         "checked-rising", "events.py",
         "all(map(lt, map(mul, nums, dens[1:]), map(mul, nums[1:], dens)))",
@@ -134,7 +138,8 @@ MUTANTS = (
         "system-float", "engine.py",
         "                if not isinstance(value, Rational):", "                if isinstance(value, str):", _ENGINE,
     ),
-    # finite: the screening-off join, the edge cells, the cover, its cross test, the correlation test and the cutoff
+    # finite: the screening-off join, the edge cells, the cover, its cross test, the hit order, the correlation test
+    # and the cutoff
     Mutant(
         "screening-remainder", "finite.py",
         "                    tail = () if r else by_x4.get(x4, ())", "                    tail = by_x4.get(x4, ())",
@@ -177,6 +182,9 @@ MUTANTS = (
         "crosses-strict", "finite.py",
         "            if (wa * v - va * w) * (wb * v - vb * w) <= 0:",
         "            if (wa * v - va * w) * (wb * v - vb * w) < 0:", _FINITE,
+    ),
+    Mutant(
+        "label-skip-cell-one", "finite.py", "        for k in range(1, n):", "        for k in range(2, n):", _FINITE,
     ),
     Mutant("correlation-strict", "finite.py", "    if scaled_excess <= 0:", "    if scaled_excess < 0:", _FINITE),
     Mutant("cutoff", "finite.py", "    if m > max_points:", "    if m >= max_points:", ("test_finite", "test_cli")),

@@ -204,7 +204,8 @@ class _Value:
     @classmethod
     def _trusted(cls, *fields):
         value = object.__new__(cls)
-        _Value.__init__(value, *fields)
+        for name, field in zip(cls.__slots__, fields):
+            object.__setattr__(value, name, field)
         return value
 
     def _fields(self) -> tuple:

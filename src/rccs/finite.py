@@ -280,7 +280,7 @@ def search_rccs(
     neither = ((1 << m) - 1) & ~(mask_a | mask_b)
     kind: dict[int, int] = {}  # the edges a cell spends: 0 interior, 1 bottom (misses a&b), 2 top (misses ~a&~b)
     by_lowest: list[list[list[int]]] = [[[] for _ in range(m)] for _ in range(4)]
-    for s in sorted(cell):
+    for s in cell:  # any order: the hits are sorted in full at the end
         k = (not s & mask_ab) | (not s & neither) << 1
         if k < 3:  # kind 3, both, lies inside a&~b or ~a&b and crosses no other cell: row 3 stays empty
             kind[s] = k
@@ -317,7 +317,13 @@ def search_rccs(
         cover((1 << m) - 1, [], 3)
 
     def labels(cells: list[int]) -> list[int]:  # the cell of each point, in point order
-        return [k for i in range(m) for k, s in enumerate(cells) if s >> i & 1]
+        lab = [0] * m  # cell 0 holds the points no other cell claims
+        for k in range(1, n):
+            s = cells[k]
+            while s:
+                lab[(s & -s).bit_length() - 1] = k
+                s &= s - 1
+        return lab
 
-    found.sort(key=labels)
+    found.sort(key=labels)  # total: no two hits share a label vector
     return [Partition._trusted(tuple(FiniteEvent._trusted(space, s) for s in cells)) for cells in found]

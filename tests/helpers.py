@@ -317,6 +317,12 @@ def brute_force_search(space: FiniteSpace, a, b, n: int) -> list:
     return [p for p in enumerate_partitions(space, n) if oracle_score(a, b, p.cells).accepted]
 
 
+def label_vector(partition) -> list[int]:
+    """The index of the cell holding each point, in point order, by scanning every cell for every point."""
+    m = len(partition.cells[0].space)
+    return [k for i in range(m) for k, cell in enumerate(partition.cells) if cell.mask >> i & 1]
+
+
 def screening_cells_oracle(point_weight: list[int], mask_a: int, mask_b: int, m: int) -> dict:
     """Every nonempty subset s with ``w * w_ab == w_a * w_b``, mapped to ``(w, w_a, w_b)``.
 

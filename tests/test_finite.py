@@ -29,6 +29,7 @@ from rccs.finite import _screening_cells
 from .helpers import (
     brute_force_search,
     iv,
+    label_vector,
     orbit_count,
     random_space,
     random_subset,
@@ -513,6 +514,32 @@ class TestOrbitOracle:
             assert self.search_count(sizes, n, seed=16, max_points=16) == want
         else:
             assert self.search_count(sizes, n, seed=16) == want
+
+
+class TestHitOrder:
+    """Hits come in restricted growth order of their label vectors, also beyond brute-force reach."""
+
+    @staticmethod
+    def assert_label_order(hits, n):
+        vectors = [label_vector(p) for p in hits]
+        assert all(len(p.cells) == n for p in hits)
+        assert all(v < w for v, w in zip(vectors, vectors[1:]))
+        assert all(list(dict.fromkeys(v)) == list(range(n)) for v in vectors)  # cells by smallest member
+
+    def test_label_vectors_strictly_increase(self):
+        # S(14, 3) = 788970 partitions: too many to score in the suite
+        space = uniform_space(14)
+        a, b = space.event(range(7)), space.event([0, 1, 2, 3, 7, 8])  # sizes (4, 3, 2, 5)
+        hits = search_rccs(space, a, b, 3)
+        assert len(hits) == orbit_count((4, 3, 2, 5), 3) == 1990
+        self.assert_label_order(hits, 3)
+
+        rng = random.Random(35)
+        space = random_space(rng, rng.randint(12, 14))
+        a, b = random_subset(rng, space), random_subset(rng, space)
+        hits = search_rccs(space, a, b, 3)
+        assert (len(space), len(hits)) == (14, 643)
+        self.assert_label_order(hits, 3)
 
 
 def scrambled(rng, points: set) -> list:

@@ -1,4 +1,4 @@
-"""The value classes: their reprs, immutability, and copies that go through the checking constructor."""
+"""The value classes: their reprs, immutability, copies that go through the checking constructor, and ``_trusted``."""
 
 import copy
 import pickle
@@ -142,3 +142,35 @@ class TestCopies:
         cells = system.cells.cells
         object.__setattr__(system.cells, "cells", (cells[0], cells[0]) + cells[2:])
         self._refused_like(system, lambda: Partition((cells[0], cells[0]) + cells[2:]), _rebuilds()[1:])
+
+
+def _trusted_cases():
+    """Per value class: a checked construction, and the fields ``_trusted`` takes for the same value."""
+    space, half, quarter = _space(), Fraction(1, 2), Fraction(1, 4)
+    cells = (space.event([1]), space.event([0, 2]))
+    system = construction_steps(WORKED_A, WORKED_B).system
+    conds = (system.cond_a, system.cond_b, system.cond_ab)
+    return {
+        "FiniteSpace": (_space, ((half, quarter, quarter),)),
+        "FiniteEvent": (lambda: space.event([2, 0, 2]), (space, 0b101)),
+        "IntervalEvent": (lambda: iv("1/10", "2/4", "9/10", "1"), ((1, 10, 1, 2, 9, 10, 1, 1),)),
+        "Partition": (lambda: Partition(list(cells)), (cells,)),
+        "CommonCauseSystem": (lambda: CommonCauseSystem(system.cells, *conds), (system.cells, *conds)),
+    }
+
+
+class TestTrusted:
+    @pytest.mark.parametrize("name", list(_trusted_cases()))
+    def test_trusted_value_equals_the_checked_one(self, name):
+        build, fields = _trusted_cases()[name]
+        checked = build()
+        trusted = type(checked)._trusted(*fields)
+        assert type(checked).__name__ == name and type(trusted) is type(checked)
+        assert tuple(getattr(trusted, field) for field in trusted.__slots__) == fields
+        assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
+        for rebuild in _rebuilds():
+            clone = rebuild(trusted)
+            assert type(clone) is type(checked) and clone == checked and hash(clone) == hash(checked)
+        for field in trusted.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(trusted, field, None)

@@ -150,16 +150,10 @@ MUTANTS = (
         "                    tail = () if x2 * x3 else sums4", "                    tail = () if x2 + x3 else sums4",
         _FINITE,
     ),
-    Mutant(
-        "edge-top-mask", "finite.py",
-        "| (not s & neither) << 1", "| (not s & mask_ab) << 1", _FINITE,
-    ),
-    Mutant(
-        "edge-both-kept", "finite.py",
-        "        if k < 3:", "        if k <= 3:", _FINITE,
-        equivalent="a cell both bottom and top has P(a|C) and P(b|C) at opposite ends, so its cross product "
-        "with any other cell is at most 0 and crosses rejects it",
-    ),
+    Mutant("edge-top-mask", "finite.py", "| (k == 3) << 1)]", "| (k == 0) << 1)]", _FINITE),
+    Mutant("edge-top-flag-last-joined", "finite.py", "(k == 3) << 1)]", "(k == big) << 1)]", _FINITE),
+    Mutant("edge-bottom-flag-dropped", "finite.py", "0, (k == 0) | (k == 3) << 1)]", "0, (k == 3) << 1)]", _FINITE),
+    Mutant("edge-both-kept", "finite.py", "if (kind := f | g) < 3:", "if (kind := f | g) <= 3:", _FINITE),
     Mutant(
         "no-interior-guard", "finite.py",
         "    if n >= 3 and not any(by_lowest[0]):", "    if not any(by_lowest[0]):", _FINITE,

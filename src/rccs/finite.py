@@ -9,11 +9,10 @@ This is the exhaustive instrument of the package: every partition into a
 given number of cells can be enumerated, and ``search_rccs`` covers all
 of them, which turns nonexistence claims about small common cause
 systems into finite checks.  Its cells, the subsets that screen off, are
-listed by a join over the four atoms of the pair, not a scan of all 2^m.
-A system has at most one cell that misses a&b and one that misses
-~a&~b, so the cover spends each of these kinds once, and a search for
-three or more cells where no screening-off cell meets both atoms ends
-before it starts.
+listed and filed by kind in one join over the four atoms of the pair, not
+a scan of all 2^m.  A system has at most one cell missing a&b and one
+missing ~a&~b, so the cover spends each kind once; for three or more
+cells, no screening-off cell meeting both atoms means no system.
 """
 
 from __future__ import annotations
@@ -173,38 +172,47 @@ def enumerate_partitions(space: FiniteSpace, n: int) -> Iterator[Partition]:
     return walk(0, 0)
 
 
-def _screening_cells(point_weight: list[int], mask_a: int, mask_b: int, m: int) -> dict[int, tuple[int, int, int]]:
-    """Every nonempty subset that screens off (a, b), mapped to its scaled (w, w_a, w_b).
+def _screening_cells(point_weight: list[int], mask_a: int, mask_b: int, m: int) -> tuple[dict, list]:
+    """The subsets that screen off (a, b), filed by kind and lowest point as the join finds them.
 
-    A subset screens off when its weights in opposite atoms have equal
-    products, x1 * x4 == x2 * x3.  With x4 in the largest atom (k points),
-    x4 = x2 * x3 / x1 is looked up for each of the 2^(m - k) triples of
-    subsets of the other three; at x1 = 0 every x4 fits or none.
+    Returns ``cells``, mask -> scaled ``(w, w_a, w_b, kind)``, and
+    ``by_lowest[kind][i]``, the masks of that kind with lowest point i.  A
+    subset screens off when x1 * x4 == x2 * x3 for its weights in the
+    atoms; with x4 in the largest atom (k points), x4 = x2 * x3 / x1 is
+    looked up for each of the 2^(m - k) triples of subsets of the other
+    three, and at x1 = 0 every x4 fits or none.  Kinds 0 interior, 1 bottom
+    (misses a&b) and 2 top (misses ~a&~b) are the OR of flags on the empty
+    subsets of a&b (1) and ~a&~b (2); kind 3, the empty set too, is dropped.
     """
     atoms = [mask_a & mask_b, mask_a & ~mask_b, mask_b & ~mask_a, ((1 << m) - 1) & ~(mask_a | mask_b)]
     big = max(range(4), key=lambda k: atoms[k].bit_count())
     listed = []
     for k in (big ^ 3, big ^ 2, big ^ 1, big):  # atom k lies in a when k < 2, in b when k is even
-        sums = [(0, 0, 0, 0)]  # (subset, w, w_a, w_b), by doubling
+        sums = [(0, 0, 0, 0, (k == 0) | (k == 3) << 1)]  # (subset, w, w_a, w_b, kind flags), by doubling
         for i, x in enumerate(point_weight):
             if atoms[k] >> i & 1:
-                sums += [(s | 1 << i, w + x, wa + x * (k < 2), wb + x * (k % 2 == 0)) for s, w, wa, wb in sums]
+                sums += [(s | 1 << i, w + x, wa + x * (k < 2), wb + x * (k % 2 == 0), 0) for s, w, wa, wb, _ in sums]
         listed.append(sums)
-    (sums1, sums2, sums3, sums4), by_x4, cells = listed, {}, {}
+    (sums1, sums2, sums3, sums4), by_x4, cells, by_lowest = listed, {}, {}, [[[] for _ in range(m)] for _ in range(4)]
     for t in sums4:
         by_x4.setdefault(t[1], []).append(t)
-    for s1, x1, a1, b1 in sums1:
-        for s2, x2, a2, b2 in sums2:
-            for s3, x3, a3, b3 in sums3:
+    for s1, x1, a1, b1, f1 in sums1:
+        for s2, x2, a2, b2, f2 in sums2:
+            for s3, x3, a3, b3, f3 in sums3:
                 if x1:
                     x4, r = divmod(x2 * x3, x1)
                     tail = () if r else by_x4.get(x4, ())
                 else:  # the zero-product class
                     tail = () if x2 * x3 else sums4
-                s, w, wa, wb = s1 | s2 | s3, x1 + x2 + x3, a1 + a2 + a3, b1 + b2 + b3
-                cells.update({s | t: (w + x, wa + xa, wb + xb) for t, x, xa, xb in tail})
-    del cells[0]
-    return cells
+                if not tail:
+                    continue
+                s, w, wa, wb, f = s1 | s2 | s3, x1 + x2 + x3, a1 + a2 + a3, b1 + b2 + b3, f1 | f2 | f3
+                for t, x, xa, xb, g in tail:
+                    if (kind := f | g) < 3:  # a cell both bottom and top lies inside a&~b or ~a&b: never kept
+                        u = s | t
+                        cells[u] = (w + x, wa + xa, wb + xb, kind)
+                        by_lowest[kind][(u & -u).bit_length() - 1].append(u)
+    return cells, by_lowest
 
 
 def search_rccs(
@@ -218,14 +226,14 @@ def search_rccs(
     """Exhaustively find every size-n common cause system for a correlated pair.
 
     Solves an exact-cover problem over the screening-off subsets of the
-    points, with the weights scaled to integers.  Those subsets are listed
-    by a join over the atoms of the pair (see :func:`_screening_cells`),
-    not by a scan of all 2^m subsets.  Partitions are then built cell by
-    cell, always covering the lowest unassigned point next, and a cell is
-    kept only if it meets the strict same-sign cross-difference condition
-    against every cell already chosen.  All decisions are exact integer
-    comparisons, and every partition of the space into n cells is covered,
-    so an empty result is a proof that no such system exists in the space.
+    points, with the weights scaled to integers, listed and filed by kind
+    in one join over the atoms of the pair (:func:`_screening_cells`).
+    Partitions are built cell by cell, always covering the lowest
+    unassigned point next, and a cell is kept only if it meets the strict
+    same-sign cross-difference condition against every cell already
+    chosen.  All decisions are exact integer comparisons, and every
+    partition of the space into n cells is covered, so an empty result is
+    a proof that no such system exists in the space.
 
     The cover spends a budget of edge cells.  Call a screening-off cell C
     *bottom* when P(a|C) = 0 or P(b|C) = 0, and *top* when P(a|C) = 1 or
@@ -247,20 +255,20 @@ def search_rccs(
     Hits come in the order of :func:`enumerate_partitions` (restricted
     growth order of the cell labels), cells ordered by smallest member.
 
-    The pair must be correlated (positive joint excess), which is decided
-    in the same integers before any cell is listed: ``scale * w_ab - w_a *
-    w_b`` is scale^2 times the joint excess.  Spaces larger than
+    The pair must be correlated (positive joint excess), decided in the
+    same integers before any cell is listed.  Spaces larger than
     ``max_points`` are refused: the screening-off subsets, and the cover's
     work with them, can still number about 2^m.
     """
     if not all(isinstance(e, FiniteEvent) and e.space == space for e in (a, b)):
         raise InputError("events do not belong to the given space")
     m = len(space)
+    if isinstance(max_points, bool) or not isinstance(max_points, int):
+        raise InputError(f"max_points must be an integer, got {echo(max_points)}")
+    if max_points < 1:
+        raise InputError(f"max_points must be at least 1, got {max_points}")
     if m > max_points:
-        raise InputError(
-            f"space has {m} points, above the cutoff {max_points}; "
-            "raise max_points to force the search"
-        )
+        raise InputError(f"space has {m} points, above the cutoff {max_points}; raise max_points to force the search")
 
     scale = lcm(*(w.denominator for w in space.weights))
     point_weight = [w.numerator * (scale // w.denominator) for w in space.weights]
@@ -276,22 +284,14 @@ def search_rccs(
         )
     _require_cell_count(n, m)
 
-    cell = _screening_cells(point_weight, mask_a, mask_b, m)
-    neither = ((1 << m) - 1) & ~(mask_a | mask_b)
-    kind: dict[int, int] = {}  # the edges a cell spends: 0 interior, 1 bottom (misses a&b), 2 top (misses ~a&~b)
-    by_lowest: list[list[list[int]]] = [[[] for _ in range(m)] for _ in range(4)]
-    for s in cell:  # any order: the hits are sorted in full at the end
-        k = (not s & mask_ab) | (not s & neither) << 1
-        if k < 3:  # kind 3, both, lies inside a&~b or ~a&b and crosses no other cell: row 3 stays empty
-            kind[s] = k
-            by_lowest[k][(s & -s).bit_length() - 1].append(s)
+    cell, by_lowest = _screening_cells(point_weight, mask_a, mask_b, m)
     if n >= 3 and not any(by_lowest[0]):  # at most one bottom and one top cell: no room for a third
         return []
 
     def crosses(s: int, chosen: list[int]) -> bool:
-        w, wa, wb = cell[s]
+        w, wa, wb, _ = cell[s]
         for t in chosen:
-            v, va, vb = cell[t]
+            v, va, vb, _ = cell[t]
             if (wa * v - va * w) * (wb * v - vb * w) <= 0:
                 return False
         return True
@@ -308,7 +308,7 @@ def search_rccs(
                     continue
                 r = rest ^ s
                 if need == 2:  # the rest is the last cell
-                    if r in kind and kind[r] & left == kind[r] and crosses(s, chosen) and crosses(r, chosen + [s]):
+                    if r in cell and not cell[r][3] & ~left and crosses(s, chosen) and crosses(r, chosen + [s]):
                         found.append(chosen + [s, r])
                 elif r.bit_count() >= need - 1 and crosses(s, chosen):
                     cover(r, chosen + [s], left)

@@ -53,8 +53,13 @@ def _aligned_system(partition, *rows) -> CommonCauseSystem:
     return CommonCauseSystem(partition, *(row[:n] if isinstance(row, tuple) else row for row in rows))
 
 
+def _search_with_cutoff(space, a, b, n, max_points):
+    """``search_rccs`` with its keyword-only cutoff as a fifth positional argument."""
+    return search_rccs(space, a, b, n, max_points=max_points)
+
+
 # each entry point with the roles of its positional arguments: an event, a partition, a space, a cell count,
-# a list of cells, of intervals, of weights or of members, a scalar, or a row of scalars;
+# a search cutoff, a list of cells, of intervals, of weights or of members, a scalar, or a row of scalars;
 # construction_steps and construct_size3 take their lambda from anything, if at all
 _ENTRY_POINTS = [
     (compatible, "ee"),
@@ -70,6 +75,7 @@ _ENTRY_POINTS = [
     (construct_size3, "ee"),
     (construct_size3, "ee?"),
     (search_rccs, "seen"),
+    (_search_with_cutoff, "seenk"),
     (finite_measure, "se"),
 ]
 # the constructors and the scalar entry, given lists and scalars
@@ -134,6 +140,7 @@ _SHARED = {
     "w": st.sampled_from([space.weights for space in _SPACES]) | st.lists(_SCALARS, max_size=4),
     "m": st.lists(st.integers(-1, 4), max_size=4),
     "x": _SCALARS,
+    "k": st.one_of(st.integers(-2, 5), st.booleans(), st.none(), st.floats(), st.text(max_size=2)),
     "q": st.lists(_SCALARS, min_size=2, max_size=4).map(tuple),
 }
 # per model, the value of each role that it shapes

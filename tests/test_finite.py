@@ -275,6 +275,32 @@ class TestSearch:
         with pytest.raises(InputError):
             search_rccs(space, a, b, 3)
 
+    @pytest.mark.parametrize(
+        "limit, message",
+        [
+            ("x", "max_points must be an integer, got 'x'"),
+            (None, "max_points must be an integer, got None"),
+            (True, "max_points must be an integer, got True"),
+            (2.5, "max_points must be an integer, got 2.5"),
+            (0, "max_points must be at least 1, got 0"),
+            (-1, "max_points must be at least 1, got -1"),
+        ],
+        ids=["text", "none", "bool", "float", "zero", "negative"],
+    )
+    def test_bad_cutoff_is_refused_as_the_cli_refuses_it(self, limit, message):
+        # a bool, a float or a number below 1 is not a cutoff, though comparing m with it would not fail
+        space = uniform_space(4)
+        with pytest.raises(InputError) as err:
+            search_rccs(space, space.event([0, 1]), space.event([0, 1, 2]), 2, max_points=limit)
+        assert str(err.value) == message
+
+    def test_bad_cutoff_is_refused_after_the_events_and_before_the_correlation(self):
+        space = uniform_space(4)
+        with pytest.raises(InputError, match="^events do not belong to the given space$"):
+            search_rccs(space, iv("0", "1/2"), space.event([0]), 2, max_points=None)
+        with pytest.raises(InputError, match="^max_points must be at least 1, got 0$"):
+            search_rccs(space, space.event([0, 1]), space.event([0, 2]), 9, max_points=0)  # uncorrelated, bad count
+
     def test_cutoff_override_searches_without_a_warning(self):
         space = uniform_space(15)
         with warnings.catch_warnings():
@@ -393,7 +419,7 @@ class TestSearch:
 
 
 class TestScreeningCells:
-    """The atom join lists exactly the cells that a scan of all 2^m subsets finds."""
+    """The atom join lists exactly the cells that a scan of all 2^m subsets finds, each filed once by kind."""
 
     @staticmethod
     def pairs(rng: random.Random, m: int):
@@ -413,22 +439,34 @@ class TestScreeningCells:
 
     def test_matches_the_subset_scan(self):
         rng = random.Random(1974)
-        zero_heavy = 0
+        zero_heavy, largest = 0, set()
         for case in range(192):
             m = case % 12 + 1
             weights = [1] * m if case % 3 == 0 else [rng.randint(1, 9) for _ in range(m)]
             for kind, (mask_a, mask_b) in self.pairs(rng, m).items():
                 want = screening_cells_oracle(weights, mask_a, mask_b, m)
-                got = _screening_cells(weights, mask_a, mask_b, m)
-                assert got == want, (kind, weights, mask_a, mask_b)  # key for key and value for value
                 a_b, rest = mask_a & mask_b, ((1 << m) - 1) & ~(mask_a | mask_b)
+                edge = {s: (not s & a_b) | (not s & rest) << 1 for s in want}  # 1 misses a&b, 2 misses ~a&~b
+                cells, by_lowest = _screening_cells(weights, mask_a, mask_b, m)
+                case_id = (kind, weights, mask_a, mask_b)
+                # key for key and weight for weight, without the cells that are both bottom and top
+                assert {s: v[:3] for s, v in cells.items()} == {s: v for s, v in want.items() if edge[s] < 3}, case_id
+                assert all(v[3] == edge[s] for s, v in cells.items()), case_id
+                filed = [(k, i, s) for k, row in enumerate(by_lowest) for i, lows in enumerate(row) for s in lows]
+                assert sorted(filed) == sorted((v[3], (s & -s).bit_length() - 1, s) for s, v in cells.items()), case_id
+                assert len(by_lowest) == 4 and all(len(row) == m for row in by_lowest) and not any(by_lowest[3])
+                # the join puts the largest atom (the first of the largest) last; its flags must follow the atom
+                sizes = [x.bit_count() for x in (a_b, mask_a & ~mask_b, mask_b & ~mask_a, rest)]
+                largest.add((sizes.index(max(sizes)), sizes.count(max(sizes)) > 1))
                 zero = sum(
                     (not s & a_b or not s & rest) and (not s & mask_a & ~mask_b or not s & mask_b & ~mask_a)
-                    for s in got
+                    for s in want
                 )
-                if a_b and rest and mask_a != mask_b and 2 * zero > len(got):
+                if a_b and rest and mask_a != mask_b and 2 * zero > len(want):
                     zero_heavy += 1
         assert zero_heavy >= 300  # pairs whose zero-product class is most of the answer
+        assert {big for big, _ in largest} == {0, 1, 2, 3}
+        assert {big for big, tie in largest if tie} == {0, 1, 2}  # a tie goes to the first: never to ~a&~b
 
 
 class TestEdgeCells:

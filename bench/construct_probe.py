@@ -10,12 +10,16 @@ Two kinds of pair, each correlated and logically independent:
 Each row is the median (and the fastest) of ``--repeats`` timed calls on
 one pair.  The ``verify_*`` columns time ``verify_rccs`` alone on the
 partition that construction built, which shows how a construction splits
-between building the cells and the one verification it includes.  Every
-timed call is cold: where the engine memoizes the split of a pair
-(``rccs.engine._pair``), that memo is cleared before each call, so the
-probe times the same work on checkouts with and without it.  The
-inputs depend only on the kind, the size and ``--seed``, so two
-checkouts can be compared on identical pairs:
+between building the cells and the one verification it includes.  Those
+timed calls and the construction's are cold: where the engine memoizes
+the split of a pair (``rccs.engine._pair``), that memo is cleared before
+each call, and clearing it also drops the engine's memo of the last
+verified cells, so the probe times the same work on checkouts with and
+without them.  The ``verify_warm_*`` columns time the same verification
+right after an untimed construction on the pair, as a round trip
+verifies it, so they show what the memos save.  The inputs depend only
+on the kind, the size and ``--seed``, so two checkouts can be compared
+on identical pairs:
 
     python3 bench/construct_probe.py --src src > after.json
     python3 bench/construct_probe.py --src ../parent/src > before.json
@@ -80,10 +84,10 @@ def main() -> None:
 
     clear_pair_memo = getattr(getattr(rccs.engine, "_pair", None), "cache_clear", lambda: None)
 
-    def timed(call) -> list[float]:
+    def timed(call, before=clear_pair_memo) -> list[float]:
         times = []
         for _ in range(args.repeats):
-            clear_pair_memo()
+            before()
             start = time.perf_counter()
             call()
             times.append(time.perf_counter() - start)
@@ -96,6 +100,9 @@ def main() -> None:
             times = timed(lambda: construction_steps(a, b))
             cells = construction_steps(a, b).system.cells
             verify_times = timed(lambda: verify_rccs(a, b, cells))
+            warm_times = timed(
+                lambda: verify_rccs(a, b, cells), before=lambda: (clear_pair_memo(), construction_steps(a, b))
+            )
             rows.append(
                 {
                     "kind": kind,
@@ -104,6 +111,8 @@ def main() -> None:
                     "min_ms": min(times) * 1e3,
                     "verify_median_ms": statistics.median(verify_times) * 1e3,
                     "verify_min_ms": min(verify_times) * 1e3,
+                    "verify_warm_median_ms": statistics.median(warm_times) * 1e3,
+                    "verify_warm_min_ms": min(warm_times) * 1e3,
                 }
             )
             print(json.dumps(rows[-1]), file=sys.stderr)

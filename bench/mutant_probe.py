@@ -3,9 +3,12 @@
 Each entry of ``MUTANTS`` names a file of ``src/rccs``, a text that occurs
 exactly once in it, the text that replaces it, and the test modules that
 should catch the change.  For each mutant the probe copies ``src``,
-``tests`` and ``pyproject.toml`` into a temporary directory, applies the
-mutant there and runs the named modules with ``pytest -x`` and
+``tests``, ``docs`` (the CLI tests read the report schema there) and
+``pyproject.toml`` into a temporary directory, applies the mutant there
+and runs the named modules with ``pytest -x`` and
 ``PYTHONDONTWRITEBYTECODE=1``.  The repository itself is only read.
+First it runs every module the chosen mutants name on an unmutated copy:
+if that fails, no mutant could survive, so the probe stops with exit 1.
 
 A mutant is killed when the run fails, and survives when it passes.  A
 mutant marked equivalent changes no answer, and the table gives the
@@ -55,6 +58,7 @@ _LATTICE = ("test_lattice", "test_engine")
 _ENGINE = ("test_engine", "test_cross_model")
 _FINITE = ("test_finite", "test_cross_model")
 _SERIALIZE = ("test_serialize", "test_cli")
+_CLI = ("test_cli",)
 
 MUTANTS = (
     # events: the sweeps, the measure, the canonical-form check and the trusted constructor
@@ -107,7 +111,7 @@ MUTANTS = (
         _LATTICE,
     ),
     Mutant("partition-two-models", "lattice.py", "            _require_one_model(cells[0], cell)\n", "", _LATTICE),
-    # engine: the conditions, the verification core, the preconditions and the pair gate
+    # engine: the conditions, the verification core and its cell memo, the preconditions and the pair gate
     Mutant(
         "screening-equality", "engine.py",
         "    screening = tuple(m * m_ab == m_a * m_b for", "    screening = tuple(m * m_ab >= m_a * m_b for", _ENGINE,
@@ -124,7 +128,13 @@ MUTANTS = (
         "first-failure-cross", "engine.py",
         "    for i, j, ok in cross:\n        if not ok:", "    for i, j, ok in cross:\n        if ok is None:", _ENGINE,
     ),
-    Mutant("verify-zero-cell", "engine.py", "        if weight == 0:", "        if weight < 0:", _ENGINE),
+    Mutant("verify-zero-cell", "engine.py", "            if weight == 0:", "            if weight < 0:", _ENGINE),
+    Mutant(
+        "memo-across-pairs", "engine.py", "    if memo_atoms is not atoms:", "    if memo_atoms is None:", _ENGINE,
+    ),
+    Mutant(
+        "memo-wrong-cell", "engine.py", "        quad = memo.get(cell)", "        quad = memo.get(cells[0])", _ENGINE,
+    ),
     Mutant("correlated-strict", "engine.py", "    if excess <= 0:", "    if excess < 0:", _ENGINE),
     Mutant(
         "construction-independence", "engine.py",
@@ -196,6 +206,19 @@ MUTANTS = (
         "list-field-type", "serialize.py",
         "    if not isinstance(raw, list):", "    if not isinstance(raw, (list, str)):", _SERIALIZE,
     ),
+    # cli: the flag readers, the exit code of a failed precondition and the --json switch
+    Mutant("max-points-reader", "cli.py", "    if value < 1:", "    if value < 0:", _CLI),
+    Mutant("lambda-reader", "cli.py", "    if not 0 < lam < 1:", "    if not 0 < lam <= 1:", _CLI),
+    Mutant(
+        "precondition-exit-code", "cli.py",
+        'print(f"precondition failed: {exc}", file=sys.stderr)\n        return 2',
+        'print(f"precondition failed: {exc}", file=sys.stderr)\n        return 1', _CLI,
+    ),
+    Mutant(
+        "json-switch", "cli.py",
+        'verify.add_argument("--json", action="store_true")', 'verify.add_argument("--json", action="store_false")',
+        _CLI,
+    ),
 )
 
 
@@ -213,19 +236,20 @@ def check_table(package: Path = PACKAGE) -> list[str]:
     return problems
 
 
-def run_mutant(m: Mutant) -> tuple[bool, float]:
-    """Apply ``m`` to a temporary copy of the tree and run its modules; return (killed, seconds)."""
+def run_tests(modules: tuple[str, ...], m: Mutant | None = None) -> tuple[bool, float]:
+    """Run ``modules`` on a temporary copy of the tree, with ``m`` applied if given; return (failed, seconds)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "docs"):
             shutil.copytree(ROOT / part, copy / part, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
-        target = copy / "src" / "rccs" / m.file
-        target.write_text(target.read_text().replace(m.old, m.new, 1))
+        if m is not None:
+            target = copy / "src" / "rccs" / m.file
+            target.write_text(target.read_text().replace(m.old, m.new, 1))
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
         cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
-        cmd += [f"tests/{module}.py" for module in m.tests]
+        cmd += [f"tests/{module}.py" for module in modules]
         start = time.perf_counter()
         done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, check=False)
         return done.returncode != 0, time.perf_counter() - start
@@ -245,9 +269,14 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"no such mutant: {', '.join(sorted(unknown))}")
     chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+    modules = tuple(dict.fromkeys(module for m in chosen for module in m.tests))
+    failed, seconds = run_tests(modules)
+    if failed:
+        print(f"the unmutated tree fails {', '.join(modules)} ({seconds:.1f} s); no mutant can be judged", file=sys.stderr)
+        return 1
     wrong = []  # a survivor not marked equivalent, or a killed one that is
     for m in chosen:
-        dead, seconds = run_mutant(m)
+        dead, seconds = run_tests(m.tests, m)
         note = ""
         if m.equivalent:
             note = "  marked equivalent, yet killed" if dead else f"  equivalent: {m.equivalent}"

@@ -55,8 +55,10 @@ def _pair(a: LatticeEvent, b: LatticeEvent) -> tuple[_Atoms, _Measures]:
     equal pair has equal atoms and measures, and repeated engine calls on
     one pair split and measure it once.  One entry serves a construction
     and the verifications that follow it; a larger memo only holds on to
-    more events.  An exception is never cached, so a pair that fails the
-    test is tested again, and refused, on every call.
+    more events.  :func:`_verify` keys its cell memo on the atoms tuple
+    of this entry, so clearing it drops both.  An exception is never
+    cached, so a pair that fails the test is tested again, and refused,
+    on every call.
     """
     is_compatible, *atoms = _split(a, b)
     if not is_compatible:
@@ -195,6 +197,10 @@ def _cells(partition: Partition) -> tuple[LatticeEvent, ...]:
     return partition.cells
 
 
+# the atoms of the last verification, and the quadruple of each cell it verified
+_cell_memo: tuple[_Atoms | None, dict] = (None, {})
+
+
 def _verify(atoms: _Atoms, excess: Fraction, cells: tuple[LatticeEvent, ...]) -> VerificationReport:
     """The report on ``cells`` for a pair split into its atoms, with joint excess ``excess``.
 
@@ -203,17 +209,36 @@ def _verify(atoms: _Atoms, excess: Fraction, cells: tuple[LatticeEvent, ...]) ->
     before it is measured, a cell of measure zero after.  Each cell is met
     with the three atoms: m(a&b&cell), plus m(a&~b&cell) for a and
     m(~a&b&cell) for b.
+
+    Those quadruples ``(m, m_a, m_b, m_ab)`` are memoized for the cells of
+    the last call, as long as the atoms are the very object that
+    :func:`_pair` returned then: a round-tripped partition equal to the
+    one just built, or a candidate that keeps some of its cells, is not
+    met and measured again.  The memo holds one partition's cells and
+    serves only while the pair's entry lasts, so ``_pair.cache_clear()``
+    makes the next call cold.  The model check runs on every cell, the
+    zero-measure check on every cell not in the memo (a refused cell is
+    never stored), and the conditions are decided on every call.
     """
+    global _cell_memo
+    memo_atoms, memo = _cell_memo
+    if memo_atoms is not atoms:
+        memo = {}
     both, a_only, b_only = atoms
     quads = []
     for k, cell in enumerate(cells):
         if not isinstance(cell, both.__class__):
             raise InputError(f"cell {k} is not an event of the same model as the pair")
-        weight = cell.measure()
-        if weight == 0:
-            raise PreconditionError(f"cell {k} has measure zero; conditionals are undefined")
-        m_ab = both.meet(cell).measure()
-        quads.append((weight, m_ab + a_only.meet(cell).measure(), m_ab + b_only.meet(cell).measure(), m_ab))
+        quad = memo.get(cell)
+        if quad is None:
+            weight = cell.measure()
+            if weight == 0:
+                raise PreconditionError(f"cell {k} has measure zero; conditionals are undefined")
+            m_ab = both.meet(cell).measure()
+            quad = (weight, m_ab + a_only.meet(cell).measure(), m_ab + b_only.meet(cell).measure(), m_ab)
+        quads.append(quad)
+    # one tuple, rebound whole, so no reader pairs one pair's atoms with another's quadruples
+    _cell_memo = (atoms, dict(zip(cells, quads)))
     screening, cross, rhs = _conditions(quads)
     size_note = "size < 2: a single cell admits no cross-difference condition" if len(cells) < 2 else None
     failure = size_note or _first_failure(screening, cross)
@@ -242,9 +267,13 @@ def verify_rccs(a: LatticeEvent, b: LatticeEvent, partition: Partition) -> Verif
     The compatibility test splits the pair into its atoms a&b, a&~b and
     ~a&b; the joint excess and every cell's measures are taken from them,
     so a is never met with b again.  The split and the atom measures are
-    memoized per pair, so a later call on an equal pair, such as the
-    verification of a partition that :func:`construction_steps` built for
-    it, reuses them; every precondition is still checked on every call.
+    memoized for the last pair, and each cell's measure and its measures
+    against the atoms for the cells of the last verification on that
+    pair.  So a later call on an equal pair, such as the verification of
+    a partition that :func:`construction_steps` built for it, reuses
+    them, and meets and measures only cells it has not just seen.  Every
+    precondition is still checked, and every condition decided, on every
+    call.
     """
     atoms, measures = _checked_pair(a, b)
     return _verify(atoms, _require_correlated(measures)[3], _cells(partition))
@@ -352,10 +381,12 @@ def construction_steps(
     test splits the pair into: the excess m(a&b) - m(a)m(b) must be
     positive, and then, the measure being faithful, the pair is logically
     independent exactly when m(a&b) is below both m(a) and m(b).  The
-    split and the three atom measures are memoized per pair, so a later
-    :func:`verify_rccs` on the same pair, such as a check of the
-    round-tripped partition, reuses them; its preconditions are still
-    checked.
+    split and the three atom measures are memoized for the last pair,
+    and the measures of the three cells against its atoms until the next
+    verification.  So a later :func:`verify_rccs` on the same pair, such
+    as a check of the round-tripped partition, reuses them and meets no
+    cell again; its preconditions are still checked and its conditions
+    decided anew.
 
     The recipe, all in exact arithmetic:
 

@@ -16,7 +16,9 @@ so the engine measures and meets those atoms and never meets a with b
 again.  It keeps the verdict, the atoms and their measures for the last
 pair, keyed on equality, which is sound because events are immutable; a
 pair that fails the test is never kept, so every call on it is refused
-again.
+again.  For as long as it keeps a pair, it also keeps each cell's
+measures against those atoms for the last partition it verified, so an
+equal cell is not met again; the conditions are decided on every call.
 
 Only finite lattice operations appear in the contract.  Every algorithm
 in the package manipulates finitely many events, so countable joins are

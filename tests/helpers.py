@@ -317,6 +317,59 @@ def brute_force_search(space: FiniteSpace, a, b, n: int) -> list:
     return [p for p in enumerate_partitions(space, n) if oracle_score(a, b, p.cells).accepted]
 
 
+def integer_brute_force(point_weight: list[int], mask_a: int, mask_b: int, n: int) -> list[list[int]]:
+    """The label vector of every size-n system, from all restricted-growth labellings of the points.
+
+    Point i takes a label from 0 up to the number of cells opened so far,
+    at most n - 1, so each partition into n cells comes once, and in
+    lexicographic order of its labels.  Each cell keeps its integer weights
+    ``(w, w_a, w_b, w_ab)`` as points join and leave it, and a complete
+    labelling is scored with integer products: screening-off
+    ``w w_ab == w_a w_b`` on every cell and a positive cross product on
+    every pair.  Deliberately independent of ``enumerate_partitions``, of
+    the engine and of the search's cell listing and cover.
+    """
+    m = len(point_weight)
+    cells = [[0, 0, 0, 0] for _ in range(n)]
+    labels = [0] * m
+    hits = []
+
+    def accepted() -> bool:
+        if any(w * w_ab != w_a * w_b for w, w_a, w_b, w_ab in cells):
+            return False
+        return all(
+            (a_i * w_j - a_j * w_i) * (b_i * w_j - b_j * w_i) > 0
+            for i, (w_i, a_i, b_i, _) in enumerate(cells)
+            for w_j, a_j, b_j, _ in cells[i + 1:]
+        )
+
+    def walk(i: int, opened: int) -> None:
+        if m - i < n - opened:  # too few points left to open the other cells
+            return
+        if i == m:
+            if accepted():
+                hits.append(labels.copy())
+            return
+        w = point_weight[i]
+        w_a, w_b = w * (mask_a >> i & 1), w * (mask_b >> i & 1)
+        w_ab = w_a and w_b
+        for k in range(min(opened + 1, n)):
+            cell = cells[k]
+            cell[0] += w
+            cell[1] += w_a
+            cell[2] += w_b
+            cell[3] += w_ab
+            labels[i] = k
+            walk(i + 1, max(opened, k + 1))
+            cell[0] -= w
+            cell[1] -= w_a
+            cell[2] -= w_b
+            cell[3] -= w_ab
+
+    walk(0, 0)
+    return hits
+
+
 def label_vector(partition) -> list[int]:
     """The index of the cell holding each point, in point order, by scanning every cell for every point."""
     m = len(partition.cells[0].space)

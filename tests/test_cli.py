@@ -197,6 +197,14 @@ class TestExitCodes:
         assert run_cli(["construct", WORKED_INPUT, "--lambda", "2"])[0] == 1
         assert run_cli(["construct", WORKED_INPUT, "--lambda", "0.5"])[0] == 1
 
+    def test_lambda_out_of_range_is_refused_by_the_reader(self):
+        # the flag's reader names the flag; the engine's own range check would name its parameter
+        for command in (["construct", WORKED_INPUT], ["demo"]):
+            for bad in ("0", "1", "2", "3/2"):
+                code, out, err = run_cli([*command, "--lambda", bad])
+                assert (code, out) == (1, "")
+                assert err == f"input error: --lambda must lie strictly between 0 and 1, got {bad}\n"
+
     def test_unknown_subcommand_is_1(self):
         assert run_cli(["frobnicate"])[0] == 1
 

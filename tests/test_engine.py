@@ -1,6 +1,9 @@
 """Verification and the size-3 construction, pinned to hand-derived values."""
 
+import pickle
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -22,6 +25,7 @@ from rccs import (
     correlation_decomposition,
     enumerate_partitions,
     logically_independent,
+    search_rccs,
     verify_common_cause,
     verify_rccs,
 )
@@ -400,11 +404,16 @@ class TestConstruction:
         calls.clear()
         steps_to_obj(steps)
         assert calls["measure"] == 0
-        # the construction split the pair, so verifying on it only meets and measures the cells
+        # the construction split the pair and measured its cells, so verifying them meets and measures nothing
         calls.clear()
         verify_rccs(WORKED_A, WORKED_B, steps.system.cells)
-        assert calls["meet"] <= 9 and calls["measure"] <= 12, calls
-        assert calls["complement"] == 0 and calls["join"] == 0, calls
+        assert calls == Counter(), calls
+        # a candidate that keeps a verified cell meets and measures only its new cell: 3 meets, 4 measures
+        cells = steps.system.cells.cells
+        merged = Partition((cells[0].join(cells[1]), cells[2]))
+        calls.clear()
+        verify_rccs(WORKED_A, WORKED_B, merged)
+        assert calls == Counter(meet=3, measure=4), calls
         # a cold verification splits and measures the pair as well
         _pair.cache_clear()
         calls.clear()
@@ -900,3 +909,149 @@ class TestPairCache:
                     check_against_oracle(x, y, partition)
                     check_common_cause_against_oracle(x, y, partition.cells[0])
         assert constructed >= 10
+
+
+def _report(call):
+    """What ``call`` returns, or the type and text of its refusal."""
+    try:
+        return call()
+    except (InputError, PreconditionError) as err:
+        return type(err).__name__, str(err)
+
+
+def _finite_partition(rng: random.Random, space: FiniteSpace) -> Partition:
+    """Each point given to one of up to four cells."""
+    cells: dict[int, list[int]] = {}
+    for i in range(len(space)):
+        cells.setdefault(rng.randrange(4), []).append(i)
+    return Partition(tuple(space.event(members) for members in cells.values()))
+
+
+def _sharing(partition: Partition) -> list[Partition]:
+    """``partition``, then candidates that keep its cells: the first two merged, and all of them reversed."""
+    cells = partition.cells
+    merged = [Partition((cells[0].join(cells[1]), *cells[2:]))] if len(cells) > 1 else []
+    return [partition, *merged, Partition(cells[::-1])]
+
+
+def _correlated(rng: random.Random, draw) -> tuple:
+    a, b = draw(), draw()
+    while correlation(a, b) == 0:
+        a, b = draw(), draw()
+    return (a, b) if correlation(a, b) > 0 else (a, b.complement())
+
+
+class TestCellMemo:
+    """Reusing a cell's measures against the pair's atoms gives every report a cold verification gives."""
+
+    @staticmethod
+    def check(a, b, partitions) -> None:
+        """Engine calls on (a, b), on (b, a) and on an equal rebuilt pair, warm in a row and each cold."""
+        twin_a, twin_b = (pickle.loads(pickle.dumps(x)) for x in (a, b))
+        assert (twin_a, twin_b) == (a, b) and twin_a is not a
+        calls = [lambda: construction_steps(a, b)]
+        for p in partitions:
+            calls += [
+                lambda p=p: verify_rccs(a, b, p),
+                lambda p=p: verify_rccs(twin_a, twin_b, p),
+                lambda p=p: verify_rccs(b, a, p),  # the same cells against another pair's atoms
+                lambda p=p: verify_common_cause(a, b, p.cells[0]),
+                lambda p=p: correlation_decomposition(a, b, p),
+                lambda p=p: verify_rccs(a, b, p),
+            ]
+        warm = [_report(call) for call in calls]
+        cold = []
+        for call in reversed(calls):  # so a memo that outlived the clear would hold other cells
+            _pair.cache_clear()
+            cold.append(_report(call))
+        assert warm == cold[::-1]
+        for p in partitions:
+            verify_rccs(a, b, p)
+            check_against_oracle(b, a, p)  # right after the same cells were measured for (a, b)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_interval_reports_warm_and_cold_agree(self, mixed):
+        rng = random.Random(2600 + mixed)
+        constructed = 0
+        for _ in range(40):
+            a, b = _correlated(rng, lambda: random_nonzero_event(rng, mixed=mixed))
+            partitions = _sharing(random_interval_partition(rng, mixed))
+            if logically_independent(a, b):
+                # the README flow: the construction's cells, then candidates that keep some of them
+                partitions = _sharing(construction_steps(a, b).system.cells) + partitions
+                constructed += 1
+            self.check(a, b, partitions)
+        assert constructed >= 10
+
+    def test_finite_reports_warm_and_cold_agree(self):
+        rng = random.Random(2602)
+        accepted = 0
+        for case in range(60):
+            space = random_space(rng, rng.randint(2, 7))
+            a, b = _correlated(rng, lambda: random_subset(rng, space))
+            partitions = _sharing(_finite_partition(rng, space))
+            hits = search_rccs(space, a, b, 2 + case % 2) if len(space) > 2 else []
+            if hits:
+                partitions = _sharing(hits[0]) + partitions
+                accepted += 1
+            self.check(a, b, partitions)
+        assert accepted >= 10
+
+    def test_cached_cells_do_not_pass_a_wrong_model_cell(self):
+        _pair.cache_clear()
+        steps = construction_steps(WORKED_A, WORKED_B)
+        cells = steps.system.cells.cells
+        stray = Partition._trusted((cells[0], cells[1], _QUARTERS.event((0,))))
+        for _ in range(2):
+            with pytest.raises(InputError, match=r"^cell 2 is not an event of the same model as the pair$"):
+                verify_rccs(WORKED_A, WORKED_B, stray)
+        assert verify_rccs(WORKED_A, WORKED_B, steps.system.cells) == steps.report
+
+    def test_cached_cells_do_not_pass_a_cell_of_measure_zero(self):
+        # a point of weight 0 makes a nonempty null cell, as in the faithfulness test above
+        space = FiniteSpace._trusted((Fraction(1, 4),) * 4 + (Fraction(0),))
+        a, b = space.event((0, 1)), space.event((0, 1, 2))
+        first = Partition((space.event((0,)), space.event((1,)), space.event((2, 3, 4))))
+        _pair.cache_clear()
+        report = verify_rccs(a, b, first)
+        null = Partition((space.event((0,)), space.event((1,)), space.event((2, 3)), space.event((4,))))
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match=r"^cell 3 has measure zero; conditionals are undefined$"):
+                verify_rccs(a, b, null)
+        assert verify_rccs(a, b, first) == report
+
+    def test_threads_sharing_the_memo_get_their_own_reports(self):
+        # the memo is one tuple rebound whole: a thread that verifies (a, b) while another verifies
+        # the same cells for (b, a) never reads one pair's atoms with the other's quadruples
+        rng = random.Random(2603)
+        jobs = []
+        for _ in range(2):
+            a, b = random_correlated_independent_pair(rng)
+            cells = construction_steps(a, b).system.cells.cells
+            partitions = (Partition(cells), Partition((cells[0].join(cells[1]), cells[2])))
+            jobs += [(a, b, partitions), (b, a, partitions)]
+        expected = []
+        for a, b, partitions in jobs:
+            _pair.cache_clear()
+            expected.append([verify_rccs(a, b, p) for p in partitions])
+        failures = []
+
+        def work(k: int) -> None:
+            a, b, partitions = jobs[k]
+            for _ in range(500):
+                if [verify_rccs(a, b, p) for p in partitions] != expected[k]:
+                    failures.append(k)
+                    return
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []

@@ -28,6 +28,7 @@ from rccs.finite import _screening_cells
 
 from .helpers import (
     brute_force_search,
+    integer_brute_force,
     iv,
     label_vector,
     orbit_count,
@@ -416,6 +417,52 @@ class TestSearch:
             cases += 1
             nonempty += bool(want)
         assert nonempty >= 50
+
+
+def planted_distinct_weights(rng: random.Random, m: int, quadruples: int) -> tuple[list[int], int, int]:
+    """m distinct integer weights and the masks of a and b, in a seeded shuffled order.
+
+    Each planted quadruple pr, ps, qr, qs puts one point in each atom a&b,
+    a&~b, ~a&b, ~a&~b, so those four points make a cell that screens off
+    (pr qs == ps qr): without them distinct weights almost never give a
+    system of three or more cells.  The other points fall in random atoms.
+    """
+    while True:
+        weights, atoms = [], []
+        for _ in range(quadruples):
+            p, q = rng.sample(range(1, 8), 2)
+            r, s = rng.sample(range(1, 8), 2)
+            weights += [p * r, p * s, q * r, q * s]
+            atoms += [0, 1, 2, 3]
+        weights += rng.sample(range(1, 50), m - len(weights))
+        if len(set(weights)) == m:
+            break
+    atoms += [rng.randrange(4) for _ in range(m - len(atoms))]
+    order = rng.sample(range(m), m)
+    mask_a = sum(1 << i for i, k in enumerate(order) if atoms[k] < 2)
+    mask_b = sum(1 << i for i, k in enumerate(order) if atoms[k] in (0, 2))
+    return [weights[k] for k in order], mask_a, mask_b
+
+
+class TestIntegerBruteForce:
+    """Beyond the Fraction brute force's reach: every hit and its order against an integer walk of all labellings."""
+
+    def test_matches_search_on_distinct_weights(self):
+        rng = random.Random(2611)
+        cases = hits = with_hits = 0
+        while cases < 30:
+            m, n = 9 + cases % 3, (2, 3, 3, 4, 4)[cases % 5]
+            weights, mask_a, mask_b = planted_distinct_weights(rng, m, max(1, n - 2))
+            space = FiniteSpace(tuple(Fraction(w, sum(weights)) for w in weights))
+            a, b = (space.event(i for i in range(m) if mask >> i & 1) for mask in (mask_a, mask_b))
+            if correlation(a, b) <= 0:
+                continue
+            want = integer_brute_force(weights, mask_a, mask_b, n)
+            assert [label_vector(p) for p in search_rccs(space, a, b, n)] == want, (weights, mask_a, mask_b, n)
+            cases += 1
+            hits += len(want)
+            with_hits += n >= 3 and bool(want)
+        assert with_hits >= 5 and hits >= 30
 
 
 class TestScreeningCells:

@@ -13,8 +13,8 @@ partition that construction built, which shows how a construction splits
 between building the cells and the one verification it includes.  Those
 timed calls and the construction's are cold: where the engine memoizes
 the split of a pair (``rccs.engine._pair``), that memo is cleared before
-each call, and clearing it also drops the engine's memo of the last
-verified cells, so the probe times the same work on checkouts with and
+each call, and with it the table of the last verified cells that its
+entry holds, so the probe times the same work on checkouts with and
 without them.  The ``verify_warm_*`` columns time the same verification
 right after an untimed construction on the pair, as a round trip
 verifies it, so they show what the memos save.  The inputs depend only

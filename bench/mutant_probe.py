@@ -111,7 +111,7 @@ MUTANTS = (
         _LATTICE,
     ),
     Mutant("partition-two-models", "lattice.py", "            _require_one_model(cells[0], cell)\n", "", _LATTICE),
-    # engine: the conditions, the verification core and its cell memo, the preconditions and the pair gate
+    # engine: the conditions, the verification core and the pair's cell table, the preconditions and the pair gate
     Mutant(
         "screening-equality", "engine.py",
         "    screening = tuple(m * m_ab == m_a * m_b for", "    screening = tuple(m * m_ab >= m_a * m_b for", _ENGINE,
@@ -130,11 +130,13 @@ MUTANTS = (
     ),
     Mutant("verify-zero-cell", "engine.py", "            if weight == 0:", "            if weight < 0:", _ENGINE),
     Mutant(
-        "memo-across-pairs", "engine.py", "    if memo_atoms is not atoms:", "    if memo_atoms is None:", _ENGINE,
+        "memo-across-pairs", "engine.py",
+        "m_ab - m_a * m_b), {}", 'm_ab - m_a * m_b), globals().setdefault("_shared_table", {})', _ENGINE,
     ),
     Mutant(
-        "memo-wrong-cell", "engine.py", "        quad = memo.get(cell)", "        quad = memo.get(cells[0])", _ENGINE,
+        "memo-wrong-cell", "engine.py", "        quad = table.get(cell)", "        quad = table.get(cells[0])", _ENGINE,
     ),
+    Mutant("memo-grows", "engine.py", "    table.clear()\n", "", _ENGINE),
     Mutant("correlated-strict", "engine.py", "    if excess <= 0:", "    if excess < 0:", _ENGINE),
     Mutant(
         "construction-independence", "engine.py",

@@ -294,10 +294,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _join_lambda(argv: list[str]) -> list[str]:
+    """``argv`` with ``--lambda -1/3`` joined into ``--lambda=-1/3``, which argparse would take for two options."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined[-1:] == ["--lambda"] and arg[:1] == "-" and arg[1:2].isdecimal():
+            joined[-1] += "=" + arg  # so the reader, not the parser, refuses the value
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_lambda(sys.argv[1:] if argv is None else argv))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

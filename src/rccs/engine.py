@@ -40,11 +40,12 @@ def _require_compat_pair(a: LatticeEvent, b: LatticeEvent) -> None:
 
 
 _Measures = tuple[Fraction, Fraction, Fraction, Fraction]
+_Entry = tuple[_Atoms, _Measures, dict]
 
 
 @lru_cache(maxsize=1)
-def _pair(a: LatticeEvent, b: LatticeEvent) -> tuple[_Atoms, _Measures]:
-    """The atoms of a compatible pair (a, b), and m(a), m(b), m(a&b) and the joint excess.
+def _pair(a: LatticeEvent, b: LatticeEvent) -> _Entry:
+    """The atoms of a compatible pair (a, b), m(a), m(b), m(a&b) and the joint excess, and its cell table.
 
     The pair is checked with the lattice's one compatibility test, which
     splits it into a&b, a&~b and ~a&b.  a is the disjoint join of a&b and
@@ -55,34 +56,37 @@ def _pair(a: LatticeEvent, b: LatticeEvent) -> tuple[_Atoms, _Measures]:
     equal pair has equal atoms and measures, and repeated engine calls on
     one pair split and measure it once.  One entry serves a construction
     and the verifications that follow it; a larger memo only holds on to
-    more events.  :func:`_verify` keys its cell memo on the atoms tuple
-    of this entry, so clearing it drops both.  An exception is never
-    cached, so a pair that fails the test is tested again, and refused,
-    on every call.
+    more events.  The entry's table maps each cell of the last partition
+    :func:`_verify` checked on this pair to its quadruple
+    ``(m, m_a, m_b, m_ab)``, so a later verification meets and measures
+    only cells it has not just seen.  The table belongs to this pair
+    alone and holds one partition's cells; ``_pair.cache_clear()`` drops
+    it with the split.  An exception is never cached, so a pair that
+    fails the test is tested again, and refused, on every call.
     """
     is_compatible, *atoms = _split(a, b)
     if not is_compatible:
         raise PreconditionError("events are not compatible")
     m_ab, m_a_only, m_b_only = (atom.measure() for atom in atoms)
     m_a, m_b = m_ab + m_a_only, m_ab + m_b_only
-    return tuple(atoms), (m_a, m_b, m_ab, m_ab - m_a * m_b)
+    return tuple(atoms), (m_a, m_b, m_ab, m_ab - m_a * m_b), {}
 
 
-def _checked_pair(a: LatticeEvent, b: LatticeEvent) -> tuple[_Atoms, _Measures]:
+def _checked_pair(a: LatticeEvent, b: LatticeEvent) -> _Entry:
     """:func:`_pair`, after the lattice refuses a non-event or a pair of two models: before the memo hashes it."""
     _require_one_model(a, b)
     return _pair(a, b)
 
 
-def _require_correlated(measures: _Measures) -> _Measures:
-    """The pair measures from :func:`_pair`, after checking that the joint excess is positive."""
-    excess = measures[3]
+def _require_correlated(pair: _Entry) -> _Entry:
+    """A pair's :func:`_pair` entry, after checking that the joint excess is positive."""
+    excess = pair[1][3]
     if excess <= 0:
         raise PreconditionError(
             f"events are not correlated (joint excess {format_rational(excess)}); "
             "there is no correlation to explain"
         )
-    return measures
+    return pair
 
 
 _Quads = Sequence[tuple[Fraction, Fraction, Fraction, Fraction]]
@@ -197,39 +201,24 @@ def _cells(partition: Partition) -> tuple[LatticeEvent, ...]:
     return partition.cells
 
 
-# the atoms of the last verification, and the quadruple of each cell it verified
-_cell_memo: tuple[_Atoms | None, dict] = (None, {})
-
-
-def _verify(atoms: _Atoms, excess: Fraction, cells: tuple[LatticeEvent, ...]) -> VerificationReport:
-    """The report on ``cells`` for a pair split into its atoms, with joint excess ``excess``.
+def _verify(pair: _Entry, cells: tuple[LatticeEvent, ...]) -> VerificationReport:
+    """The report on ``cells`` for a pair, given its :func:`_pair` entry.
 
     The one verification core: every engine entry point reads its answer
     off this report.  A cell of another model than the atoms' is refused
     before it is measured, a cell of measure zero after.  Each cell is met
     with the three atoms: m(a&b&cell), plus m(a&~b&cell) for a and
-    m(~a&b&cell) for b.
-
-    Those quadruples ``(m, m_a, m_b, m_ab)`` are memoized for the cells of
-    the last call, as long as the atoms are the very object that
-    :func:`_pair` returned then: a round-tripped partition equal to the
-    one just built, or a candidate that keeps some of its cells, is not
-    met and measured again.  The memo holds one partition's cells and
-    serves only while the pair's entry lasts, so ``_pair.cache_clear()``
-    makes the next call cold.  The model check runs on every cell, the
-    zero-measure check on every cell not in the memo (a refused cell is
-    never stored), and the conditions are decided on every call.
+    m(~a&b&cell) for b.  An equal pair reuses its split and the
+    last-verified cells' measures from the entry's table, which then holds
+    this call's cells (a refused cell is never stored), and every
+    condition is decided on every call.
     """
-    global _cell_memo
-    memo_atoms, memo = _cell_memo
-    if memo_atoms is not atoms:
-        memo = {}
-    both, a_only, b_only = atoms
+    (both, a_only, b_only), measures, table = pair
     quads = []
     for k, cell in enumerate(cells):
         if not isinstance(cell, both.__class__):
             raise InputError(f"cell {k} is not an event of the same model as the pair")
-        quad = memo.get(cell)
+        quad = table.get(cell)
         if quad is None:
             weight = cell.measure()
             if weight == 0:
@@ -237,8 +226,8 @@ def _verify(atoms: _Atoms, excess: Fraction, cells: tuple[LatticeEvent, ...]) ->
             m_ab = both.meet(cell).measure()
             quad = (weight, m_ab + a_only.meet(cell).measure(), m_ab + b_only.meet(cell).measure(), m_ab)
         quads.append(quad)
-    # one tuple, rebound whole, so no reader pairs one pair's atoms with another's quadruples
-    _cell_memo = (atoms, dict(zip(cells, quads)))
+    table.clear()
+    table.update(zip(cells, quads))
     screening, cross, rhs = _conditions(quads)
     size_note = "size < 2: a single cell admits no cross-difference condition" if len(cells) < 2 else None
     failure = size_note or _first_failure(screening, cross)
@@ -249,7 +238,7 @@ def _verify(atoms: _Atoms, excess: Fraction, cells: tuple[LatticeEvent, ...]) ->
         cond_a=tuple(m_a / m for m, m_a, _, _ in quads),
         cond_b=tuple(m_b / m for m, _, m_b, _ in quads),
         cond_ab=tuple(m_ab / m for m, _, _, m_ab in quads),
-        decomposition_lhs=excess,
+        decomposition_lhs=measures[3],
         decomposition_rhs=rhs,
         verdict=failure is None,
         failure=failure,
@@ -266,17 +255,11 @@ def verify_rccs(a: LatticeEvent, b: LatticeEvent, partition: Partition) -> Verif
 
     The compatibility test splits the pair into its atoms a&b, a&~b and
     ~a&b; the joint excess and every cell's measures are taken from them,
-    so a is never met with b again.  The split and the atom measures are
-    memoized for the last pair, and each cell's measure and its measures
-    against the atoms for the cells of the last verification on that
-    pair.  So a later call on an equal pair, such as the verification of
-    a partition that :func:`construction_steps` built for it, reuses
-    them, and meets and measures only cells it has not just seen.  Every
-    precondition is still checked, and every condition decided, on every
-    call.
+    so a is never met with b again.  An equal pair reuses its split and
+    the last-verified cells' measures (see :func:`_pair`), and every
+    precondition and condition is decided on every call.
     """
-    atoms, measures = _checked_pair(a, b)
-    return _verify(atoms, _require_correlated(measures)[3], _cells(partition))
+    return _verify(_require_correlated(_checked_pair(a, b)), _cells(partition))
 
 
 def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -> VerificationReport:
@@ -291,7 +274,7 @@ def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -
     lowers both: the joint excess is then m(c) m(~c) times the product of
     the two differences.  So only the first event's test can fail.
     """
-    atoms, measures = _checked_pair(a, b)
+    pair = _checked_pair(a, b)
     _require_compat_pair(a, cause)
     _require_compat_pair(b, cause)
     cause_measure = cause.measure()
@@ -299,7 +282,7 @@ def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -
         raise PreconditionError(
             f"a common cause must have measure strictly between 0 and 1, got {format_rational(cause_measure)}"
         )
-    report = _verify(atoms, _require_correlated(measures)[3], (cause, cause.complement()))
+    report = _verify(_require_correlated(pair), (cause, cause.complement()))
     raises_a, raises_b = (cond[0] > cond[1] for cond in (report.cond_a, report.cond_b))
     # with screening-off on both cells the report's identity reads excess = m(c) m(~c) *
     # (P(a|c) - P(a|~c)) (P(b|c) - P(b|~c)) > 0, so a cause that raises a raises b too
@@ -327,8 +310,7 @@ def correlation_decomposition(
     Screening-off is a precondition and its failure raises, naming the
     offending cell.
     """
-    atoms, measures = _checked_pair(a, b)
-    report = _verify(atoms, measures[3], _cells(partition))
+    report = _verify(_checked_pair(a, b), _cells(partition))
     for k, ok in enumerate(report.screening_off_ok):
         if not ok:
             raise PreconditionError(
@@ -380,13 +362,10 @@ def construction_steps(
     alone, taken from the atoms a&b, a&~b and ~a&b that the compatibility
     test splits the pair into: the excess m(a&b) - m(a)m(b) must be
     positive, and then, the measure being faithful, the pair is logically
-    independent exactly when m(a&b) is below both m(a) and m(b).  The
-    split and the three atom measures are memoized for the last pair,
-    and the measures of the three cells against its atoms until the next
-    verification.  So a later :func:`verify_rccs` on the same pair, such
-    as a check of the round-tripped partition, reuses them and meets no
-    cell again; its preconditions are still checked and its conditions
-    decided anew.
+    independent exactly when m(a&b) is below both m(a) and m(b).  A later
+    :func:`verify_rccs` on an equal pair reuses its split and the three
+    cells' measures (see :func:`_pair`), and every precondition and
+    condition is decided on every call.
 
     The recipe, all in exact arithmetic:
 
@@ -412,8 +391,8 @@ def construction_steps(
     lam = as_fraction(lam)
     if not 0 < lam < 1:
         raise InputError(f"lam must lie strictly between 0 and 1, got {format_rational(lam)}")
-    atoms, measures = _checked_pair(a, b)
-    m_a, m_b, m_ab, excess = _require_correlated(measures)
+    pair = _require_correlated(_checked_pair(a, b))
+    atoms, (m_a, m_b, m_ab, excess), _ = pair
     # with m(a&b) > m(a)m(b) >= 0 and m(~a&~b) = (1 - m(a))(1 - m(b)) + excess > 0, only
     # a&~b and ~a&b can be empty, and each is empty exactly when m(a) - m(a&b) or m(b) - m(a&b) is 0
     if not (m_ab < m_a and m_ab < m_b):
@@ -438,7 +417,7 @@ def construction_steps(
     null_cell = a.join(b).complement().carve((1 - lam) * excess / (m_ab - full_measure))
     mixed_cell = full_cell.join(null_cell).complement()
     cells = Partition._trusted((full_cell, null_cell, mixed_cell))
-    report = _verify(atoms, excess, cells.cells)
+    report = _verify(pair, cells.cells)
     if not report.verdict:
         raise InternalInvariantError(f"constructed system failed verification: {report.failure}")
     return ConstructionSteps(

@@ -193,7 +193,7 @@ def _screening_cells(point_weight: list[int], mask_a: int, mask_b: int, m: int) 
             if atoms[k] >> i & 1:
                 sums += [(s | 1 << i, w + x, wa + x * (k < 2), wb + x * (k % 2 == 0), 0) for s, w, wa, wb, _ in sums]
         listed.append(sums)
-    (sums1, sums2, sums3, sums4), by_x4, cells, by_lowest = listed, {}, {}, [[[] for _ in range(m)] for _ in range(4)]
+    (sums1, sums2, sums3, sums4), by_x4, cells, by_lowest = listed, {}, {}, [[[] for _ in range(m)] for _ in range(3)]
     for t in sums4:
         by_x4.setdefault(t[1], []).append(t)
     for s1, x1, a1, b1, f1 in sums1:
@@ -301,7 +301,7 @@ def search_rccs(
     def cover(rest: int, chosen: list[int], free: int) -> None:  # free: the edges not yet spent
         need = n - len(chosen)  # at least 2: the last two cells are decided together
         low = (rest & -rest).bit_length() - 1
-        for k in ((0,), (0, 1), (0, 2), (0, 1, 2, 3))[free]:  # the kinds whose edges are free
+        for k in ((0,), (0, 1), (0, 2), (0, 1, 2))[free]:  # the kinds whose edges are free
             left = free & ~k
             for s in by_lowest[k][low]:
                 if s & rest != s:

@@ -7,19 +7,6 @@ small surface: ``meet``, ``join``, ``complement``, the induced order
 Everything in this module is written against that surface only, so the
 predicates work identically for either model and for any future one.
 
-In a Boolean algebra any two events are compatible; the tests check this
-for each shipped model, and the engine checks it once per pair, memoized.
-The engine runs the test through ``_split``, which also hands back the
-atoms a&b, a&~b and ~a&b that the test has just built.  For a compatible
-pair, a is the disjoint join of a&b and a&~b and b that of a&b and ~a&b,
-so the engine measures and meets those atoms and never meets a with b
-again.  It keeps the verdict, the atoms and their measures for the last
-pair, keyed on equality, which is sound because events are immutable; a
-pair that fails the test is never kept, so every call on it is refused
-again.  For as long as it keeps a pair, it also keeps each cell's
-measures against those atoms for the last partition it verified, so an
-equal cell is not met again; the conditions are decided on every call.
-
 Only finite lattice operations appear in the contract.  Every algorithm
 in the package manipulates finitely many events, so countable joins are
 deliberately not part of the interface.

@@ -205,6 +205,18 @@ class TestExitCodes:
                 assert (code, out) == (1, "")
                 assert err == f"input error: --lambda must lie strictly between 0 and 1, got {bad}\n"
 
+    def test_negative_lambda_reaches_the_reader_spaced_or_joined(self):
+        # argparse alone takes -1/3 for an option and ends in a usage error naming the wrong fault
+        for command in (["construct", WORKED_INPUT], ["demo"]):
+            for flag, bad in ((["--lambda", "-1/3"], "-1/3"), (["--lambda=-1/3"], "-1/3"), (["--lambda", "-2"], "-2")):
+                code, out, err = run_cli([*command, *flag, "--json"])
+                assert (code, out) == (1, "")
+                assert err == f"input error: --lambda must lie strictly between 0 and 1, got {bad}\n"
+            # a following flag is still not taken for the value
+            code, out, err = run_cli([*command, "--lambda", "--json"])
+            assert (code, out) == (1, "")
+            assert err == "usage error: argument --lambda: expected one argument\n"
+
     def test_unknown_subcommand_is_1(self):
         assert run_cli(["frobnicate"])[0] == 1
 

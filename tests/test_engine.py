@@ -369,6 +369,18 @@ class TestDecomposition:
         assert "cell 0" in str(err.value)
 
 
+def _counted_event_calls(monkeypatch, model: type) -> Counter:
+    """A counter, by name, of the calls to the model's meet, join, measure and complement from now on."""
+    calls = Counter()
+    for name in ("meet", "join", "measure", "complement"):
+        def counted(self, *args, _name=name, _original=getattr(model, name)):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(model, name, counted)
+    return calls
+
+
 class TestConstruction:
     def test_worked_example_every_quantity(self):
         steps = construction_steps(WORKED_A, WORKED_B)
@@ -391,13 +403,7 @@ class TestConstruction:
         # trace, both preconditions and the joint excess come from those three measures, every
         # cell is met with the three atoms, and the other event operations build the cells
         _pair.cache_clear()
-        calls = Counter()
-        for name in ("meet", "join", "measure", "complement"):
-            def counted(self, *args, _name=name, _original=getattr(IntervalEvent, name)):
-                calls[_name] += 1
-                return _original(self, *args)
-
-            monkeypatch.setattr(IntervalEvent, name, counted)
+        calls = _counted_event_calls(monkeypatch, IntervalEvent)
         steps = construction_steps(WORKED_A, WORKED_B)
         assert calls["meet"] <= 12 and calls["measure"] <= 17 and calls["complement"] <= 4, calls
         assert calls["join"] <= 4, calls
@@ -1020,9 +1026,32 @@ class TestCellMemo:
                 verify_rccs(a, b, null)
         assert verify_rccs(a, b, first) == report
 
+    @pytest.mark.parametrize("model", ["interval", "finite"])
+    def test_table_holds_only_the_last_partition(self, model, monkeypatch):
+        # verify P, then Q that keeps some of P's cells, then P again: the table then holds Q's cells
+        # only, so the third call meets and measures exactly P's cells that Q lacks, 3 meets and 4 measures each
+        if model == "interval":
+            a, b = WORKED_A, WORKED_B
+            _pair.cache_clear()
+            p = construction_steps(a, b).system.cells
+            q = Partition((p.cells[0].join(p.cells[1]), p.cells[2]))
+        else:
+            space = FiniteSpace._trusted((Fraction(1, 6),) * 6)
+            a, b = space.event((0, 1, 2)), space.event((0, 1, 3))
+            p = Partition(tuple(space.event(cell) for cell in ((0,), (1,), (2, 3), (4, 5))))
+            q = Partition(tuple(space.event(cell) for cell in ((0,), (1, 2, 3), (4, 5))))
+        dropped = len(set(p.cells) - set(q.cells))
+        assert 0 < dropped < len(p.cells)
+        cold = verify_rccs(a, b, p)
+        calls = _counted_event_calls(monkeypatch, type(a))
+        verify_rccs(a, b, q)
+        calls.clear()
+        assert verify_rccs(a, b, p) == cold
+        assert calls == Counter(meet=3 * dropped, measure=4 * dropped), calls
+
     def test_threads_sharing_the_memo_get_their_own_reports(self):
-        # the memo is one tuple rebound whole: a thread that verifies (a, b) while another verifies
-        # the same cells for (b, a) never reads one pair's atoms with the other's quadruples
+        # each pair's entry has its own table, and every quadruple in it is right for that pair: a thread that
+        # verifies (a, b) while another verifies the same cells for (b, a) never reads the other pair's quadruples
         rng = random.Random(2603)
         jobs = []
         for _ in range(2):

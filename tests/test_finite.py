@@ -501,7 +501,7 @@ class TestScreeningCells:
                 assert all(v[3] == edge[s] for s, v in cells.items()), case_id
                 filed = [(k, i, s) for k, row in enumerate(by_lowest) for i, lows in enumerate(row) for s in lows]
                 assert sorted(filed) == sorted((v[3], (s & -s).bit_length() - 1, s) for s, v in cells.items()), case_id
-                assert len(by_lowest) == 4 and all(len(row) == m for row in by_lowest) and not any(by_lowest[3])
+                assert len(by_lowest) == 3 and all(len(row) == m for row in by_lowest)
                 # the join puts the largest atom (the first of the largest) last; its flags must follow the atom
                 sizes = [x.bit_count() for x in (a_b, mask_a & ~mask_b, mask_b & ~mask_a, rest)]
                 largest.add((sizes.index(max(sizes)), sizes.count(max(sizes)) > 1))

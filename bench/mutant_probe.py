@@ -111,7 +111,7 @@ MUTANTS = (
         _LATTICE,
     ),
     Mutant("partition-two-models", "lattice.py", "            _require_one_model(cells[0], cell)\n", "", _LATTICE),
-    # engine: the conditions, the verification core and the pair's cell table, the preconditions and the pair gate
+    # engine: the integer kernel, the verification core and the pair's cell table, the preconditions and the pair gate
     Mutant(
         "screening-equality", "engine.py",
         "    screening = tuple(m * m_ab == m_a * m_b for", "    screening = tuple(m * m_ab >= m_a * m_b for", _ENGINE,
@@ -123,6 +123,20 @@ MUTANTS = (
     Mutant(
         "cross-sign", "engine.py",
         "            product = (a_i * m_j - a_j * m_i) *", "            product = (a_i * m_j + a_j * m_i) *", _ENGINE,
+    ),
+    Mutant(
+        "row-scaling", "engine.py",
+        "[x.numerator * (d // x.denominator) for x in quad]", "[x.numerator for x in quad]", _ENGINE,
+    ),
+    Mutant(
+        "rhs-sign", "engine.py",
+        "tail, run = tail * w_j + product * run,", "tail, run = tail * w_j - product * run,", _ENGINE,
+    ),
+    Mutant("rhs-prefix", "engine.py", "        num += tail * prefix\n", "        num += tail\n", _ENGINE),
+    Mutant(
+        "conditional-swap", "engine.py",
+        "tuple(Fraction(m_b, m) for _, m, _, m_b, _ in rows)", "tuple(Fraction(m_a, m) for _, m, m_a, _, _ in rows)",
+        _ENGINE,
     ),
     Mutant(
         "first-failure-cross", "engine.py",
@@ -197,12 +211,16 @@ MUTANTS = (
     # serialize: the rational parser and the list fields
     Mutant(
         "rational-anchor", "serialize.py",
-        '_RATIONAL_RE = re.compile(r"^[+-]?\\d+(?:/(\\d+))?$")', '_RATIONAL_RE = re.compile(r"^[+-]?\\d+(?:/(\\d+))?")',
+        '_RATIONAL_RE = re.compile(r"^([+-]?\\d+)(?:/(\\d+))?$")', '_RATIONAL_RE = re.compile(r"^([+-]?\\d+)(?:/(\\d+))?")',
         _SERIALIZE,
     ),
     Mutant(
         "rational-zero-denominator", "serialize.py",
-        'not match.group(1).strip("0"):', 'not match.group(1).strip("0") and False:', _SERIALIZE,
+        "not any(map(int, denominator)):", "not any(map(int, denominator)) and False:", _SERIALIZE,
+    ),
+    Mutant(
+        "rational-ascii-zero", "serialize.py",
+        "not any(map(int, denominator)):", 'not denominator.strip("0"):', _SERIALIZE,
     ),
     Mutant(
         "list-field-type", "serialize.py",

@@ -15,7 +15,11 @@ exact arithmetic, a three-cell system
 * the remaining cell, where both conditionals are strictly between.
 
 Every verification here is exact; reports carry rationals, never floats,
-so serialized results are bit-stable.
+so serialized results are bit-stable.  The defining conditions are
+polynomial in each cell's four measures, so one kernel,
+:func:`_conditions`, puts each cell's measures over one denominator and
+decides them on integers.  Its gcds are one lcm per cell and the
+reductions of the rationals a report carries.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from numbers import Rational
 from typing import NamedTuple
 
@@ -89,30 +94,52 @@ def _require_correlated(pair: _Entry) -> _Entry:
     return pair
 
 
-_Quads = Sequence[tuple[Fraction, Fraction, Fraction, Fraction]]
+_Quads = Sequence[tuple[Rational, Rational, Rational, Rational]]
 _Cross = tuple[tuple[int, int, bool], ...]
 
 
-def _conditions(quads: _Quads) -> tuple[tuple[bool, ...], _Cross, Fraction]:
-    """The defining conditions on per-cell quadruples ``(m, m_a, m_b, m_ab)``, without division.
+def _conditions(quads: _Quads) -> tuple[tuple[bool, ...], _Cross, Fraction, tuple[tuple[Fraction, ...], ...]]:
+    """The defining conditions on per-cell quadruples ``(m, m_a, m_b, m_ab)``, decided in integers.
 
-    With P(x|c) = m_x / m and every m > 0, screening-off is
+    Each quadruple is put over d, the lcm of its four denominators, as the
+    integer row ``(m, m_a, m_b, m_ab)`` times d.  With P(x|c) = m_x / m
+    and every m > 0, d cancels from each test: screening-off is
     ``m m_ab == m_a m_b``; for cells i < j, ``da = a_i m_j - a_j m_i`` is
     m_i m_j (P(a|c_i) - P(a|c_j)) and ``db`` likewise, so the cross
     condition is ``da db > 0`` and the decomposition right-hand side is
-    the sum of ``da db / (m_i m_j)``.  Returns the screening-off flags,
-    ``(i, j, ok)`` per pair, and that right-hand side.
+    the sum of ``da db / (m_i m_j d_i d_j)``.  That sum is accumulated
+    as one unreduced numerator over the product of the ``m d``, without
+    a division, and reduced once.  Returns the screening-off flags,
+    ``(i, j, ok)`` per pair, that right-hand side and the conditionals
+    of a, b and a&b per cell, each ``m_x / m`` built reduced from its
+    row, since d cancels from it too.
     """
-    screening = tuple(m * m_ab == m_a * m_b for m, m_a, m_b, m_ab in quads)
+    rows = []
+    for quad in quads:
+        d = lcm(*[x.denominator for x in quad])
+        m, m_a, m_b, m_ab = [x.numerator * (d // x.denominator) for x in quad]
+        rows.append((m * d, m, m_a, m_b, m_ab))
+    screening = tuple(m * m_ab == m_a * m_b for _, m, m_a, m_b, m_ab in rows)
     cross = []
-    rhs = Fraction(0)
-    for i, (m_i, a_i, b_i, _) in enumerate(quads):
-        for j in range(i + 1, len(quads)):
-            m_j, a_j, b_j, _ = quads[j]
+    # with w = m d per row the right-hand side is the sum over i < j of product / (w_i w_j).  Over j > i,
+    # tail / run is the sum of product / w_j and run the product of those w_j, so cell i adds tail / (w_i run):
+    # tail times the product of the w before it, over the product of all the w
+    num, prefix = 0, 1
+    for i, (w_i, m_i, a_i, b_i, _) in enumerate(rows):
+        tail, run = 0, 1
+        for j in range(i + 1, len(rows)):
+            w_j, m_j, a_j, b_j, _ = rows[j]
             product = (a_i * m_j - a_j * m_i) * (b_i * m_j - b_j * m_i)
             cross.append((i, j, product > 0))
-            rhs += product / (m_i * m_j)
-    return screening, tuple(cross), rhs
+            tail, run = tail * w_j + product * run, run * w_j
+        num += tail * prefix
+        prefix *= w_i
+    conditionals = (
+        tuple(Fraction(m_a, m) for _, m, m_a, _, _ in rows),
+        tuple(Fraction(m_b, m) for _, m, _, m_b, _ in rows),
+        tuple(Fraction(m_ab, m) for _, m, _, _, m_ab in rows),
+    )
+    return screening, tuple(cross), Fraction(num, prefix), conditionals
 
 
 class CommonCauseSystem(_Value):
@@ -146,7 +173,7 @@ class CommonCauseSystem(_Value):
                     raise InputError(f"{name}[{k}] = {value!r}: booleans are not rational scalars")
                 if not isinstance(value, Rational):  # a float's rounding could pass an exact test it fails
                     raise InputError(f"{name}[{k}] = {value!r} is not exact; pass a Fraction or an int")
-        screening, cross, _ = _conditions(tuple(zip((1,) * n, cond_a, cond_b, cond_ab)))
+        screening, cross, _, _ = _conditions(tuple(zip((1,) * n, cond_a, cond_b, cond_ab)))
         failure = _first_failure(screening, cross)
         if failure is not None:
             raise InputError(failure)
@@ -228,16 +255,16 @@ def _verify(pair: _Entry, cells: tuple[LatticeEvent, ...]) -> VerificationReport
         quads.append(quad)
     table.clear()
     table.update(zip(cells, quads))
-    screening, cross, rhs = _conditions(quads)
+    screening, cross, rhs, (cond_a, cond_b, cond_ab) = _conditions(quads)
     size_note = "size < 2: a single cell admits no cross-difference condition" if len(cells) < 2 else None
     failure = size_note or _first_failure(screening, cross)
     return VerificationReport(
         screening_off_ok=screening,
         cross_ok=cross,
         cell_measures=tuple(m for m, _, _, _ in quads),
-        cond_a=tuple(m_a / m for m, m_a, _, _ in quads),
-        cond_b=tuple(m_b / m for m, _, m_b, _ in quads),
-        cond_ab=tuple(m_ab / m for m, _, _, m_ab in quads),
+        cond_a=cond_a,
+        cond_b=cond_b,
+        cond_ab=cond_ab,
         decomposition_lhs=measures[3],
         decomposition_rhs=rhs,
         verdict=failure is None,

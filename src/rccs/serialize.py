@@ -22,20 +22,26 @@ if TYPE_CHECKING:  # annotations only: each reader loads the model it builds, an
     from .finite import FiniteEvent, FiniteSpace
     from .lattice import Partition
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def parse_rational(text: Any) -> Fraction:
-    """Parse a 'p/q' or integer string, rejecting anything else."""
+    """Parse a 'p/q' or integer string, rejecting anything else.
+
+    The pattern's digits are any Unicode decimal digits, as ``int``
+    reads them, so a zero denominator is found digit by digit: ``"1/٠"``
+    is one, whatever the script of its zeros and however many there are.
+    """
     if not isinstance(text, str):
         raise InputError(f"rationals must be JSON strings, got {echo(text)}")
     match = _RATIONAL_RE.match(text.strip())
     if not match:
         raise InputError(f"malformed rational {echo(text)}; expected 'p/q' or an integer string")
-    if match.group(1) is not None and not match.group(1).strip("0"):
+    numerator, denominator = match.groups()
+    if denominator is not None and not any(map(int, denominator)):
         raise InputError(f"zero denominator in rational {echo(text)}")
     try:
-        return Fraction(text.strip())
+        return Fraction(int(numerator), int(denominator) if denominator else 1)
     except ValueError:
         # the interpreter's int-string limit (sys.get_int_max_str_digits(), 4300 by default)
         raise InputError(

@@ -5,7 +5,9 @@ check.  The set-operation oracle works pointwise on the elementary
 subintervals induced by all endpoints; the Stirling numbers come from the
 standard recurrence; the conditions oracle scores a list of cells with
 Fraction conditionals, and the search oracle applies it to every
-enumerated partition.  The screening-cell oracle scans all 2^m subsets of
+enumerated partition.  The quadruple oracle decides the conditions on
+per-cell measures in Fraction arithmetic, as the engine did before its
+integer kernel.  The screening-cell oracle scans all 2^m subsets of
 a finite space, and the orbit oracle counts the search's hits in a
 uniform space from the cells' count vectors alone.  With the int-string
 limit lifted, ``str`` is the oracle for exact output of any size.  The fake events at the end are
@@ -196,7 +198,7 @@ def random_subset(rng: random.Random, space: FiniteSpace):
 class OracleScore:
     """The defining conditions on a list of cells, scored with Fraction quotients.
 
-    Deliberately independent of the engine's division-free kernel: each
+    Deliberately independent of the engine's integer kernel: each
     conditional is a Fraction quotient of event measures, and ``rhs`` is
     the textbook decomposition sum over ordered pairs i != j of
     m_i m_j (P(a|c_i) - P(a|c_j)) (P(b|c_i) - P(b|c_j)), halved.
@@ -236,6 +238,32 @@ def oracle_conditions(cond_a, cond_b, cond_ab) -> tuple[tuple[bool, ...], tuple[
         for j in range(i + 1, n)
     )
     return screening, cross
+
+
+def fraction_conditions(quads):
+    """The engine's conditions on per-cell quadruples ``(m, m_a, m_b, m_ab)``, in Fraction arithmetic.
+
+    The same formulas as the engine's kernel, with every product,
+    difference and quotient a Fraction operation: screening-off is
+    ``m m_ab == m_a m_b``; for cells i < j the cross product is
+    ``(a_i m_j - a_j m_i)(b_i m_j - b_j m_i)``, positive for a cross, and
+    the decomposition right-hand side sums it over ``m_i m_j``; each
+    conditional is a Fraction quotient.  Returns what the kernel returns:
+    the flags, the ``(i, j, ok)`` triples, that sum and the rows of
+    conditionals of a, b and a&b.
+    """
+    quads = [tuple(map(Fraction, quad)) for quad in quads]
+    screening = tuple(m * m_ab == m_a * m_b for m, m_a, m_b, m_ab in quads)
+    cross = []
+    rhs = Fraction(0)
+    for i, (m_i, a_i, b_i, _) in enumerate(quads):
+        for j in range(i + 1, len(quads)):
+            m_j, a_j, b_j, _ = quads[j]
+            product = (a_i * m_j - a_j * m_i) * (b_i * m_j - b_j * m_i)
+            cross.append((i, j, product > 0))
+            rhs += product / (m_i * m_j)
+    conditionals = tuple(tuple(quad[k] / quad[0] for quad in quads) for k in (1, 2, 3))
+    return screening, tuple(cross), rhs, conditionals
 
 
 def oracle_score(a, b, cells) -> OracleScore:

@@ -217,6 +217,22 @@ class TestExitCodes:
             assert (code, out) == (1, "")
             assert err == "usage error: argument --lambda: expected one argument\n"
 
+    def test_unicode_zero_denominator_is_an_input_error(self):
+        # "1/\u0660" (ARABIC-INDIC DIGIT ZERO) passes the rational pattern; it must not reach Fraction(1, 0)
+        zero = "1/\u0660"
+        worked = json.loads(WORKED_INPUT)
+        cases = {
+            "verify": ["verify", json.dumps(worked | {"partition": [{"intervals": [["0", zero]]}]})],
+            "search": ["search", json.dumps(
+                {"space": {"weights": [zero, "1/2"]}, "a": {"members": [0]}, "b": {"members": [0]}, "n": 2}
+            )],
+            "demo": ["demo", f"--lambda={zero}"],
+        }
+        for name, argv in cases.items():
+            assert run_cli(argv) == (1, "", f"input error: zero denominator in rational '{zero}'\n"), name
+        # a rational in other digits is still read: --lambda=\u0661/\u0662 is --lambda=1/2
+        assert run_cli(["demo", "--lambda=\u0661/\u0662", "--json"]) == run_cli(["demo", "--lambda=1/2", "--json"])
+
     def test_unknown_subcommand_is_1(self):
         assert run_cli(["frobnicate"])[0] == 1
 

@@ -6,6 +6,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -30,7 +31,7 @@ from rccs import (
     verify_rccs,
 )
 from rccs import events
-from rccs.engine import _pair
+from rccs.engine import _conditions, _pair
 from rccs.serialize import (
     dumps,
     interval_event_from_obj,
@@ -46,6 +47,7 @@ from .helpers import (
     Absorbing,
     Incompatible,
     assert_canonical,
+    fraction_conditions,
     iv,
     oracle_conditions,
     oracle_score,
@@ -776,7 +778,7 @@ def tamper(rng: random.Random, partition: Partition) -> Partition:
 
 
 class TestKernelAgainstOracle:
-    """The division-free conditions kernel against Fraction quotients, on both models."""
+    """The integer conditions kernel against Fraction quotients, on both models."""
 
     def test_constructed_and_tampered_systems(self):
         rng = random.Random(401)
@@ -851,6 +853,112 @@ class TestKernelAgainstOracle:
                     CommonCauseSystem(cells=cells, cond_a=cond_a, cond_b=cond_b, cond_ab=cond_ab)
                 assert str(err.value) == failure
         assert accepted >= 50
+
+
+def _denominators(rng: random.Random, kind: str, count: int) -> list[int]:
+    """``count`` denominators: small, near 10**6 as on the benchmark's grids, or pairwise coprime of 200 bits."""
+    if kind == "small":
+        return [rng.randint(1, 12) for _ in range(count)]
+    if kind == "grid":
+        return [rng.randint(999_000, 1_001_000) for _ in range(count)]
+    dens: list[int] = []
+    while len(dens) < count:
+        den = rng.getrandbits(200) | 1 << 199
+        if all(gcd(den, other) == 1 for other in dens):
+            dens.append(den)
+    return dens
+
+
+def _quad(rng: random.Random, kind: str) -> tuple:
+    """A cell's ``(m, m_a, m_b, m_ab)`` from four atom measures, each on its own denominator; some atoms empty."""
+    both, a_only, b_only, rest = (
+        Fraction(rng.randrange(den + 1) if rng.random() < 0.8 else 0, den) for den in _denominators(rng, kind, 4)
+    )
+    if both + a_only + b_only + rest == 0:
+        rest = Fraction(1, _denominators(rng, kind, 1)[0])
+    return both + a_only + b_only + rest, both + a_only, both + b_only, both
+
+
+def _screening_quad(rng: random.Random, kind: str) -> tuple:
+    """A cell on which a and b are exactly independent: m_ab = m_a m_b / m."""
+    m, p, q = (Fraction(rng.randint(1, den), den) for den in _denominators(rng, kind, 3))
+    return m, m * p, m * q, m * p * q
+
+
+def _equal_cell(rng: random.Random, quad: tuple, kind: str) -> tuple:
+    """A cell with the conditionals of ``quad`` and another measure, so the cross product with it is zero."""
+    scale = Fraction(rng.randint(1, 10**6), _denominators(rng, kind, 1)[0])
+    return tuple(x * scale for x in quad)
+
+
+def _exact(value) -> tuple:
+    return type(value), value.numerator, value.denominator
+
+
+def check_kernel(quads) -> tuple:
+    """``_conditions`` on ``quads`` against the Fraction oracle, field by field; returns the kernel's answer."""
+    answer = _conditions(quads)
+    screening, cross, rhs, conditionals = answer
+    expected = fraction_conditions(quads)
+    assert screening == expected[0] and all(type(ok) is bool for ok in screening)
+    assert cross == expected[1] and all(type(ok) is bool for _, _, ok in cross)
+    assert _exact(rhs) == (Fraction, expected[2].numerator, expected[2].denominator)
+    assert [[_exact(x) for x in row] for row in conditionals] == [
+        [(Fraction, x.numerator, x.denominator) for x in row] for row in expected[3]
+    ]
+    return answer
+
+
+class TestConditionsKernel:
+    """``_conditions`` decides in integers exactly what Fraction arithmetic decides, on seeded quadruples."""
+
+    @pytest.mark.parametrize("kind", ["small", "grid", "coprime-200-bit"])
+    def test_random_cells(self, kind):
+        rng = random.Random(f"kernel/{kind}")
+        draws = {"random": _quad, "screening": _screening_quad}
+        for n in range(1, 7):
+            for _ in range(40):
+                quads = [draws[rng.choice(["random", "random", "screening"])](rng, kind) for _ in range(n)]
+                check_kernel(quads)
+
+    def test_screening_cells_and_equal_cells(self):
+        rng = random.Random(2004)
+        zero_products = 0
+        for kind in ("small", "grid", "coprime-200-bit"):
+            for n in range(2, 7):
+                quads = [_screening_quad(rng, kind) for _ in range(n - 1)]
+                quads.insert(rng.randrange(n), _equal_cell(rng, quads[0], kind))
+                screening, cross, _, _ = check_kernel(quads)
+                assert all(screening)
+                zero_products += sum(not ok for _, _, ok in cross)
+        assert zero_products >= 15  # every drawn list has a pair of equal cells
+
+    def test_cells_straddling_one_denominator(self):
+        # the lcm of a cell's denominators cancels: cells on one shared denominator and cells whose
+        # four measures each have another give the same conditions as their Fraction values
+        rng = random.Random(2005)
+        for kind in ("small", "grid", "coprime-200-bit"):
+            for n in range(1, 7):
+                den = _denominators(rng, kind, 1)[0]
+                quads = [tuple(Fraction(k, den) for k in sorted((rng.randint(1, den) for _ in range(4)), reverse=True))
+                         for _ in range(n)]
+                check_kernel(quads + [_quad(rng, kind)])
+
+    def test_system_rows_of_ints_and_fractions(self):
+        # CommonCauseSystem hands the kernel rows (1, P(a|c), P(b|c), P(a&b|c)), whose entries may be the ints 0 and 1
+        values = (0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1))
+        rng = random.Random(2006)
+        accepted = 0
+        for n in range(1, 7):
+            for _ in range(60):
+                rows = []
+                for _ in range(n):
+                    x, y = rng.choice(values), rng.choice(values)
+                    rows.append((1, x, y, x * y if rng.random() < 0.8 else rng.choice(values)))
+                screening, cross, _, _ = check_kernel(rows)
+                accepted += n > 1 and all(screening) and all(ok for _, _, ok in cross)
+        assert accepted >= 10
+        assert check_kernel([(1, 1, 1, 1), (1, 0, 0, 0)])[:3] == ((True, True), ((0, 1, True),), Fraction(1))
 
 
 def _answers(a, b, partition, cold: bool = False) -> list:

@@ -50,6 +50,29 @@ class TestRationals:
             parse_rational("1/0")
         assert "denominator" in str(err.value)
 
+    def test_zero_denominator_in_any_digits_and_length(self):
+        # the pattern takes any Unicode decimal digit, so a zero may be written in any script
+        arabic_zero, devanagari_zero = "\u0660", "\u0966"
+        for den in ("0", "00", arabic_zero, arabic_zero * 2, "0" + devanagari_zero, arabic_zero * 5000, "0" * 5000):
+            with pytest.raises(InputError) as err:
+                parse_rational("1/" + den)
+            assert str(err.value).startswith("zero denominator in rational '1/")
+
+    def test_unicode_digits_read_as_their_values(self):
+        assert parse_rational("\u0661/\u0662") == Fraction(1, 2)  # ARABIC-INDIC ONE and TWO
+        assert parse_rational("-\u0663/\u0664") == Fraction(-3, 4)
+        assert parse_rational("\u0967\u0966") == Fraction(10)  # DEVANAGARI ONE ZERO
+
+    def test_parsed_value_equals_the_fraction_of_the_text(self):
+        rng = random.Random(2802)
+        for _ in range(2000):
+            num = rng.choice(["", "+", "-"]) + "0" * rng.randint(0, 2) + str(rng.randrange(10 ** rng.randint(1, 40)))
+            den = "0" * rng.randint(0, 2) + str(rng.randrange(1, 10 ** rng.randint(1, 40)))
+            text = rng.choice([num, f"{num}/{den}"])
+            value = parse_rational(rng.choice(["", " ", "\n"]) + text)
+            assert type(value) is Fraction
+            assert (value.numerator, value.denominator) == (Fraction(text).numerator, Fraction(text).denominator)
+
     def test_rejects_decimals_and_junk(self):
         for bad in ("0.5", "1/2/3", "a", "", "1.0", "1e-3"):
             with pytest.raises(InputError):

@@ -8,7 +8,9 @@ Two kinds of pair, each correlated and logically independent:
   2..10**6, so almost no two endpoints share one.
 
 Each row is the median (and the fastest) of ``--repeats`` timed calls on
-one pair.  The ``verify_*`` columns time ``verify_rccs`` alone on the
+one pair, 31 by default: with 5, runs on one tree spread 40-80% on the
+grid sizes, too wide to resolve a change of a few tenths of a millisecond
+there.  The ``verify_*`` columns time ``verify_rccs`` alone on the
 partition that construction built, which shows how a construction splits
 between building the cells and the one verification it includes.  Those
 timed calls and the construction's are cold: where the engine memoizes
@@ -76,7 +78,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=31)
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     import rccs.engine

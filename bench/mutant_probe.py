@@ -59,9 +59,10 @@ _ENGINE = ("test_engine", "test_cross_model")
 _FINITE = ("test_finite", "test_cross_model")
 _SERIALIZE = ("test_serialize", "test_cli")
 _CLI = ("test_cli",)
+_BELL = ("test_bell",)
 
 MUTANTS = (
-    # events: the sweeps, the measure, the canonical-form check and the trusted constructor
+    # events: the sweeps, the measure, the canonical-form check, the trusted constructor, the atoms and the carve
     Mutant(
         "meet-tie-end", "events.py",
         "            if a_hn * b_hd <= b_hn * a_hd:", "            if a_hn * b_hd < b_hn * a_hd:", _EVENTS,
@@ -87,6 +88,25 @@ MUTANTS = (
         "            by_den[lo_d] = by_den.get(lo_d, 0) + lo_n", _EVENTS,
     ),
     Mutant("checked-lower-bound", "events.py", "        nums[0] >= 0", "        nums[0] > 0", _EVENTS),
+    Mutant("atoms-tie", "events.py", "        if x <= y:  # the cut", "        if x < y:  # the cut", _EVENTS),
+    Mutant("atoms-flip", "events.py", "            state ^= 1\n", "            state ^= 2\n", _EVENTS),
+    Mutant("atoms-closing", "events.py", "    if at_n < at_d:", "    if at_n <= at_d:", _EVENTS),
+    Mutant(
+        "atoms-start", "events.py",
+        "    i, j = (2 if a and not a[0] else 0),", "    i, j = (2 if a and a[0] else 0),", _EVENTS,
+    ),
+    Mutant("carve-fit-sign", "events.py", "                if diff < 0 or", "                if diff > 0 or", _EVENTS),
+    Mutant(
+        "carve-exact-fit", "events.py",
+        "                if diff < 0 or diff == 0 and k < len(e) - 4:", "                if diff < 0:", _EVENTS,
+    ),
+    Mutant(
+        "carve-last-interval", "events.py", "diff == 0 and k < len(e) - 4:", "diff == 0 and k <= len(e) - 4:", _EVENTS,
+    ),
+    Mutant(
+        "carve-residual", "events.py",
+        "                p, q = diff, q * hi_d * lo_d", "                p, q = diff, q * hi_d", _EVENTS,
+    ),
     Mutant(
         "trusted-shifted-fields", "events.py",
         "zip(cls.__slots__, fields)", "zip(cls.__slots__[1:], fields)", ("test_events", "test_finite"),
@@ -96,7 +116,7 @@ MUTANTS = (
         "all(map(lt, map(mul, nums, dens[1:]), map(mul, nums[1:], dens)))",
         "all(map(lambda x, y: x <= y, map(mul, nums, dens[1:]), map(mul, nums[1:], dens)))", _EVENTS,
     ),
-    # lattice: the compatibility split, logical independence and the partition check
+    # lattice: the two-sided compatibility test, logical independence and the partition check
     Mutant(
         "split-b-side", "lattice.py",
         "    b_side = a_and_b.join(not_a_b) == b", "    b_side = a_and_b.join(not_a_b) == a", _LATTICE,
@@ -225,6 +245,24 @@ MUTANTS = (
     Mutant(
         "list-field-type", "serialize.py",
         "    if not isinstance(raw, list):", "    if not isinstance(raw, (list, str)):", _SERIALIZE,
+    ),
+    # bell: the Kronecker product, the Bell combination, the scalar identity and its tolerance test
+    Mutant(
+        "kron-row-order", "bell.py",
+        "for p in xrow for q in yrow) for xrow in x for yrow in y)",
+        "for p in xrow for q in yrow) for yrow in y for xrow in x)", _BELL,
+    ),
+    Mutant(
+        "combination-sign", "bell.py",
+        'e["a1"] + e["a2"] + e["b1b2"] - e["a1a2"]', 'e["a1"] + e["a2"] + e["b1b2"] + e["a1a2"]', _BELL,
+    ),
+    Mutant(
+        "identity-rhs", "bell.py",
+        "(1 - b1) * (1 - b2)) + (1 - a1)", "(1 - b1) * b2) + (1 - a1)", _BELL,
+    ),
+    Mutant(
+        "classical-bound-tolerance", "bell.py",
+        "    if abs(lhs - rhs) >= IDENTITY_TOLERANCE:", "    if abs(lhs - rhs) >= 0:", _BELL,
     ),
     # cli: the flag readers, the exit code of a failed precondition and the --json switch
     Mutant("max-points-reader", "cli.py", "    if value < 1:", "    if value < 0:", _CLI),

@@ -35,8 +35,8 @@ from .errors import InputError, InternalInvariantError, PreconditionError, echo
 from .events import IntervalEvent, _outside_unit, _Value, as_fraction, format_rational
 from .lattice import LatticeEvent, Partition, _require_one_model, _split, compatible
 
-# the atoms a&b, a&~b, ~a&b of a compatible pair (a, b)
-_Atoms = tuple[LatticeEvent, LatticeEvent, LatticeEvent]
+# the atoms a&b, a&~b, ~a&b, ~a&~b of a compatible pair (a, b)
+_Atoms = tuple[LatticeEvent, LatticeEvent, LatticeEvent, LatticeEvent]
 
 
 def _require_compat_pair(a: LatticeEvent, b: LatticeEvent) -> None:
@@ -52,10 +52,11 @@ _Entry = tuple[_Atoms, _Measures, dict]
 def _pair(a: LatticeEvent, b: LatticeEvent) -> _Entry:
     """The atoms of a compatible pair (a, b), m(a), m(b), m(a&b) and the joint excess, and its cell table.
 
-    The pair is checked with the lattice's one compatibility test, which
-    splits it into a&b, a&~b and ~a&b.  a is the disjoint join of a&b and
-    a&~b, and b that of a&b and ~a&b, so m(a) and m(b) are sums of the
-    three atom measures, and the excess is m(a&b) - m(a)m(b).
+    The lattice's compatibility split gives the pair's atoms a&b, a&~b,
+    ~a&b and ~a&~b, from the model's own split for a shipped model.  a is
+    the disjoint join of a&b and a&~b, and b that of a&b and ~a&b, so m(a)
+    and m(b) are sums of three atom measures, and the excess is
+    m(a&b) - m(a)m(b).
 
     Memoized for the last pair: events are immutable and hashable, so an
     equal pair has equal atoms and measures, and repeated engine calls on
@@ -72,7 +73,7 @@ def _pair(a: LatticeEvent, b: LatticeEvent) -> _Entry:
     is_compatible, *atoms = _split(a, b)
     if not is_compatible:
         raise PreconditionError("events are not compatible")
-    m_ab, m_a_only, m_b_only = (atom.measure() for atom in atoms)
+    m_ab, m_a_only, m_b_only = (atom.measure() for atom in atoms[:3])
     m_a, m_b = m_ab + m_a_only, m_ab + m_b_only
     return tuple(atoms), (m_a, m_b, m_ab, m_ab - m_a * m_b), {}
 
@@ -240,7 +241,7 @@ def _verify(pair: _Entry, cells: tuple[LatticeEvent, ...]) -> VerificationReport
     this call's cells (a refused cell is never stored), and every
     condition is decided on every call.
     """
-    (both, a_only, b_only), measures, table = pair
+    (both, a_only, b_only, _), measures, table = pair
     quads = []
     for k, cell in enumerate(cells):
         if not isinstance(cell, both.__class__):
@@ -396,12 +397,12 @@ def construction_steps(
 
     The recipe, all in exact arithmetic:
 
-    1. Carve a first cell of measure lam * bound out of a&b, where
-       bound = excess / measure(~(a|b)) and 0 < lam < 1.  Conditional on
-       it, both events are certain.
+    1. Carve a first cell of measure lam * bound out of the atom a&b,
+       where bound = excess / measure(~(a|b)) and 0 < lam < 1.
+       Conditional on it, both events are certain.
     2. Forcing screening-off on the remainder fixes the second cell's
-       measure; carve it out of ~a & ~b.  Conditional on it, both events
-       are impossible.
+       measure; carve it out of the atom ~a & ~b.  Conditional on it,
+       both events are impossible.
     3. The third cell is the complement of the union of the first two;
        its conditionals land strictly between 0 and 1.
 
@@ -441,7 +442,7 @@ def construction_steps(
     bound = excess / (1 - m_a - m_b + m_ab)
     full_measure = lam * bound
     full_cell = atoms[0].carve(full_measure)
-    null_cell = a.join(b).complement().carve((1 - lam) * excess / (m_ab - full_measure))
+    null_cell = atoms[3].carve((1 - lam) * excess / (m_ab - full_measure))
     mixed_cell = full_cell.join(null_cell).complement()
     cells = Partition._trusted((full_cell, null_cell, mixed_cell))
     report = _verify(pair, cells.cells)

@@ -10,13 +10,13 @@ An event stores its endpoints as one flat tuple of Python ints, four per
 interval: ``(lo_num, lo_den, hi_num, hi_den)``, each endpoint a reduced
 fraction with a positive denominator of its own.  Endpoints are never
 rescaled to a common denominator, so their size does not grow with the
-number of distinct denominators in play.  Meet and complement are the
-only sweeps; ``join`` is the complement of the meet of the complements
-(De Morgan), which gives the tuple a direct merge would, as canonical
-form is unique.  The sweeps compare by cross-multiplying and copy
-endpoint pairs from their operands (or use 0 and 1), so they create no
-new rationals.  ``measure`` returns an exact :class:`fractions.Fraction`,
-and ``intervals`` presents the endpoints as Fraction pairs.
+number of distinct denominators in play.  Meet, complement and a pair's
+split into its four atoms are the sweeps; ``join`` is the complement of
+the meet of the complements (De Morgan), which gives the tuple a direct
+merge would, as canonical form is unique.  The sweeps compare by
+cross-multiplying and copy endpoint pairs from their operands (or use 0
+and 1), so they create no new rationals.  ``measure`` returns an exact
+:class:`fractions.Fraction`; ``intervals`` gives Fraction pairs.
 
 Half-open intervals make the representation closed under complement and
 union, and merged adjacent intervals make equal point sets equal
@@ -174,6 +174,41 @@ def _meet(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(res)
 
 
+def _atoms(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The atoms a&b, a&~b, ~a&b and ~a&~b of two canonical endpoint tuples, in canonical form, in one sweep.
+
+    The endpoints of both, merged in ascending order, cut [0, 1) into
+    pieces on which membership in a and in b is fixed, and each piece is
+    filed under the atom those memberships name.  At every cut at least one
+    membership flips, so no two pieces of one atom touch.
+    """
+    atoms: list[list[int]] = [[], [], [], []]
+    # the atom's index is 2 * (not in a) + (not in b); an event that starts at 0 is entered before the sweep
+    i, j = (2 if a and not a[0] else 0), (2 if b and not b[0] else 0)
+    state, at_n, at_d = 3 ^ i ^ j // 2, 0, 1
+    # past its last endpoint an event reads 1/0, which cross-multiplies above every point of [0, 1]
+    a, b = a + (1, 0), b + (1, 0)
+    a_n, a_d, b_n, b_d = a[i], a[i + 1], b[j], b[j + 1]
+    while a_d or b_d:
+        x, y = a_n * b_d, b_n * a_d
+        if x <= y:  # the cut is a's endpoint, alone or with b's
+            atoms[state] += (at_n, at_d, a_n, a_d)
+            at_n, at_d = a_n, a_d
+            state ^= 2
+            i += 2
+            a_n, a_d = a[i], a[i + 1]
+        else:
+            atoms[state] += (at_n, at_d, b_n, b_d)
+            at_n, at_d = b_n, b_d
+        if y <= x:  # the cut is b's endpoint, alone or with a's
+            state ^= 1
+            j += 2
+            b_n, b_d = b[j], b[j + 1]
+    if at_n < at_d:  # the closing piece, up to 1
+        atoms[state] += (at_n, at_d, 1, 1)
+    return tuple(map(tuple, atoms))
+
+
 def _complement(e: tuple[int, ...]) -> tuple[int, ...]:
     """The complement in [0, 1) of a canonical endpoint tuple, in canonical form.
 
@@ -234,7 +269,7 @@ class _Value:
 
 
 class _Event(_Value):
-    """An event of either model: ``&``, ``|`` and ``~`` are its ``meet``, ``join`` and ``complement``."""
+    """An event of either model: ``&``, ``|``, ``~`` are ``meet``, ``join``, ``complement``; ``_atoms`` splits pairs."""
 
     __slots__ = ()
 
@@ -347,36 +382,37 @@ class IntervalEvent(_Event):
         """Containment as point sets: true iff meet(self, other) == self."""
         return self.meet(other) == self
 
+    def _atoms(self, other: "IntervalEvent") -> tuple["IntervalEvent", ...]:
+        """The atoms self&other, self&~other, ~self&other and ~self&~other, from one sweep."""
+        return tuple(map(IntervalEvent._trusted, _atoms(self._ends, other._ends)))
+
     def carve(self, target: RationalLike) -> "IntervalEvent":
         """Return a strict subevent of exactly the requested measure.
 
         Requires 0 < target < measure(self).  The choice is deterministic,
         a left-to-right sweep: whole intervals are taken from the left
         while they fit, then the first interval that does not fit is
-        truncated to the residual length.
+        truncated to the residual length.  The sweep runs in integers on an
+        unreduced residual p/q, and reduces only the truncated endpoint; the
+        event is measured only to word a refusal.
         """
         want = as_fraction(target)
-        total = self.measure()
-        if not 0 < want < total:
-            raise PreconditionError(
-                f"carve target must lie strictly between 0 and the event measure: "
-                f"got target {format_rational(want)} for measure {format_rational(total)}"
-            )
         e = self._ends
-        res: list[int] = []
-        remaining = want
-        for lo_n, lo_d, hi_n, hi_d in _quads(e):
-            length = Fraction(hi_n * lo_d - lo_n * hi_d, hi_d * lo_d)
-            if remaining >= length:
-                res += (lo_n, lo_d, hi_n, hi_d)
-                remaining -= length
-            else:
-                hi = Fraction(lo_n, lo_d) + remaining
-                res += (lo_n, lo_d, hi.numerator, hi.denominator)
-                remaining = Fraction(0)
-            if remaining == 0:
-                break
-        return IntervalEvent._trusted(tuple(res))
+        p, q = want.numerator, want.denominator
+        if p > 0:
+            for k in range(0, len(e), 4):
+                lo_n, lo_d, hi_n, hi_d = e[k : k + 4]
+                # the residual less this interval's length, times q * hi_d * lo_d; the last one fits exactly only
+                # when the target is the whole event
+                diff = p * hi_d * lo_d - (hi_n * lo_d - lo_n * hi_d) * q
+                if diff < 0 or diff == 0 and k < len(e) - 4:
+                    hi = Fraction(lo_n * q + p * lo_d, lo_d * q)
+                    return IntervalEvent._trusted(e[:k] + (lo_n, lo_d, hi.numerator, hi.denominator))
+                p, q = diff, q * hi_d * lo_d
+        raise PreconditionError(
+            f"carve target must lie strictly between 0 and the event measure: "
+            f"got target {format_rational(want)} for measure {format_rational(self.measure())}"
+        )
 
     def __reduce__(self):
         return (IntervalEvent, (self.intervals,))

@@ -126,6 +126,12 @@ class FiniteEvent(_Event):
         self._require_same_space(other)
         return self.mask & ~other.mask == 0
 
+    def _atoms(self, other: "FiniteEvent") -> tuple["FiniteEvent", ...]:
+        """The atoms self&other, self&~other, ~self&other and ~self&~other, as four masks."""
+        self._require_same_space(other)
+        a, b, full = self.mask, other.mask, (1 << len(self.space)) - 1
+        return tuple(FiniteEvent._trusted(self.space, m) for m in (a & b, a & ~b, b & ~a, full ^ (a | b)))
+
     def __str__(self) -> str:
         return "{" + ", ".join(str(i) for i in self.members) + "}"
 

@@ -5,7 +5,9 @@ finite weighted space) are Boolean algebras presented through the same
 small surface: ``meet``, ``join``, ``complement``, the induced order
 ``leq``, an exact ``measure``, and the ``is_zero`` / ``is_one`` flags.
 Everything in this module is written against that surface only, so the
-predicates work identically for either model and for any future one.
+predicates work identically for either model and for any future one,
+except that the shipped models, being Boolean, split their own pairs
+into atoms; the two-sided compatibility test is kept for other models.
 
 Only finite lattice operations appear in the contract.  Every algorithm
 in the package manipulates finitely many events, so countable joins are
@@ -19,14 +21,16 @@ from functools import reduce
 from typing import Iterable, Protocol, TypeVar
 
 from .errors import InputError, InternalInvariantError, PreconditionError, echo
-from .events import _require_iterable, _Value, format_rational
+from .events import _Event, _require_iterable, _Value, format_rational
 
 
 class LatticeEvent(Protocol):
-    """Structural protocol for events of a Boolean probability model (all pairs compatible).
+    """Structural protocol for the events of a probability model.
 
     Events are immutable and hashable, with equal events hashing alike:
-    the engine memoizes work on a pair keyed on the two events.
+    the engine memoizes work on a pair keyed on the two events.  The
+    shipped models are Boolean and split their own pairs; a model with
+    only this surface gets the two-sided compatibility test.
     """
 
     def meet(self, other): ...
@@ -65,37 +69,37 @@ def _require_one_model(a: E, b: E) -> None:
         raise InputError(f"events of different models: {type(a).__name__} and {type(b).__name__}")
 
 
-def _split(a: E, b: E) -> tuple[bool, E, E, E]:
-    """The two-sided compatibility test, with the atoms it is built from.
+def _split(a: E, b: E) -> tuple[bool, E, E, E, E]:
+    """The compatibility verdict on a pair, with its atoms a&b, a&~b, ~a&b and ~a&~b.
 
-    Returns the verdict of a = (a and b) or (a and not-b) and its mirror
-    b = (a and b) or (not-a and b), together with the three meets a&b,
-    a&~b and ~a&b.  Meet commutes, so a&b serves both sides.  The test is
+    A pair of two models is refused first.  In a shipped model, a Boolean
+    algebra, every pair is compatible: the verdict is True and the atoms
+    are those the model's ``_atoms`` gives.  Any other model gets the
+    two-sided test, a = (a and b) or (a and not-b) and its mirror
+    b = (a and b) or (not-a and b), with a&b serving both sides.  It is
     symmetric in any orthomodular lattice, so a disagreement between the
-    sides is raised as an internal invariant failure rather than returned.
-    A pair of two models is refused first.
+    sides is raised as an internal invariant failure.
     """
     _require_one_model(a, b)
-    not_b = b.complement()
-    not_a = a.complement()
-    a_and_b = a.meet(b)
-    a_not_b = a.meet(not_b)
-    not_a_b = b.meet(not_a)
+    if isinstance(a, _Event) and isinstance(b, _Event):
+        return (True, *a._atoms(b))
+    not_b, not_a = b.complement(), a.complement()
+    a_and_b, a_not_b, not_a_b = a.meet(b), a.meet(not_b), b.meet(not_a)
     a_side = a_and_b.join(a_not_b) == a
     b_side = a_and_b.join(not_a_b) == b
     if a_side != b_side:
         raise InternalInvariantError(
             "compatibility test came out asymmetric; the event model is broken"
         )
-    return a_side, a_and_b, a_not_b, not_a_b
+    return a_side, a_and_b, a_not_b, not_a_b, not_a.meet(not_b)
 
 
 def compatible(a: E, b: E) -> bool:
     """Check a = (a and b) or (a and not-b), the two-sided compatibility test.
 
-    Both sides are evaluated, and a disagreement is raised as an internal
-    invariant failure.  In the Boolean models shipped here the result is
-    always True.
+    In the Boolean models shipped here the result is always True, and the
+    pair is only split.  For any other model both sides are evaluated, and
+    a disagreement is raised as an internal invariant failure.
     """
     return _split(a, b)[0]
 

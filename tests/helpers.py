@@ -3,7 +3,10 @@
 The oracles here deliberately avoid the code paths they are used to
 check.  The set-operation oracle works pointwise on the elementary
 subintervals induced by all endpoints; the Stirling numbers come from the
-standard recurrence; the conditions oracle scores a list of cells with
+standard recurrence; the two-sided split is the lattice's generic
+compatibility test, which the shipped models' one-sweep atoms are checked
+against, and the Fraction carve the left-to-right carve in Fraction
+arithmetic; the conditions oracle scores a list of cells with
 Fraction conditionals, and the search oracle applies it to every
 enumerated partition.  The quadruple oracle decides the conditions on
 per-cell measures in Fraction arithmetic, as the engine did before its
@@ -124,6 +127,40 @@ def set_oracle(a: IntervalEvent, b: IntervalEvent | None, op) -> IntervalEvent:
         else:
             merged.append([lo, hi])
     return IntervalEvent(tuple((lo, hi) for lo, hi in merged))
+
+
+def two_sided_split(a, b):
+    """The generic two-sided compatibility test, and the four atoms, from meets, joins and complements alone.
+
+    Returns the verdicts of a = (a&b) | (a&~b) and b = (a&b) | (~a&b),
+    and the atoms a&b, a&~b, ~a&b and ~a&~b, each from one meet.  This is
+    the test the lattice keeps for a model that does not split its own
+    pairs.
+    """
+    not_a, not_b = a.complement(), b.complement()
+    a_and_b, a_not_b, not_a_b = a.meet(b), a.meet(not_b), b.meet(not_a)
+    a_side = a_and_b.join(a_not_b) == a
+    b_side = a_and_b.join(not_a_b) == b
+    return a_side, b_side, (a_and_b, a_not_b, not_a_b, not_a.meet(not_b))
+
+
+def fraction_carve(event: IntervalEvent, target: Fraction) -> IntervalEvent | None:
+    """``carve`` in Fraction arithmetic on the event's intervals, or None where it must refuse.
+
+    Whole intervals are taken from the left while they fit, then the first
+    that does not is cut to the rest.  A target that is not strictly
+    between 0 and the sum of the interval lengths is refused.
+    """
+    intervals = event.intervals
+    if not 0 < target < sum((hi - lo for lo, hi in intervals), Fraction(0)):
+        return None
+    pieces, remaining = [], target
+    for lo, hi in intervals:
+        pieces.append((lo, min(hi, lo + remaining)))
+        remaining -= pieces[-1][1] - lo
+        if remaining == 0:
+            return IntervalEvent(tuple(pieces))
+    raise AssertionError("a target below the measure ran past the last interval")
 
 
 # Denominators for mixed-denominator events: small ones, the primes 7, 11

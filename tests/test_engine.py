@@ -372,9 +372,9 @@ class TestDecomposition:
 
 
 def _counted_event_calls(monkeypatch, model: type) -> Counter:
-    """A counter, by name, of the calls to the model's meet, join, measure and complement from now on."""
+    """A counter, by name, of the calls to the model's meet, join, measure, complement and _atoms from now on."""
     calls = Counter()
-    for name in ("meet", "join", "measure", "complement"):
+    for name in ("meet", "join", "measure", "complement", "_atoms"):
         def counted(self, *args, _name=name, _original=getattr(model, name)):
             calls[_name] += 1
             return _original(self, *args)
@@ -401,14 +401,14 @@ class TestConstruction:
         assert steps.report.verdict
 
     def test_event_operation_budget(self, monkeypatch):
-        # the compatibility test splits the pair into a&b, a&~b, ~a&b, measured once each; the
-        # trace, both preconditions and the joint excess come from those three measures, every
-        # cell is met with the three atoms, and the other event operations build the cells
+        # the model splits the pair into its four atoms in one _atoms call, with no meet, join or
+        # complement, and a&b, a&~b, ~a&b are measured once each; the trace, both preconditions and
+        # the joint excess come from those three measures, the two carves measure nothing, every
+        # cell is met with the three atoms, and one join and one complement build the third cell
         _pair.cache_clear()
         calls = _counted_event_calls(monkeypatch, IntervalEvent)
         steps = construction_steps(WORKED_A, WORKED_B)
-        assert calls["meet"] <= 12 and calls["measure"] <= 17 and calls["complement"] <= 4, calls
-        assert calls["join"] <= 4, calls
+        assert calls == Counter(_atoms=1, meet=9, measure=15, join=1, complement=1), calls
         calls.clear()
         steps_to_obj(steps)
         assert calls["measure"] == 0
@@ -422,16 +422,15 @@ class TestConstruction:
         calls.clear()
         verify_rccs(WORKED_A, WORKED_B, merged)
         assert calls == Counter(meet=3, measure=4), calls
-        # a cold verification splits and measures the pair as well
+        # a cold verification splits the pair once and measures three atoms as well
         _pair.cache_clear()
         calls.clear()
         verify_rccs(WORKED_A, WORKED_B, steps.system.cells)
-        assert calls["meet"] <= 12 and calls["measure"] <= 15, calls
-        assert calls["complement"] <= 2 and calls["join"] <= 2, calls
-        # the two-sided test meets a with b once, for both of its sides
+        assert calls == Counter(_atoms=1, meet=9, measure=15), calls
+        # the compatibility test of an interval pair is the model's split alone
         calls.clear()
         assert compatible(WORKED_A, WORKED_B)
-        assert calls["meet"] <= 3 and calls["join"] <= 2 and calls["complement"] <= 2, calls
+        assert calls == Counter(_atoms=1), calls
 
     def test_kernel_results_skip_the_canonical_check(self, monkeypatch):
         # the canonical-form check runs where endpoints come in from outside, never on kernel results

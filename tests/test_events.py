@@ -18,10 +18,12 @@ from .helpers import (
     MIXED_DENOMINATORS,
     assert_canonical,
     endpoint_input,
+    fraction_carve,
     iv,
     random_event,
     random_nonzero_event,
     set_oracle,
+    two_sided_split,
     unlimited_int_digits,
 )
 
@@ -488,6 +490,154 @@ class TestJoinAtBenchmarkSize:
                     lo = rng.choice(pairs)[1]
                 pairs.append((lo, min(Fraction(1), lo + rng.randint(0, 10_000) * Fraction(1, 10**6))))
             assert assert_canonical(IntervalEvent.normalized(pairs)).intervals == _sort_and_merge(pairs)
+
+
+_ATOM_OPS = (
+    lambda x, y: x and y,
+    lambda x, y: x and not y,
+    lambda x, y: not x and y,
+    lambda x, y: not x and not y,
+)
+
+
+def _check_atoms(a: IntervalEvent, b: IntervalEvent) -> None:
+    """The one-sweep atoms of (a, b) are canonical, and equal the set oracle's and the two-sided split's."""
+    atoms = a._atoms(b)
+    assert type(atoms) is tuple and len(atoms) == 4
+    for atom in atoms:
+        assert type(assert_canonical(atom)) is IntervalEvent
+    assert atoms == tuple(set_oracle(a, b, op) for op in _ATOM_OPS)
+    a_side, b_side, split = two_sided_split(a, b)
+    assert a_side and b_side and atoms == split
+
+
+def _special_pairs(a: IntervalEvent, b: IntervalEvent) -> list[tuple[IntervalEvent, IntervalEvent]]:
+    """(a, b), and pairs built from them: equal, complementary (every endpoint shared, every piece
+    touching), nested, and with the empty and the full event."""
+    return [
+        (a, b), (b, a), (a, a), (a, a.complement()), (a.complement(), a),
+        (a, a.meet(b)), (a.meet(b), a), (a.join(b), b), (a, a.join(b).complement()),
+        (a, EMPTY), (EMPTY, a), (a, FULL), (FULL, a), (EMPTY, EMPTY), (FULL, FULL), (EMPTY, FULL), (FULL, EMPTY),
+    ]
+
+
+class TestAtoms:
+    """``_atoms``, the one sweep that splits a pair into a&b, a&~b, ~a&b and ~a&~b, against the set
+    oracle and the two-sided split built from meets, joins and complements."""
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one-denominator", "mixed-denominators"])
+    def test_small_pairs(self, mixed):
+        # small grids share and touch endpoints often, and reach 0 and 1
+        rng = random.Random(f"atoms-small/{mixed}")
+        for _ in range(60):
+            a, b = random_event(rng, max_parts=4, mixed=mixed), random_event(rng, max_parts=4, mixed=mixed)
+            for x, y in _special_pairs(a, b):
+                _check_atoms(x, y)
+
+    def test_hand_cases(self):
+        a = iv("0", "1/4", "1/2", "3/4")
+        for b in (
+            iv("1/4", "1/2", "3/4", "1"),  # touching a at every endpoint: a&b is empty, ~a&~b too
+            iv("0", "1/4"),  # sharing a's first interval
+            iv("1/8", "5/8"),  # crossing a gap
+            iv("0", "2/8", "4/8", "6/8"),  # a itself, written unreduced
+            iv("1/4", "3/4"),  # starting where a's first interval ends, ending where its last ends
+        ):
+            _check_atoms(a, b)
+            _check_atoms(b, a)
+        both, a_only, b_only, neither = a._atoms(iv("1/4", "1/2", "3/4", "1"))
+        assert (both, a_only, b_only, neither) == (EMPTY, a, a.complement(), EMPTY)
+        assert FULL._atoms(FULL) == (FULL, EMPTY, EMPTY, EMPTY)
+        assert EMPTY._atoms(EMPTY) == (EMPTY, EMPTY, EMPTY, FULL)
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one-denominator", "mixed-denominators"])
+    def test_benchmark_size(self, mixed):
+        rng = random.Random(f"atoms-benchmark-size/{mixed}")
+        for _ in range(8):
+            draw = _point_source(rng, mixed)
+            a = _event_on(draw, rng.randint(20, 150))
+            a_ends = [x for pair in a.intervals for x in pair]
+            b = _event_on(draw, rng.randint(20, 150), tuple(rng.sample(a_ends, rng.randint(0, len(a_ends)))))
+            for x, y in ((a, b), (b, a), (a, b.complement()), (a, a.meet(b))):
+                _check_atoms(x, y)
+
+
+def _prefix_sums(event: IntervalEvent) -> list[Fraction]:
+    """The measures of the event's first 1, 2, ... intervals: the targets that end exactly on an interval's end."""
+    sums, total = [], Fraction(0)
+    for lo, hi in event.intervals:
+        total += hi - lo
+        sums.append(total)
+    return sums
+
+
+def _refusal(target: Fraction, measure: Fraction) -> str:
+    return (
+        "carve target must lie strictly between 0 and the event measure: "
+        f"got target {target} for measure {measure}"
+    )
+
+
+class TestIntegerCarve:
+    """``carve`` against the Fraction carve, on targets inside intervals and exactly on their ends,
+    and its refusals, word for word."""
+
+    def _check(self, a: IntervalEvent, target: Fraction) -> None:
+        want = fraction_carve(a, target)
+        if want is None:
+            with pytest.raises(PreconditionError) as err:
+                a.carve(target)
+            assert str(err.value) == _refusal(target, a.measure())
+        else:
+            got = assert_canonical(a.carve(target))
+            assert got == want and got.measure() == target
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one-denominator", "mixed-denominators"])
+    def test_matches_fraction_carve(self, mixed):
+        rng = random.Random(f"integer-carve/{mixed}")
+        for _ in range(150):
+            a = random_event(rng, max_parts=4, mixed=mixed)
+            sums = _prefix_sums(a)
+            total = sums[-1] if sums else Fraction(0)
+            targets = [*sums, Fraction(0), -total, total * Fraction(17, 16) or Fraction(1, 3)]
+            targets += [total * Fraction(rng.randint(1, 15), 16) for _ in range(3)]
+            # a target just past an interval's end, and one just short of it
+            targets += [x + sign * Fraction(1, 10**9) for x in sums for sign in (-1, 1)]
+            for target in targets:
+                self._check(a, target)
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one-denominator", "mixed-denominators"])
+    def test_benchmark_size(self, mixed):
+        rng = random.Random(f"integer-carve-benchmark-size/{mixed}")
+        for _ in range(6):
+            a = _event_on(_point_source(rng, mixed), rng.randint(20, 150))
+            sums = _prefix_sums(a)
+            for target in rng.sample(sums, 5) + [sums[-1] * Fraction(rng.randint(1, 999), 1000) for _ in range(5)]:
+                self._check(a, target)
+
+    @pytest.mark.parametrize(
+        "event, target, measure",
+        [
+            (iv("0", "1/4", "1/2", "7/8"), "0", "5/8"),
+            (iv("0", "1/4", "1/2", "7/8"), "-1/8", "5/8"),
+            (iv("0", "1/4", "1/2", "7/8"), "5/8", "5/8"),
+            (iv("0", "1/4", "1/2", "7/8"), "10/16", "5/8"),
+            (iv("0", "1/4", "1/2", "7/8"), "2/3", "5/8"),
+            (iv("0", "1/4", "1/2", "7/8"), 1, "5/8"),
+            (iv("1/7", "1/3", "999982/999983", "1"), "3999953/20999643", "3999953/20999643"),
+            (EMPTY, "1/2", "0"),
+            (EMPTY, "0", "0"),
+            (FULL, "1", "1"),
+        ],
+    )
+    def test_refusals_keep_their_text(self, event, target, measure):
+        with pytest.raises(PreconditionError) as err:
+            event.carve(target)
+        assert str(err.value) == _refusal(Fraction(target), Fraction(measure))
+
+    def test_target_on_an_inner_end(self):
+        # 1/6 + 1/12 = 1/4 ends exactly on the second of three intervals, which is taken whole
+        assert iv("1/3", "1/2", "2/3", "3/4", "4/5", "1").carve("1/4") == iv("1/3", "1/2", "2/3", "3/4")
 
 
 class TestTrustBoundary:

@@ -35,6 +35,7 @@ from .helpers import (
     random_space,
     random_subset,
     screening_cells_oracle,
+    two_sided_split,
     stirling2,
 )
 
@@ -666,6 +667,30 @@ class TestBitmaskKernel:
                 assert event.is_one == (want == universe)
                 assert event.leq(x) == (want <= sx) and x.leq(event) == (sx <= want)
             assert (x == y) == (sx == sy)
+
+    def test_atoms_match_set_oracle(self):
+        # the four masks against sets, and against the two-sided split from meets, joins and complements
+        rng = random.Random(1213)
+        for _ in range(400):
+            m = rng.randint(1, 12)
+            space = random_space(rng, m)
+            universe = set(range(m))
+            sx, sy = ({i for i in range(m) if rng.random() < p} for p in (rng.random(), rng.random()))
+            sy = rng.choice((sy, sx, universe - sx, sx & sy, set(), universe))
+            x, y = space.event(sx), space.event(sy)
+            atoms = x._atoms(y)
+            assert [atom.members for atom in atoms] == [
+                tuple(sorted(want)) for want in (sx & sy, sx - sy, sy - sx, universe - sx - sy)
+            ]
+            assert all(atom.space is space for atom in atoms)
+            a_side, b_side, split = two_sided_split(x, y)
+            assert a_side and b_side and atoms == split
+
+    def test_atoms_of_two_spaces_refused(self):
+        a, other = uniform_space(4).event((0, 1)), uniform_space(2).event((0,))
+        for x, y in ((a, other), (other, a)):
+            with pytest.raises(InputError, match=r"^events belong to different spaces$"):
+                x._atoms(y)
 
     def test_trusted_paths_run_no_member_check(self, monkeypatch):
         space = uniform_space(8)

@@ -28,6 +28,7 @@ from .helpers import (
     random_event,
     random_space,
     random_subset,
+    two_sided_split,
     unlimited_int_digits,
 )
 
@@ -59,6 +60,36 @@ class TestCompatibility:
         assert not compatible(Incompatible(), Incompatible())
         with pytest.raises(InternalInvariantError, match="asymmetric"):
             compatible(Absorbing(), Incompatible())
+
+
+class TestCompatibilityCrossCheck:
+    """``compatible`` and the lattice's split agree with the generic two-sided test, kept in the
+    test helpers, on random pairs of both models and on the fakes that fail it."""
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one-denominator", "mixed-denominators"])
+    def test_interval_pairs(self, mixed):
+        rng = random.Random(f"compatibility-cross-check/{mixed}")
+        for _ in range(200):
+            a, b = random_event(rng, max_parts=4, mixed=mixed), random_event(rng, max_parts=4, mixed=mixed)
+            for x, y in ((a, b), (a, a.complement()), (a, a.meet(b))):
+                a_side, b_side, atoms = two_sided_split(x, y)
+                assert compatible(x, y) is a_side is b_side is True
+                assert lattice._split(x, y) == (True, *atoms)
+
+    def test_finite_pairs(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            space = random_space(rng, rng.randint(1, 10))
+            a, b = random_subset(rng, space), random_subset(rng, space)
+            a_side, b_side, atoms = two_sided_split(a, b)
+            assert compatible(a, b) is a_side is b_side is True
+            assert lattice._split(a, b) == (True, *atoms)
+
+    def test_other_models_get_the_two_sided_test(self):
+        a_side, b_side, atoms = two_sided_split(Incompatible(), Incompatible())
+        assert compatible(Incompatible(), Incompatible()) is a_side is b_side is False
+        assert lattice._split(Incompatible(), Incompatible()) == (False, *atoms)
+        assert two_sided_split(Absorbing(), Incompatible())[:2] == (True, False)
 
 
 class TestOrthomodularLaw:

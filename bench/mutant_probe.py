@@ -127,10 +127,22 @@ MUTANTS = (
     ),
     Mutant(
         "partition-overlap", "lattice.py",
-        "                if not cells[i].meet(cells[j]).is_zero:", "                if cells[i].meet(cells[j]).is_one:",
+        "            if not cells[i].leq(cells[j].complement()):", "            if cells[i].meet(cells[j]).is_one:",
         _LATTICE,
     ),
+    Mutant(
+        "partition-orthogonality", "lattice.py",
+        "            if not cells[i].leq(cells[j].complement()):",
+        "            if not cells[i].meet(cells[j]).is_zero:", _LATTICE,
+    ),
     Mutant("partition-two-models", "lattice.py", "            _require_one_model(cells[0], cell)\n", "", _LATTICE),
+    # the models' one-pass partition checks: interval endpoint sets, finite masks
+    Mutant("tiles-interval-size", "events.py", "len(los) == len(his) == size // 4 and ", "", _LATTICE),
+    Mutant("tiles-interval-ends", "events.py", "los ^ his == {(0, 1), (1, 1)}", "los - his == {(0, 1)}", _LATTICE),
+    Mutant("tiles-finite-size", "finite.py", " and count == len(space)", "", _LATTICE),
+    Mutant(
+        "tiles-finite-cover", "finite.py", "return union == (1 << len(space)) - 1 and count", "return count", _LATTICE,
+    ),
     # engine: the integer kernel, the verification core and the pair's cell table, the preconditions and the pair gate
     Mutant(
         "screening-equality", "engine.py",
@@ -228,7 +240,7 @@ MUTANTS = (
     ),
     Mutant("correlation-strict", "finite.py", "    if scaled_excess <= 0:", "    if scaled_excess < 0:", _FINITE),
     Mutant("cutoff", "finite.py", "    if m > max_points:", "    if m >= max_points:", ("test_finite", "test_cli")),
-    # serialize: the rational parser and the list fields
+    # serialize: the rational parser, its reduction, the list fields and the writer
     Mutant(
         "rational-anchor", "serialize.py",
         '_RATIONAL_RE = re.compile(r"^([+-]?\\d+)(?:/(\\d+))?$")', '_RATIONAL_RE = re.compile(r"^([+-]?\\d+)(?:/(\\d+))?")',
@@ -242,10 +254,16 @@ MUTANTS = (
         "rational-ascii-zero", "serialize.py",
         "not any(map(int, denominator)):", 'not denominator.strip("0"):', _SERIALIZE,
     ),
+    Mutant("rational-reduce", "serialize.py", "    g = gcd(num, den)\n", "    g = 1\n", _SERIALIZE),
     Mutant(
         "list-field-type", "serialize.py",
         "    if not isinstance(raw, list):", "    if not isinstance(raw, (list, str)):", _SERIALIZE,
     ),
+    Mutant(
+        "writer-separator", "serialize.py",
+        '("," + inner).join(parts) + newline + "]"', '(", " + inner).join(parts) + newline + "]"', _SERIALIZE,
+    ),
+    Mutant("writer-key-sort", "serialize.py", "in sorted(value.items())", "in value.items()", _SERIALIZE),
     # bell: the Kronecker product, the Bell combination, the scalar identity and its tolerance test
     Mutant(
         "kron-row-order", "bell.py",

@@ -23,7 +23,9 @@ public array boundary: ``BellWitness`` holds numpy arrays, and
 ``build_witness``, ``bell_expectations``, ``bell_value``,
 ``is_projection``, ``is_partial_isometry``, ``commutator_norm`` and
 ``basis_product_state`` take or return them and import numpy inside the
-call, so the ``bell`` and ``demo`` subcommands never load it.  All
+call, so the ``bell`` and ``demo`` subcommands never load it.  numpy is
+the optional ``array`` extra: without it those calls raise a one-line
+ImportError that names the extra, and everything else runs.  All
 tolerances live in the two module constants below, chosen because the
 entries involve sqrt(3) and 1/sqrt(2) rather than rationals.
 """
@@ -171,9 +173,20 @@ def _default_bell() -> tuple[tuple[tuple[str, float], ...], float]:
 # The public array boundary.
 
 
+def _numpy():
+    """The numpy module, or a one-line ImportError that names the extra which installs it."""
+    try:
+        import numpy
+    except ImportError:
+        raise ImportError(
+            "rccs.bell's array functions need numpy; install the 'array' extra: pip install 'rccs-toolkit[array]'"
+        ) from None
+    return numpy
+
+
 def _operators(*ops) -> list[tuple]:
     """The arrays ``ops`` as kernel matrices; they must be square and of one size."""
-    import numpy as np
+    np = _numpy()
 
     arrays = [np.asarray(op, dtype=complex) for op in ops]
     if any(a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != arrays[0].shape for a in arrays):
@@ -209,7 +222,7 @@ class BellWitness(_Value):
 
 def basis_product_state(i: int, j: int) -> np.ndarray:
     """The product basis vector e_i (x) e_j of C^2 (x) C^2."""
-    import numpy as np
+    np = _numpy()
 
     if i not in (0, 1) or j not in (0, 1):
         raise PreconditionError("basis labels must be 0 or 1")
@@ -234,7 +247,7 @@ def build_witness(psi: np.ndarray | None = None) -> BellWitness:
     commutation on every call.  For a unit seed, psi + V1 V2 psi has norm
     at least (sqrt(5) - 1)/2, so it never vanishes.
     """
-    import numpy as np
+    np = _numpy()
 
     seed = _E11 if psi is None else tuple(np.asarray(psi, dtype=complex).reshape(4).tolist())
     return BellWitness(*(np.array(x, dtype=complex) for x in _witness(seed)))
@@ -242,7 +255,7 @@ def build_witness(psi: np.ndarray | None = None) -> BellWitness:
 
 def bell_expectations(state: np.ndarray, witness: BellWitness) -> dict[str, float]:
     """The six expectation values entering the Clauser-Horne combination."""
-    import numpy as np
+    np = _numpy()
 
     state = tuple(np.asarray(state, dtype=complex).reshape(-1).tolist())
     ops = _operators(witness.a1, witness.b1, witness.a2, witness.b2)

@@ -269,7 +269,13 @@ class _Value:
 
 
 class _Event(_Value):
-    """An event of either model: ``&``, ``|``, ``~`` are ``meet``, ``join``, ``complement``; ``_atoms`` splits pairs."""
+    """An event of either model: ``&``, ``|``, ``~`` are ``meet``, ``join``, ``complement``.
+
+    Each model also has two private hooks the lattice dispatches to:
+    ``_atoms`` splits a pair into its four atoms in one pass, and
+    ``_tiles(cells)`` decides in one pass whether nonzero cells of its
+    model partition the space.
+    """
 
     __slots__ = ()
 
@@ -291,6 +297,11 @@ class IntervalEvent(_Event):
     touching, empty, or out-of-range intervals); so does unpickling.  Use
     :meth:`normalized` for an arbitrary interval list.  Kernel results
     skip the check.  Instances are immutable and hashable.
+
+    Every checked event passes one canonical check, on its flat endpoint
+    tuple: the constructor coerces its pairs to that tuple first, and the
+    JSON reader, which parses each endpoint text straight to a reduced int
+    pair, builds its events through ``_of_ends``.
     """
 
     __slots__ = ("_ends",)
@@ -300,6 +311,11 @@ class IntervalEvent(_Event):
         for lo, hi in _coerce_pairs(intervals):
             ends += (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
         super().__init__(_checked(tuple(ends)))
+
+    @classmethod
+    def _of_ends(cls, ends: tuple[int, ...]) -> "IntervalEvent":
+        """The event of a flat tuple of reduced endpoint pairs, checked for canonical form as the constructor is."""
+        return cls._trusted(_checked(ends))
 
     @classmethod
     def normalized(cls, pairs: Iterable) -> "IntervalEvent":
@@ -385,6 +401,24 @@ class IntervalEvent(_Event):
     def _atoms(self, other: "IntervalEvent") -> tuple["IntervalEvent", ...]:
         """The atoms self&other, self&~other, ~self&other and ~self&~other, from one sweep."""
         return tuple(map(IntervalEvent._trusted, _atoms(self._ends, other._ends)))
+
+    def _tiles(self, cells: tuple["IntervalEvent", ...]) -> bool:
+        """Whether nonzero cells, this one among them, partition [0, 1), from their intervals' endpoint sets.
+
+        They do exactly when no two intervals share a lower endpoint or an
+        upper one, and every endpoint but 0 and 1 is both a lower and an
+        upper one.  Endpoints are reduced pairs, so equal points are equal
+        pairs; each interval has lo < hi, so from 0 the next interval is
+        forced at every step and the chain rises to 1, with no interval left
+        off it.
+        """
+        los, his, size = set(), set(), 0
+        for cell in cells:
+            e = cell._ends
+            los.update(zip(e[0::4], e[1::4]))
+            his.update(zip(e[2::4], e[3::4]))
+            size += len(e)
+        return len(los) == len(his) == size // 4 and los ^ his == {(0, 1), (1, 1)}
 
     def carve(self, target: RationalLike) -> "IntervalEvent":
         """Return a strict subevent of exactly the requested measure.

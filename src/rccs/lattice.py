@@ -7,7 +7,9 @@ small surface: ``meet``, ``join``, ``complement``, the induced order
 Everything in this module is written against that surface only, so the
 predicates work identically for either model and for any future one,
 except that the shipped models, being Boolean, split their own pairs
-into atoms; the two-sided compatibility test is kept for other models.
+into atoms and check their own partitions in one pass; the two-sided
+compatibility test and the pairwise orthogonality test are kept for
+other models.
 
 Only finite lattice operations appear in the contract.  Every algorithm
 in the package manipulates finitely many events, so countable joins are
@@ -178,12 +180,30 @@ def check_product_inequality(a: E, b: E, c: E) -> bool:
     return True
 
 
+def _require_orthogonal_cover(cells: tuple) -> None:
+    """Refuse nonzero cells of one model unless they are pairwise orthogonal and their join is 1."""
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            if not cells[i].leq(cells[j].complement()):
+                raise InputError(f"partition cells {i} and {j} overlap")
+    whole = reduce(lambda x, y: x.join(y), cells)
+    if not whole.is_one:
+        raise InputError("partition cells do not cover the whole space")
+
+
 class Partition(_Value):
-    """An ordered tuple of pairwise disjoint nonzero events covering the space.
+    """An ordered tuple of pairwise orthogonal nonzero events whose join is the whole space.
 
     The constructor always checks the cells, and refuses a cell that is
     not an event at all; so does unpickling.  Partitions that are valid by
     construction are built by ``_trusted``, which skips the check.
+
+    The check is one pass over the cells in a shipped model: after the
+    per-cell checks, the model's ``_tiles`` decides.  Only when it says no,
+    or for any other model, are the cells compared pair by pair: cell i
+    must lie below the complement of cell j (orthogonality, which is
+    disjointness in a Boolean algebra), and their join must be 1.  That
+    loop words the refusal.
     """
 
     __slots__ = ("cells",)
@@ -199,13 +219,13 @@ class Partition(_Value):
             _require_one_model(cells[0], cell)
             if cell.is_zero:
                 raise InputError(f"partition cell {k} is empty")
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                if not cells[i].meet(cells[j]).is_zero:
-                    raise InputError(f"partition cells {i} and {j} overlap")
-        whole = reduce(lambda x, y: x.join(y), cells)
-        if not whole.is_one:
-            raise InputError("partition cells do not cover the whole space")
+        shipped = isinstance(cells[0], _Event)
+        if not (shipped and cells[0]._tiles(cells)):
+            _require_orthogonal_cover(cells)
+            if shipped:
+                raise InternalInvariantError(
+                    "the tiling check refused cells that the pairwise check accepts; the event model is broken"
+                )
         super().__init__(cells)
 
     @property

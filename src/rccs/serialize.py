@@ -4,6 +4,13 @@ Rationals travel as strings, "p/q" or a bare integer "n", because JSON
 numbers cannot hold them losslessly.  Interval lists are rejected unless
 they are already canonical; pass ``normalize=True`` (the command line
 flag ``--normalize``) to accept and merge arbitrary interval lists.
+
+A round trip is one pass each way.  ``dumps`` writes each container's
+parts in one recursive walk, byte for byte what
+``json.dumps(obj, indent=2, sort_keys=True)`` gives.  The interval reader
+parses each endpoint text straight to a reduced int pair and checks the
+event's canonical form once, on the flat endpoint tuple; its partition
+is then checked by the model's tiling test.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, inf
 from typing import TYPE_CHECKING, Any
 
 from .errors import InputError, echo
@@ -25,12 +34,13 @@ if TYPE_CHECKING:  # annotations only: each reader loads the model it builds, an
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
-def parse_rational(text: Any) -> Fraction:
-    """Parse a 'p/q' or integer string, rejecting anything else.
+def _rational_pair(text: Any) -> tuple[int, int]:
+    """Parse a 'p/q' or integer string to its reduced ``(numerator, denominator)`` int pair.
 
     The pattern's digits are any Unicode decimal digits, as ``int``
-    reads them, so a zero denominator is found digit by digit: ``"1/٠"``
-    is one, whatever the script of its zeros and however many there are.
+    reads them.  A denominator that reads as 0, or a number too long to
+    read, is looked at digit by digit: ``"1/٠"`` is a zero denominator,
+    whatever the script of its zeros and however many there are.
     """
     if not isinstance(text, str):
         raise InputError(f"rationals must be JSON strings, got {echo(text)}")
@@ -38,16 +48,24 @@ def parse_rational(text: Any) -> Fraction:
     if not match:
         raise InputError(f"malformed rational {echo(text)}; expected 'p/q' or an integer string")
     numerator, denominator = match.groups()
-    if denominator is not None and not any(map(int, denominator)):
-        raise InputError(f"zero denominator in rational {echo(text)}")
     try:
-        return Fraction(int(numerator), int(denominator) if denominator else 1)
-    except ValueError:
-        # the interpreter's int-string limit (sys.get_int_max_str_digits(), 4300 by default)
+        num, den = int(numerator), int(denominator or 1)
+    except ValueError:  # past the interpreter's int-string limit (sys.get_int_max_str_digits(), 4300 by default)
+        num = den = None
+    if not den and denominator is not None and not any(map(int, denominator)):
+        raise InputError(f"zero denominator in rational {echo(text)}")
+    if den is None:
         raise InputError(
             f"rational {text[:20]}... has a numerator or denominator longer than "
             f"{sys.get_int_max_str_digits()} digits"
-        ) from None
+        )
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def parse_rational(text: Any) -> Fraction:
+    """Parse a 'p/q' or integer string, rejecting anything else, to an exact Fraction."""
+    return Fraction(*_rational_pair(text))
 
 
 def loads(text: str) -> Any:
@@ -85,14 +103,16 @@ def interval_event_to_obj(event: IntervalEvent) -> dict:
 
 def interval_event_from_obj(obj: Any, *, normalize: bool = False) -> IntervalEvent:
     raw = _list_field(obj, "intervals", "[lo, hi] pairs")
-    pairs = []
+    ends: list[int] = []
     for k, item in enumerate(raw):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise InputError(f"interval {k} must be a [lo, hi] pair")
-        pairs.append((parse_rational(item[0]), parse_rational(item[1])))
+        ends += (*_rational_pair(item[0]), *_rational_pair(item[1]))
     if normalize:
-        return IntervalEvent.normalized(pairs)
-    return IntervalEvent(tuple(pairs))
+        return IntervalEvent.normalized(
+            (Fraction(ends[k], ends[k + 1]), Fraction(ends[k + 2], ends[k + 3])) for k in range(0, len(ends), 4)
+        )
+    return IntervalEvent._of_ends(tuple(ends))
 
 
 def interval_partition_from_obj(obj: Any, *, normalize: bool = False) -> Partition:
@@ -165,5 +185,68 @@ def steps_to_obj(steps: ConstructionSteps) -> dict:
     }
 
 
+def _float_text(value: float) -> str:
+    """A float as ``json`` writes it: NaN and the infinities by name, any other by its shortest round-trip repr."""
+    if value != value:
+        return "NaN"
+    if value == inf:
+        return "Infinity"
+    if value == -inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as ``json`` converts it: a string as it is; a float, int, bool or None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):  # a bool is an int
+        return _write(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(value: Any, newline: str) -> str:
+    """The JSON text of ``value``, its lines after the first starting with ``newline`` (a newline and the indent).
+
+    A container's string items, the bulk of every output here, are quoted in place, without a call of their own.
+    """
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = [_quote(item) if type(item) is str else _write(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [
+            _quote(_key_text(key)) + ": " + (_quote(item) if type(item) is str else _write(item, inner))
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, in one recursive pass.
+
+    The standard encoder ignores its C accelerator when it indents and
+    builds the text through nested generators; this writer joins each
+    container's parts directly, quoting strings with ``json``'s C quoter.
+    Keys are sorted before they are converted, as ``json`` sorts them.  A
+    value that contains itself is not looked for: it ends in RecursionError
+    where ``json`` raises ValueError.
+    """
+    return _write(obj, "\n")

@@ -13,10 +13,15 @@ per-cell measures in Fraction arithmetic, as the engine did before its
 integer kernel.  The screening-cell oracle scans all 2^m subsets of
 a finite space, and the orbit oracle counts the search's hits in a
 uniform space from the cells' count vectors alone.  With the int-string
-limit lifted, ``str`` is the oracle for exact output of any size.  The fake events at the end are
+limit lifted, ``str`` is the oracle for exact output of any size.  The
+Fraction reader and the pairwise partition check are the JSON read path
+and the partition check as they were before their one-pass versions: a
+``Fraction`` per endpoint and the constructor's check, and a meet per pair
+of cells and a join of all.  The fake events at the end are
 models in which the compatibility test fails, which no shipped model does;
 like the shipped events they are hashable, since the engine memoizes the
-split of each pair.  The exact Bell witness at the very end has its
+split of each pair.  ``MO2`` is a genuine orthomodular lattice that is not
+Boolean, the smallest one.  The exact Bell witness at the very end has its
 entries in Q(sqrt 3), so its identities hold as equalities, not within a
 tolerance.
 """
@@ -25,15 +30,18 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial, gcd, prod, sqrt
 
-from rccs import FiniteSpace, IntervalEvent, enumerate_partitions
+from rccs import FiniteSpace, InputError, IntervalEvent, enumerate_partitions
+from rccs.errors import echo
+from rccs.serialize import _list_field
 
 
 def iv(*points: str) -> IntervalEvent:
@@ -161,6 +169,58 @@ def fraction_carve(event: IntervalEvent, target: Fraction) -> IntervalEvent | No
         if remaining == 0:
             return IntervalEvent(tuple(pieces))
     raise AssertionError("a target below the measure ran past the last interval")
+
+
+_RATIONAL_TEXT = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+
+
+def fraction_rational(text) -> Fraction:
+    """A rational string read as the JSON reader did before it parsed to int pairs: one ``Fraction`` each."""
+    if not isinstance(text, str):
+        raise InputError(f"rationals must be JSON strings, got {echo(text)}")
+    match = _RATIONAL_TEXT.match(text.strip())
+    if not match:
+        raise InputError(f"malformed rational {echo(text)}; expected 'p/q' or an integer string")
+    numerator, denominator = match.groups()
+    if denominator is not None and not any(map(int, denominator)):
+        raise InputError(f"zero denominator in rational {echo(text)}")
+    try:
+        return Fraction(int(numerator), int(denominator) if denominator else 1)
+    except ValueError:
+        raise InputError(
+            f"rational {text[:20]}... has a numerator or denominator longer than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
+def fraction_interval_event(obj, normalize: bool = False) -> IntervalEvent:
+    """``interval_event_from_obj`` as it was: each endpoint a Fraction, then the event's constructor."""
+    raw = _list_field(obj, "intervals", "[lo, hi] pairs")
+    pairs = []
+    for k, item in enumerate(raw):
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise InputError(f"interval {k} must be a [lo, hi] pair")
+        pairs.append((fraction_rational(item[0]), fraction_rational(item[1])))
+    return IntervalEvent.normalized(pairs) if normalize else IntervalEvent(tuple(pairs))
+
+
+def pairwise_partition_fault(cells) -> str | None:
+    """The refusal of nonzero cells of one model by the partition check as it was, or None where it accepted them.
+
+    Cells overlap when their meet is nonzero, tried pair by pair; then the
+    join of all must be 1.  An error the model raises on the way, such as
+    events of two finite spaces, is the refusal.
+    """
+    try:
+        for i in range(len(cells)):
+            for j in range(i + 1, len(cells)):
+                if not cells[i].meet(cells[j]).is_zero:
+                    return f"partition cells {i} and {j} overlap"
+        if not reduce(lambda x, y: x.join(y), cells).is_one:
+            return "partition cells do not cover the whole space"
+    except InputError as exc:
+        return str(exc)
+    return None
 
 
 # Denominators for mixed-denominator events: small ones, the primes 7, 11
@@ -370,6 +430,63 @@ class Absorbing(Incompatible):
         return self is other
 
     __hash__ = object.__hash__
+
+
+class MO2:
+    """An element of MO2, the horizontal sum of the Boolean blocks {0, p, p', 1} and {0, q, q', 1}.
+
+    The atoms p, p', q and q' are pairwise incomparable, so two distinct
+    atoms meet in 0 and join to 1, and only an atom and its own complement
+    are orthogonal.  The lattice is orthomodular but not distributive:
+    p and q are not compatible.  The state gives p measure 1/3 and q 1/4,
+    their complements the rest; it is additive within each block only.
+    """
+
+    _COMPLEMENT = {"0": "1", "1": "0", "p": "p'", "p'": "p", "q": "q'", "q'": "q"}
+    _MEASURE = {
+        "0": Fraction(0), "1": Fraction(1),
+        "p": Fraction(1, 3), "p'": Fraction(2, 3),
+        "q": Fraction(1, 4), "q'": Fraction(3, 4),
+    }
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def leq(self, other: "MO2") -> bool:
+        return self.name == "0" or other.name == "1" or self.name == other.name
+
+    def meet(self, other: "MO2") -> "MO2":
+        if self.leq(other):
+            return self
+        return other if other.leq(self) else MO2("0")
+
+    def join(self, other: "MO2") -> "MO2":
+        if self.leq(other):
+            return other
+        return self if other.leq(self) else MO2("1")
+
+    def complement(self) -> "MO2":
+        return MO2(self._COMPLEMENT[self.name])
+
+    def measure(self) -> Fraction:
+        return self._MEASURE[self.name]
+
+    @property
+    def is_zero(self) -> bool:
+        return self.name == "0"
+
+    @property
+    def is_one(self) -> bool:
+        return self.name == "1"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MO2) and self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
+
+    def __repr__(self) -> str:
+        return f"MO2({self.name!r})"
 
 
 def brute_force_search(space: FiniteSpace, a, b, n: int) -> list:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -267,6 +268,27 @@ class TestNumpyOracle:
             is_projection(np.ones((2, 3)))
         with pytest.raises(PreconditionError, match=r"^operators must be square matrices of one size$"):
             commutator_norm(witness.a1, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: build_witness(),
+        lambda w: bell_expectations(w.phi, w),
+        lambda w: bell_value(w.phi, w),
+        lambda w: basis_product_state(0, 1),
+        lambda w: is_projection(w.a1),
+        lambda w: is_partial_isometry(w.v1),
+        lambda w: commutator_norm(w.a1, w.b2),
+    ],
+    ids=["build_witness", "bell_expectations", "bell_value", "basis_product_state", "is_projection",
+         "is_partial_isometry", "commutator_norm"],
+)
+def test_array_boundary_without_numpy_names_the_extra(witness, monkeypatch, call):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy now fails, as where it is not installed
+    with pytest.raises(ImportError) as err:
+        call(witness)
+    assert "\n" not in str(err.value) and "'array' extra" in str(err.value)
 
 
 def test_non_real_expectation_is_an_internal_error():

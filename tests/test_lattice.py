@@ -11,6 +11,7 @@ from rccs import (
     FiniteSpace,
     InputError,
     InternalInvariantError,
+    IntervalEvent,
     Partition,
     PreconditionError,
     check_product_inequality,
@@ -22,9 +23,12 @@ from rccs import (
 from rccs import lattice
 
 from .helpers import (
+    MIXED_DENOMINATORS,
+    MO2,
     Absorbing,
     Incompatible,
     iv,
+    pairwise_partition_fault,
     random_event,
     random_space,
     random_subset,
@@ -245,10 +249,173 @@ class TestPartition:
                 Partition(cells)
             assert str(err.value) == f"events of different models: {names}"
 
+    def test_a_tiling_check_that_refuses_a_partition_is_an_internal_error(self, monkeypatch):
+        # the pairwise loop words every refusal; a refusal it cannot word means the model's one-pass check is wrong
+        monkeypatch.setattr(IntervalEvent, "_tiles", lambda self, cells: False)
+        with pytest.raises(InternalInvariantError, match="tiling check refused cells that the pairwise check accepts"):
+            Partition((iv("0", "1/3"), iv("1/3", "1")))
+        with pytest.raises(InputError, match=r"^partition cells 0 and 1 overlap$"):
+            Partition((iv("0", "1/2"), iv("1/3", "1")))
+
     def test_precondition_error_on_incompatible_claim(self):
         # logical_independence_equiv demands compatibility up front
         with pytest.raises(PreconditionError):
             logical_independence_equiv(Incompatible(), Incompatible())
+
+
+def _refusal(cells):
+    """The text of the InputError ``Partition(cells)`` raises, or None where it accepts them."""
+    try:
+        Partition(cells)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def _interval_cells(rng: random.Random) -> list:
+    """2-6 cells that partition [0, 1), cut at endpoints of mixed denominators; some cells have several pieces."""
+    n = rng.randint(2, 6)
+    cuts, count = set(), n - 1 + rng.randint(0, 4)
+    while len(cuts) < count:
+        den = rng.choice(MIXED_DENOMINATORS[1:])
+        cuts.add(Fraction(rng.randint(1, den - 1), den))
+    points = [Fraction(0), *sorted(cuts), Fraction(1)]
+    owner = list(range(n)) + [rng.randrange(n) for _ in range(len(points) - 1 - n)]
+    rng.shuffle(owner)
+    pieces = [[] for _ in range(n)]
+    for k, lo, hi in zip(owner, points, points[1:]):
+        pieces[k].append((lo, hi))
+    return [IntervalEvent.normalized(p) for p in pieces]
+
+
+def _finite_cells(rng: random.Random, space: FiniteSpace) -> list:
+    """Cells that partition the space: each point given to one of 1 to m cells, none left empty."""
+    m = len(space)
+    n = rng.randint(1, m)
+    owner = list(range(n)) + [rng.randrange(n) for _ in range(m - n)]
+    rng.shuffle(owner)
+    return [space.event([i for i in range(m) if owner[i] == k]) for k in range(n)]
+
+
+def _spoiled(rng: random.Random, cells: list, pick_piece) -> list:
+    """``cells`` as given, or spoiled in one of the ways a partition can fail, or reshaped into another partition."""
+    cells = list(cells)
+    n, roll = len(cells), rng.randrange(8)
+    i, j = rng.randrange(n), rng.randrange(n)
+    if roll == 1:  # a duplicated cell
+        cells.insert(rng.randrange(n + 1), cells[i])
+    elif roll == 2 and n > 1:  # a missing cell, so a missing piece
+        del cells[i]
+    elif roll == 3 and i != j:  # a piece of another cell added: an overlap
+        cells[i] = cells[i] | pick_piece(cells[j])
+    elif roll == 4:  # a piece taken away: a gap, unless it empties the cell
+        rest = cells[i].meet(pick_piece(cells[i]).complement())
+        if not rest.is_zero:
+            cells[i] = rest
+    elif roll == 5 and i != j:  # two cells merged into one: still a partition
+        cells[i] = cells[i] | cells[j]
+        del cells[j]
+    elif roll == 6:  # the order shuffled: still a partition
+        rng.shuffle(cells)
+    elif roll == 7 and i != j:  # a cell replaced by a piece of another: an overlap and a gap at once
+        cells[i] = pick_piece(cells[j])
+    return cells
+
+
+def _nudged(rng: random.Random, cell: IntervalEvent) -> IntervalEvent:
+    """``cell`` with one endpoint moved a little either way, so it overlaps or leaves a gap beside a neighbour."""
+    ends = [x for pair in cell.intervals for x in pair]
+    k = rng.randrange(len(ends))
+    ends[k] += rng.choice([-1, 1]) * Fraction(1, rng.choice([97, 1000, 999983]))
+    ends[k] = min(max(ends[k], Fraction(0)), Fraction(1))
+    pairs = list(zip(ends[0::2], ends[1::2]))
+    return IntervalEvent.normalized(pairs) if all(lo <= hi for lo, hi in pairs) else cell
+
+
+class TestPartitionOracle:
+    """The one-pass tiling check refuses what the pairwise check refused, with the same text, and accepts the rest."""
+
+    def test_interval_partitions(self):
+        rng = random.Random(3001)
+        first_piece = lambda cell: IntervalEvent((cell.intervals[0],))  # noqa: E731
+        refusals = set()
+        for _ in range(1500):
+            cells = _spoiled(rng, _interval_cells(rng), first_piece)
+            if rng.random() < 0.2:
+                k = rng.randrange(len(cells))
+                cells[k] = _nudged(rng, cells[k])
+            cells = [cell for cell in cells if not cell.is_zero]
+            want = pairwise_partition_fault(cells)
+            assert _refusal(cells) == want, cells
+            refusals.add(want and want.split(" ")[-1])
+        assert refusals == {None, "overlap", "space"}
+
+    def test_touching_pieces_of_one_cell_and_of_two(self):
+        # pieces of different cells may touch; the pieces of one cell are merged by its canonical form
+        cells = (iv("0", "1/3", "2/3", "1"), iv("1/3", "2/3"))
+        assert _refusal(cells) is None
+        assert _refusal((iv("0", "1/3"), iv("1/3", "1/2"), iv("1/2", "1"))) is None
+        assert _refusal((iv("0", "1/3"), iv("1/3", "1/2"), iv("1/3", "1"))) == "partition cells 1 and 2 overlap"
+        assert _refusal((iv("0", "1/2"), iv("0", "1/2"), iv("1/2", "1"))) == "partition cells 0 and 1 overlap"
+
+    def test_finite_partitions(self):
+        rng = random.Random(3002)
+        lowest_point = lambda cell: cell.space.event([cell.members[0]])  # noqa: E731
+        refusals = set()
+        for _ in range(1500):
+            space = random_space(rng, rng.randint(1, 7))
+            cells = _spoiled(rng, _finite_cells(rng, space), lowest_point)
+            if rng.random() < 0.1:  # a cell of another space, of the same size or not
+                other = random_space(rng, len(space) if rng.random() < 0.5 else rng.randint(1, 7))
+                k = rng.randrange(len(cells))
+                cells[k] = other.event([i for i in cells[k].members if i < len(other)] or [0])
+            if rng.random() < 0.05:  # an equal space that is another object
+                twin = FiniteSpace(space.weights)
+                cells = [twin.event(cell.members) for cell in cells[:1]] + cells[1:]
+            want = pairwise_partition_fault(cells)
+            assert _refusal(cells) == want, cells
+            refusals.add(want and want.split(" ")[-1])
+        assert {None, "overlap", "space", "spaces"} <= refusals
+
+
+class TestNonBooleanModel:
+    """MO2, the smallest orthomodular lattice that is not Boolean: the predicates and the partition check on it."""
+
+    p, p_, q, q_, zero, one = (MO2(name) for name in ("p", "p'", "q", "q'", "0", "1"))
+
+    def test_compatible_within_a_block_not_across(self):
+        blocks = ((self.p, self.p_), (self.q, self.q_))
+        for block in blocks:
+            for x in (*block, self.zero, self.one):
+                for y in (*block, self.zero, self.one):
+                    assert compatible(x, y)
+        for x in blocks[0]:
+            for y in blocks[1]:
+                assert not compatible(x, y) and not compatible(y, x)
+
+    def test_split_is_symmetric(self):
+        elements = (self.p, self.p_, self.q, self.q_, self.zero, self.one)
+        for x in elements:
+            for y in elements:
+                assert compatible(x, y) == compatible(y, x)
+
+    def test_orthogonal_cells_are_a_partition(self):
+        assert Partition((self.p, self.p_)).size == 2
+        assert Partition((self.q_, self.q)).size == 2
+        assert Partition((self.one,)).size == 1
+
+    def test_disjoint_cells_that_are_not_orthogonal_are_refused(self):
+        # p and q meet in 0 and join to 1, yet q is not below p' = not-p; their measures sum to 7/12, not 1
+        assert pairwise_partition_fault((self.p, self.q)) is None  # the meet test took them for a partition
+        assert self.p.measure() + self.q.measure() == Fraction(7, 12)
+        with pytest.raises(InputError, match=r"^partition cells 0 and 1 overlap$"):
+            Partition((self.p, self.q))
+        with pytest.raises(InputError, match=r"^partition cells 0 and 2 overlap$"):
+            Partition((self.p, self.p_, self.q))
+
+    def test_orthogonal_cells_that_do_not_cover_are_refused(self):
+        with pytest.raises(InputError, match=r"^partition cells do not cover the whole space$"):
+            Partition((self.p,))
 
 
 class _Named:

@@ -1,10 +1,13 @@
 """JSON boundary: strict rational strings and canonical-form enforcement."""
 
+import json
 import random
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rccs import FiniteSpace, InputError, Partition
 from rccs.serialize import (
@@ -22,7 +25,7 @@ from rccs.serialize import (
     report_to_obj,
 )
 
-from .helpers import iv, random_event, unlimited_int_digits
+from .helpers import MIXED_DENOMINATORS, fraction_interval_event, iv, random_event, unlimited_int_digits
 
 
 class TestRationals:
@@ -191,3 +194,156 @@ class TestPartitionsAndReports:
     def test_dumps_is_deterministic(self):
         obj = {"b": 1, "a": [2, 3]}
         assert dumps(obj) == dumps({"a": [2, 3], "b": 1})
+
+
+def _outcome(call):
+    """The value of ``call()``, or the type and text of the exception it raised."""
+    try:
+        return call()
+    except Exception as exc:  # every exception is an answer here
+        return type(exc), str(exc)
+
+
+_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers().map(lambda n: n * 10**4400),  # past the int-string limit unless 0: ValueError both ways
+    st.floats(),  # NaN and the infinities included
+    st.text(),
+    st.text(st.characters(codec="utf-8")),
+    st.text(st.characters(max_codepoint=0x1F)),  # control characters
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=3),  # mixed key types fail to sort both ways
+        st.sets(st.integers(), max_size=2),  # not JSON: TypeError both ways
+    )
+
+
+class TestWriter:
+    """``dumps`` is ``json.dumps(obj, indent=2, sort_keys=True)`` byte for byte, and raises where it raises."""
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.recursive(_SCALARS, _containers, max_leaves=20))
+    def test_matches_json_dumps_on_random_trees(self, tree):
+        want = _outcome(lambda: json.dumps(tree, indent=2, sort_keys=True))
+        got = _outcome(lambda: dumps(tree))
+        if isinstance(want, tuple):  # an exception: the same type
+            assert isinstance(got, tuple) and got[0] is want[0], (got, want)
+        else:
+            assert got == want
+
+    def test_edge_values(self):
+        values = [
+            float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324, 10**4000, -(10**40), True, None,
+            "\x00\x1f\u007f\u00e9\u2028\U0001f600\ud800\"\\", [], {}, (), [[]], {"": {}},
+            {3: "int", 2.5: "float", 1: "one"}, {True: 1, False: 0}, {None: []}, {float("nan"): 1, float("inf"): 2},
+            {"b": (1, [2.0, {"c": None}]), "a": ["x", ("y",)]},
+        ]
+        for value in values:
+            assert dumps(value) == json.dumps(value, indent=2, sort_keys=True), value
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [({1, 2}, TypeError), ({"a": 1, 2: "b"}, TypeError), ({(1,): 2}, TypeError), ([object()], TypeError),
+         (10**5000, ValueError), ({"k": [1, frozenset()]}, TypeError)],
+        ids=["set", "mixed-keys", "tuple-key", "object", "long-int", "nested-frozenset"],
+    )
+    def test_refuses_what_json_refuses(self, value, error):
+        with pytest.raises(error) as want:
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(error) as got:
+            dumps(value)
+        assert str(got.value) == str(want.value)
+
+    def test_command_line_json_outputs_are_json_dumps(self):
+        # the five --json outputs: construct, verify, search, bell and demo
+        from .test_cli import WORKED_INPUT, run_cli
+
+        worked = json.loads(WORKED_INPUT)
+        cells = json.loads(run_cli(["construct", WORKED_INPUT, "--json"])[1])["cells"]
+        search = {"space": {"weights": ["1/6"] * 6}, "a": {"members": [0, 1, 2]}, "b": {"members": [1, 2, 3]}, "n": 3}
+        argvs = [
+            ["construct", WORKED_INPUT, "--json"],
+            ["verify", json.dumps({**worked, "partition": cells}), "--json"],
+            ["search", json.dumps(search), "--json"],
+            ["bell", "--json"],
+            ["demo", "--json"],
+        ]
+        for argv in argvs:
+            code, out, _ = run_cli(argv)
+            assert code == 0
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv[0]
+
+
+# the decimal digits of ASCII, Arabic-Indic, Devanagari and fullwidth forms: int() reads each
+_SCRIPTS = tuple("".join(map(chr, range(zero, zero + 10))) for zero in (0x30, 0x660, 0x966, 0xFF10))
+
+
+def _endpoint_text(rng: random.Random, value: Fraction):
+    """A text for ``value``, or now and then for something that is no valid endpoint."""
+    roll = rng.random()
+    if roll < 0.04:
+        return rng.choice(["1/2.0", "", "half", " ", "1//2", "+-1", 0.5, 1, None, ["1"]])
+    if roll < 0.08:  # a zero denominator, in any script and length
+        zeros = rng.choice(_SCRIPTS)[0] * rng.choice([1, 2, 7, 4301, 5000])
+        return rng.choice(["1", "0", "-3", "9" * 5000]) + "/" + zeros
+    if roll < 0.1:  # past the int-string limit
+        return rng.choice(["1" * 4301 + "/2", "1/" + "7" * 4301, "0" * 4301 + "1"])
+    scale = rng.choice([1, 1, 2, 3, 10, 999983])
+    num, den = value.numerator * scale, value.denominator * scale
+    text = str(num) if den == 1 and rng.random() < 0.5 else f"{num}/{den}"
+    if rng.random() < 0.2:
+        text = rng.choice(["+", "-", "00"]) + text
+    if rng.random() < 0.2:
+        script = rng.choice(_SCRIPTS)
+        text = text.translate(str.maketrans("0123456789", script))
+    if rng.random() < 0.2:
+        text = rng.choice([" ", "\t", "\n", "\u3000"]) + text + rng.choice(["", " ", "\n"])
+    return text
+
+
+def _interval_list(rng: random.Random) -> list:
+    """A list of [lo, hi] texts: canonical, or unsorted, overlapping, touching, reversed, empty or out of range."""
+    count = rng.randint(0, 6)
+    points = sorted({Fraction(rng.randint(0, d), d) for d in rng.choices(MIXED_DENOMINATORS, k=2 * count)})
+    if len(points) % 2:
+        points.pop()
+    pairs = [[lo, hi] for lo, hi in zip(points[0::2], points[1::2])]
+    roll = rng.random()
+    if pairs and roll < 0.1:
+        rng.shuffle(pairs)
+    elif pairs and roll < 0.2:
+        pairs.append(list(pairs[-1]))  # a duplicate, so an overlap
+    elif pairs and roll < 0.3:
+        pairs[0] = pairs[0][::-1]
+    elif len(pairs) > 1 and roll < 0.4:
+        pairs[1][0] = pairs[0][1]  # touching
+    elif roll < 0.45:
+        pairs.append([Fraction(1), Fraction(3, 2)])
+    obj = [[_endpoint_text(rng, x) for x in pair] for pair in pairs]
+    if obj and rng.random() < 0.03:
+        obj[rng.randrange(len(obj))] = rng.choice([["0"], ["0", "1", "1"], "01", {"lo": "0"}])
+    return obj
+
+
+class TestReaderOracle:
+    """The int-pair reader gives the event, or the error text, that the Fraction reader gives."""
+
+    def test_matches_the_fraction_reader(self):
+        rng = random.Random(3030)
+        for _ in range(1500):
+            obj = {"intervals": _interval_list(rng)}
+            normalize = rng.random() < 0.25
+            got = _outcome(lambda: interval_event_from_obj(obj, normalize=normalize))
+            want = _outcome(lambda: fraction_interval_event(obj, normalize=normalize))
+            assert got == want, obj
+            if not isinstance(got, tuple):
+                assert got._ends == want._ends

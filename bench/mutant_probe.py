@@ -3,8 +3,9 @@
 Each entry of ``MUTANTS`` names a file of ``src/rccs``, a text that occurs
 exactly once in it, the text that replaces it, and the test modules that
 should catch the change.  For each mutant the probe copies ``src``,
-``tests``, ``docs`` (the CLI tests read the report schema there) and
-``pyproject.toml`` into a temporary directory, applies the mutant there
+``tests``, ``docs`` (the CLI tests read the report schema there), ``bench``
+(some test modules load its scripts) and ``pyproject.toml`` into a
+temporary directory, applies the mutant there
 and runs the named modules with ``pytest -x`` and
 ``PYTHONDONTWRITEBYTECODE=1``.  The repository itself is only read.
 First it runs every module the chosen mutants name on an unmutated copy:
@@ -116,15 +117,16 @@ MUTANTS = (
         "all(map(lt, map(mul, nums, dens[1:]), map(mul, nums[1:], dens)))",
         "all(map(lambda x, y: x <= y, map(mul, nums, dens[1:]), map(mul, nums[1:], dens)))", _EVENTS,
     ),
-    # lattice: the two-sided compatibility test, logical independence and the partition check
+    # lattice: the surface check, the two-sided compatibility test, logical independence and the partition check
+    Mutant(
+        "compatible-surface", "lattice.py",
+        "    _require_one_model(a, b)\n    return _split(a, b)[0]", "    return _split(a, b)[0]", _LATTICE,
+    ),
     Mutant(
         "split-b-side", "lattice.py",
         "    b_side = a_and_b.join(not_a_b) == b", "    b_side = a_and_b.join(not_a_b) == a", _LATTICE,
     ),
-    Mutant(
-        "independent-last-atom", "lattice.py",
-        "        or not_a.meet(not_b).is_zero", "        or not_a.meet(b).is_zero", _LATTICE,
-    ),
+    Mutant("independent-last-atom", "lattice.py", "_split(a, b)[1:]", "_split(a, b)[1:4]", _LATTICE),
     Mutant(
         "partition-overlap", "lattice.py",
         "            if not cells[i].leq(cells[j].complement()):", "            if cells[i].meet(cells[j]).is_one:",
@@ -175,6 +177,7 @@ MUTANTS = (
         "    for i, j, ok in cross:\n        if not ok:", "    for i, j, ok in cross:\n        if ok is None:", _ENGINE,
     ),
     Mutant("verify-zero-cell", "engine.py", "            if weight == 0:", "            if weight < 0:", _ENGINE),
+    Mutant("verify-cell-compatibility", "engine.py", "    if not isinstance(both, _Event):", "    if False:", _ENGINE),
     Mutant(
         "memo-across-pairs", "engine.py",
         "m_ab - m_a * m_b), {}", 'm_ab - m_a * m_b), globals().setdefault("_shared_table", {})', _ENGINE,
@@ -187,6 +190,10 @@ MUTANTS = (
     Mutant(
         "construction-independence", "engine.py",
         "    if not (m_ab < m_a and m_ab < m_b):", "    if not (m_ab <= m_a and m_ab < m_b):", _ENGINE,
+    ),
+    Mutant(
+        "construction-carve-gate", "engine.py",
+        '    if not (hasattr(a, "carve") and hasattr(b, "carve")):', "    if False:", _ENGINE,
     ),
     Mutant(
         "checked-pair-one-model", "engine.py",
@@ -211,6 +218,13 @@ MUTANTS = (
     Mutant("edge-top-mask", "finite.py", "| (k == 3) << 1)]", "| (k == 0) << 1)]", _FINITE),
     Mutant("edge-top-flag-last-joined", "finite.py", "(k == 3) << 1)]", "(k == big) << 1)]", _FINITE),
     Mutant("edge-bottom-flag-dropped", "finite.py", "0, (k == 0) | (k == 3) << 1)]", "0, (k == 3) << 1)]", _FINITE),
+    Mutant("edge-top-wrong-atom", "finite.py", "(k == 0) | (k == 3) << 1)]", "(k == 0) | (k == 2) << 1)]", _FINITE),
+    Mutant(
+        "edge-bottom-spent-twice", "finite.py",
+        "            left = free & ~k\n", "            left = free & ~k | free & 1\n", _FINITE,
+        equivalent="a second bottom cell has P(a|C) = 0 or P(b|C) = 0 like the first, so its cross product with "
+        "it is at most 0 and the cross test refuses it; the budget only prunes",
+    ),
     Mutant("edge-both-kept", "finite.py", "if (kind := f | g) < 3:", "if (kind := f | g) <= 3:", _FINITE),
     Mutant(
         "no-interior-guard", "finite.py",
@@ -317,7 +331,7 @@ def run_tests(modules: tuple[str, ...], m: Mutant | None = None) -> tuple[bool, 
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for part in ("src", "tests", "docs"):
+        for part in ("src", "tests", "docs", "bench"):
             shutil.copytree(ROOT / part, copy / part, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
         if m is not None:

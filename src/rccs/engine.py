@@ -7,8 +7,8 @@ in the same direction between any two cells.  Size 2 recovers the
 classic common cause.
 
 The centerpiece is :func:`construct_size3`: for any correlated, logically
-independent pair of interval events it builds, deterministically and in
-exact arithmetic, a three-cell system
+independent pair of events that ``carve`` (interval events ship) it
+builds, deterministically and in exact arithmetic, a three-cell system
 
 * one cell inside the joint event, where both conditionals are 1,
 * one cell inside the complement of the union, where both are 0,
@@ -19,7 +19,8 @@ so serialized results are bit-stable.  The defining conditions are
 polynomial in each cell's four measures, so one kernel,
 :func:`_conditions`, puts each cell's measures over one denominator and
 decides them on integers.  Its gcds are one lcm per cell and the
-reductions of the rationals a report carries.
+reductions of the rationals a report carries.  Each entry point has the
+lattice check its pair's surface and model once, before the memo.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from numbers import Rational
 from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError, PreconditionError, echo
-from .events import IntervalEvent, _outside_unit, _Value, as_fraction, format_rational
+from .events import _Event, _outside_unit, _Value, as_fraction, format_rational
 from .lattice import LatticeEvent, Partition, _require_one_model, _split, compatible
 
 # the atoms a&b, a&~b, ~a&b, ~a&~b of a compatible pair (a, b)
@@ -240,8 +241,19 @@ def _verify(pair: _Entry, cells: tuple[LatticeEvent, ...]) -> VerificationReport
     last-verified cells' measures from the entry's table, which then holds
     this call's cells (a refused cell is never stored), and every
     condition is decided on every call.
+
+    The conditions assume every cell compatible with a and b.  A Boolean
+    model's cells always are, so only a pair of another model has its
+    cells tested, and the first that fails is named.
     """
     (both, a_only, b_only, _), measures, table = pair
+    if not isinstance(both, _Event):
+        a, b = both.join(a_only), both.join(b_only)  # a compatible pair is the join of its atoms
+        for k, cell in enumerate(cells):
+            if isinstance(cell, both.__class__) and not (compatible(a, cell) and compatible(b, cell)):
+                raise PreconditionError(
+                    f"cell {k} is not compatible with a and b; the defining conditions need every cell compatible"
+                )
     quads = []
     for k, cell in enumerate(cells):
         if not isinstance(cell, both.__class__):
@@ -379,21 +391,24 @@ class ConstructionSteps(NamedTuple):
 
 
 def construction_steps(
-    a: IntervalEvent, b: IntervalEvent, lam: Fraction | int | str = Fraction(1, 2)
+    a: LatticeEvent, b: LatticeEvent, lam: Fraction | int | str = Fraction(1, 2)
 ) -> ConstructionSteps:
     """Run the deterministic size-3 construction and keep its intermediate values.
 
-    Preconditions: the events must be correlated and logically
-    independent.  A correlated pair that is not logically independent
-    admits no common cause system of size 3 or more at all, so that case
-    is refused outright.  Both are decided from m(a), m(b) and m(a&b)
-    alone, taken from the atoms a&b, a&~b and ~a&b that the compatibility
-    test splits the pair into: the excess m(a&b) - m(a)m(b) must be
-    positive, and then, the measure being faithful, the pair is logically
-    independent exactly when m(a&b) is below both m(a) and m(b).  A later
-    :func:`verify_rccs` on an equal pair reuses its split and the three
-    cells' measures (see :func:`_pair`), and every precondition and
-    condition is decided on every call.
+    Preconditions, in the order they are checked: the events are of one
+    model with the lattice surface, compatible, correlated and logically
+    independent, and both ``carve``.  A correlated pair that is not
+    logically independent admits no system of size 3 or more at all, so
+    it is refused.  Both are decided from m(a), m(b) and m(a&b) alone,
+    taken from the atoms a&b, a&~b and ~a&b that the compatibility test
+    splits the pair into: the excess m(a&b) - m(a)m(b) must be positive,
+    and then, the measure being faithful, the pair is logically
+    independent exactly when m(a&b) is below both m(a) and m(b).  The
+    last gate names no model: ``carve`` is the one operation past the
+    lattice surface that the recipe calls, so a finite space, which has
+    atoms, is refused.  A later :func:`verify_rccs` on an equal pair
+    reuses its split and the three cells' measures (see :func:`_pair`),
+    and every precondition and condition is decided on every call.
 
     The recipe, all in exact arithmetic:
 
@@ -409,12 +424,12 @@ def construction_steps(
     Every measure in the trace is closed-form in m(a), m(b), m(a&b) and
     f = lam * bound, and that closed form puts both carved measures
     strictly inside the events they are carved from, so there is no
-    boundary case.  Carving takes intervals left to right, so the
+    boundary case.  The interval model carves left to right, so the
     construction is reproducible.  The cells partition the space by
     construction, so the partition is not validated again.  The runtime
     checks are both carves' own range checks and one exact verification
     of the cells, the one :func:`verify_rccs` runs, on the same atoms;
-    it checks ``carve``, gives the cell measures and decides the system, built by ``_trusted``.
+    it gives the cell measures and decides the system, built by ``_trusted``.
     """
     lam = as_fraction(lam)
     if not 0 < lam < 1:
@@ -429,7 +444,7 @@ def construction_steps(
             "admits no common cause system of size 3 or more (the no-go result for "
             "logically dependent events), so the construction cannot succeed"
         )
-    if not (isinstance(a, IntervalEvent) and isinstance(b, IntervalEvent)):
+    if not (hasattr(a, "carve") and hasattr(b, "carve")):
         raise InputError(
             "the size-3 construction needs an atomless model such as interval events; "
             "a finite space has atoms, so search it with search_rccs"
@@ -460,7 +475,7 @@ def construction_steps(
 
 
 def construct_size3(
-    a: IntervalEvent, b: IntervalEvent, lam: Fraction | int | str = Fraction(1, 2)
+    a: LatticeEvent, b: LatticeEvent, lam: Fraction | int | str = Fraction(1, 2)
 ) -> CommonCauseSystem:
     """Build a verified size-3 common cause system for a correlated pair.
 

@@ -4,12 +4,12 @@ Both concrete models (interval events on [0, 1) and atom-set events on a
 finite weighted space) are Boolean algebras presented through the same
 small surface: ``meet``, ``join``, ``complement``, the induced order
 ``leq``, an exact ``measure``, and the ``is_zero`` / ``is_one`` flags.
-Everything in this module is written against that surface only, so the
-predicates work identically for either model and for any future one,
-except that the shipped models, being Boolean, split their own pairs
-into atoms and check their own partitions in one pass; the two-sided
-compatibility test and the pairwise orthogonality test are kept for
-other models.
+Everything here is written against that surface only, so the predicates
+work for either model and any other, orthomodular ones included.  Each
+public predicate refuses a non-event or a pair of two models once, then
+splits the pair: a shipped model splits its own pairs into atoms and
+checks its own partitions in one pass, and the two-sided compatibility
+test and the pairwise orthogonality test serve any other model.
 
 Only finite lattice operations appear in the contract.  Every algorithm
 in the package manipulates finitely many events, so countable joins are
@@ -32,7 +32,9 @@ class LatticeEvent(Protocol):
     Events are immutable and hashable, with equal events hashing alike:
     the engine memoizes work on a pair keyed on the two events.  The
     shipped models are Boolean and split their own pairs; a model with
-    only this surface gets the two-sided compatibility test.
+    only this surface gets the two-sided compatibility test.  The engine
+    assumes every cell of a partition compatible with both events of the
+    pair, as in a Boolean model; in any other model it tests each cell.
     """
 
     def meet(self, other): ...
@@ -74,15 +76,14 @@ def _require_one_model(a: E, b: E) -> None:
 def _split(a: E, b: E) -> tuple[bool, E, E, E, E]:
     """The compatibility verdict on a pair, with its atoms a&b, a&~b, ~a&b and ~a&~b.
 
-    A pair of two models is refused first.  In a shipped model, a Boolean
-    algebra, every pair is compatible: the verdict is True and the atoms
-    are those the model's ``_atoms`` gives.  Any other model gets the
+    The caller has refused a pair of two models.  In a shipped model, a
+    Boolean algebra, every pair is compatible: the verdict is True and the
+    atoms are those the model's ``_atoms`` gives.  Any other model gets the
     two-sided test, a = (a and b) or (a and not-b) and its mirror
     b = (a and b) or (not-a and b), with a&b serving both sides.  It is
     symmetric in any orthomodular lattice, so a disagreement between the
     sides is raised as an internal invariant failure.
     """
-    _require_one_model(a, b)
     if isinstance(a, _Event) and isinstance(b, _Event):
         return (True, *a._atoms(b))
     not_b, not_a = b.complement(), a.complement()
@@ -99,10 +100,12 @@ def _split(a: E, b: E) -> tuple[bool, E, E, E, E]:
 def compatible(a: E, b: E) -> bool:
     """Check a = (a and b) or (a and not-b), the two-sided compatibility test.
 
-    In the Boolean models shipped here the result is always True, and the
-    pair is only split.  For any other model both sides are evaluated, and
-    a disagreement is raised as an internal invariant failure.
+    After the surface check, the Boolean models shipped here only split
+    the pair, and the result is always True.  For any other model both
+    sides are evaluated, and a disagreement is raised as an internal
+    invariant failure.
     """
+    _require_one_model(a, b)
     return _split(a, b)[0]
 
 
@@ -111,17 +114,11 @@ def logically_independent(a: E, b: E) -> bool:
 
     Logical independence formalizes the absence of any structural
     constraint between the events: no truth value of one forces a truth
-    value of the other.
+    value of the other.  The meets are the atoms of the compatibility
+    split, so a model it finds broken is refused as in :func:`compatible`.
     """
     _require_one_model(a, b)
-    not_a = a.complement()
-    not_b = b.complement()
-    return not (
-        a.meet(b).is_zero
-        or a.meet(not_b).is_zero
-        or not_a.meet(b).is_zero
-        or not_a.meet(not_b).is_zero
-    )
+    return not any(atom.is_zero for atom in _split(a, b)[1:])
 
 
 def _strictly_below(x: E, y: E) -> bool:

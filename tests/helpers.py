@@ -21,9 +21,11 @@ of cells and a join of all.  The fake events at the end are
 models in which the compatibility test fails, which no shipped model does;
 like the shipped events they are hashable, since the engine memoizes the
 split of each pair.  ``MO2`` is a genuine orthomodular lattice that is not
-Boolean, the smallest one.  The exact Bell witness at the very end has its
-entries in Q(sqrt 3), so its identities hold as equalities, not within a
-tolerance.
+Boolean, the smallest one, and ``GluedIntervals`` an atomless one that
+carves.  The four-meet test is logical independence as the lattice decided
+it before it read the atoms of its split.  The exact Bell witness at the
+very end has its entries in Q(sqrt 3), so its identities hold as
+equalities, not within a tolerance.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, gcd, prod, sqrt
 
-from rccs import FiniteSpace, InputError, IntervalEvent, enumerate_partitions
+from rccs import EMPTY, FULL, FiniteSpace, InputError, IntervalEvent, enumerate_partitions
 from rccs.errors import echo
 from rccs.serialize import _list_field
 
@@ -487,6 +489,77 @@ class MO2:
 
     def __repr__(self) -> str:
         return f"MO2({self.name!r})"
+
+
+class GluedIntervals:
+    """An event of the horizontal sum of two interval algebras on [0, 1), glued at 0 and 1.
+
+    An event is a block, 0 or 1, and an ``IntervalEvent``.  The empty and
+    the full event belong to both blocks and are stored with block None,
+    so each element has one form.  Within a block the operations are the
+    interval ones, and ``carve`` carves within the block (the glued 1 in
+    block 0).  Two events of different blocks, neither 0 nor 1, meet in 0
+    and join to 1, so events of two blocks are not compatible.  The
+    lattice is orthomodular and atomless, but not Boolean: the atomless
+    analogue of ``MO2`` (Kalmbach, Orthomodular Lattices, 1983).  The
+    state is Lebesgue measure in each block; every orthogonal family lies
+    in one block, so it is faithful and additive.
+    """
+
+    __slots__ = ("block", "event")
+
+    def __init__(self, block: int | None, event: IntervalEvent) -> None:
+        self.block = None if event.is_zero or event.is_one else block
+        self.event = event
+
+    def _within(self, other: "GluedIntervals", op, across: IntervalEvent) -> "GluedIntervals":
+        """``op`` on the two intervals when the events share a block or one is 0 or 1, else ``across``."""
+        if self.block is None or other.block is None or self.block == other.block:
+            return GluedIntervals(other.block if self.block is None else self.block, op(self.event, other.event))
+        return GluedIntervals(None, across)
+
+    def meet(self, other: "GluedIntervals") -> "GluedIntervals":
+        return self._within(other, IntervalEvent.meet, EMPTY)
+
+    def join(self, other: "GluedIntervals") -> "GluedIntervals":
+        return self._within(other, IntervalEvent.join, FULL)
+
+    def complement(self) -> "GluedIntervals":
+        return GluedIntervals(self.block, self.event.complement())
+
+    def leq(self, other: "GluedIntervals") -> bool:
+        return self.meet(other) == self
+
+    def measure(self) -> Fraction:
+        return self.event.measure()
+
+    def carve(self, target) -> "GluedIntervals":
+        return GluedIntervals(self.block or 0, self.event.carve(target))
+
+    @property
+    def is_zero(self) -> bool:
+        return self.event.is_zero
+
+    @property
+    def is_one(self) -> bool:
+        return self.event.is_one
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GluedIntervals) and (self.block, self.event) == (other.block, other.event)
+
+    def __hash__(self) -> int:
+        return hash((self.block, self.event))
+
+    def __repr__(self) -> str:
+        return f"GluedIntervals({self.block!r}, {self.event})"
+
+
+def four_meet_independent(a, b) -> bool:
+    """Logical independence from four meets of its own: a&b, a&~b, ~a&b and ~a&~b all nonzero."""
+    not_a, not_b = a.complement(), b.complement()
+    return not (
+        a.meet(b).is_zero or a.meet(not_b).is_zero or not_a.meet(b).is_zero or not_a.meet(not_b).is_zero
+    )
 
 
 def brute_force_search(space: FiniteSpace, a, b, n: int) -> list:

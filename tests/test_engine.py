@@ -30,7 +30,7 @@ from rccs import (
     verify_common_cause,
     verify_rccs,
 )
-from rccs import events
+from rccs import engine, events, lattice
 from rccs.engine import _conditions, _pair
 from rccs.serialize import (
     dumps,
@@ -45,6 +45,7 @@ from rccs.serialize import (
 from .helpers import (
     MIXED_DENOMINATORS,
     Absorbing,
+    GluedIntervals,
     Incompatible,
     assert_canonical,
     fraction_conditions,
@@ -1191,3 +1192,116 @@ class TestCellMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
+
+
+def _glued_pairs(seed, count: int) -> list:
+    """Correlated, logically independent interval pairs, every other one on mixed denominators, each with a block."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        mixed = len(pairs) % 2 == 1
+        a, b = random_nonzero_event(rng, mixed=mixed), random_nonzero_event(rng, mixed=mixed)
+        if correlation(a, b) > 0 and logically_independent(a, b):
+            pairs.append((rng.randint(0, 1), a, b))
+    return pairs
+
+
+_INCOMPATIBLE_CELL = r"^cell 0 is not compatible with a and b; the defining conditions need every cell compatible$"
+
+
+class TestAtomlessNonBooleanModel:
+    """The size-3 construction on ``GluedIntervals``, an atomless orthomodular lattice that is not Boolean.
+
+    The engine gates the construction on ``carve``, not on a model's class, so within a block it builds
+    the system the interval model builds for the same intervals.
+    """
+
+    def test_construction_in_a_block_equals_the_interval_one(self):
+        for block, a, b in _glued_pairs(91, 100):
+            glued_a, glued_b = GluedIntervals(block, a), GluedIntervals(block, b)
+            for lam in (Fraction(1, 3), Fraction(1, 2), Fraction(99, 100)):
+                plain, glued = construction_steps(a, b, lam), construction_steps(glued_a, glued_b, lam)
+                cells = glued.system.cells.cells
+                assert [cell.block for cell in cells] == [block] * 3
+                assert tuple(cell.event for cell in cells) == plain.system.cells.cells
+                assert glued._replace(system=None) == plain._replace(system=None)
+                rows = ("cond_a", "cond_b", "cond_ab")
+                assert [getattr(glued.system, row) for row in rows] == [getattr(plain.system, row) for row in rows]
+
+    def test_verify_accepts_the_cells_through_the_generic_partition_check(self, monkeypatch):
+        pairwise = Counter()
+
+        def counted(cells, _original=lattice._require_orthogonal_cover):
+            pairwise[len(cells)] += 1
+            return _original(cells)
+
+        monkeypatch.setattr(lattice, "_require_orthogonal_cover", counted)
+        for block, a, b in _glued_pairs(92, 50):
+            glued_a, glued_b = GluedIntervals(block, a), GluedIntervals(block, b)
+            steps = construction_steps(glued_a, glued_b)
+            _pair.cache_clear()
+            report = verify_rccs(glued_a, glued_b, Partition(steps.system.cells.cells))
+            assert report.verdict and report == steps.report
+        assert pairwise == Counter({3: 50})
+
+    def test_logically_dependent_pairs_keep_their_refusal(self):
+        rng = random.Random(93)
+        refused = 0
+        while refused < 60:
+            a, b = random_nonzero_event(rng), random_nonzero_event(rng)
+            for x, y in ((a, a), (a.meet(b), a), (a, a.join(b))):
+                if x.is_zero or correlation(x, y) <= 0:
+                    continue
+                with pytest.raises(PreconditionError) as plain:
+                    construction_steps(x, y)
+                with pytest.raises(PreconditionError) as glued:
+                    construction_steps(GluedIntervals(1, x), GluedIntervals(1, y))
+                assert str(glued.value) == str(plain.value)
+                assert str(plain.value).startswith("events are not logically independent; ")
+                refused += 1
+
+    def test_pairs_across_blocks_are_not_compatible(self):
+        for block, a, b in _glued_pairs(94, 30):
+            glued_a, glued_b = GluedIntervals(block, a), GluedIntervals(1 - block, b)
+            assert not compatible(glued_a, glued_b) and not logically_independent(glued_a, glued_b)
+            for call in _entry_points(glued_a, glued_b):
+                with pytest.raises(PreconditionError, match=r"^events are not compatible$"):
+                    call()
+
+
+class TestIncompatibleCells:
+    """The conditions assume every cell compatible with a and b.  In a model that is not Boolean the engine
+    tests it and names the first cell that fails; the shipped models test nothing per cell."""
+
+    def test_cells_of_the_other_block_are_named(self):
+        # the constructed cells moved to the other block are an orthogonal cover that is compatible with
+        # neither event; without the test they were rejected as a cross-difference failure
+        for block, a, b in _glued_pairs(95, 150):
+            glued_a, glued_b = GluedIntervals(block, a), GluedIntervals(block, b)
+            cells = construction_steps(glued_a, glued_b).system.cells.cells
+            moved = Partition(tuple(GluedIntervals(1 - block, cell.event) for cell in cells))
+            for call in (verify_rccs, correlation_decomposition):
+                with pytest.raises(PreconditionError, match=_INCOMPATIBLE_CELL):
+                    call(glued_a, glued_b, moved)
+
+    def test_a_glued_cell_is_compatible_with_both(self):
+        one = GluedIntervals(None, FULL)
+        report = verify_rccs(GluedIntervals(0, WORKED_A), GluedIntervals(0, WORKED_B), Partition((one,)))
+        assert not report.verdict and report.failure.startswith("size < 2")
+
+    def test_only_another_model_tests_its_cells(self, monkeypatch):
+        calls = Counter()
+
+        def counted(x, y, _original=lattice.compatible):
+            calls["compatible"] += 1
+            return _original(x, y)
+
+        monkeypatch.setattr(engine, "compatible", counted)
+        cells = construct_size3(WORKED_A, WORKED_B).cells
+        _pair.cache_clear()
+        assert verify_rccs(WORKED_A, WORKED_B, cells).verdict
+        assert calls == Counter()
+        glued_a, glued_b = GluedIntervals(0, WORKED_A), GluedIntervals(0, WORKED_B)
+        glued = construct_size3(glued_a, glued_b).cells
+        assert verify_rccs(glued_a, glued_b, glued).verdict
+        assert calls == Counter(compatible=2 * 2 * 3)  # the construction's check and the verification's

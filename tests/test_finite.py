@@ -628,6 +628,38 @@ class TestHitOrder:
         self.assert_label_order(hits, 3)
 
 
+class TestSearchSymmetry:
+    """The same hits, in the same order, for (a, b), (b, a), (~a, ~b) and (~b, ~a).
+
+    The conditions are symmetric in a and b, and complementing both keeps each cell's screening-off
+    equation and flips the sign of both cross-differences, so a partition is a system for one form exactly
+    when it is one for all four.  The swaps permute the atoms a&b, a&~b, ~a&b and ~a&~b that the search
+    files its cell kinds by: swapping a and b exchanges a&~b and ~a&b, and complementing both exchanges
+    the bottom kind's atom a&b with the top kind's ~a&~b.
+    """
+
+    def test_four_forms_give_the_same_hits(self):
+        rng = random.Random("search-symmetry")
+        cases = hits = 0
+        while cases < 150:
+            m = rng.randint(8, 12)
+            if cases % 2:
+                raw = [rng.randint(1, 3) for _ in range(m)]
+                space = FiniteSpace(tuple(Fraction(w, sum(raw)) for w in raw))
+            else:
+                space = uniform_space(m)
+            a, b = random_subset(rng, space), random_subset(rng, space)
+            if correlation(a, b) <= 0:
+                continue
+            n = rng.randint(2, 4)
+            forms = ((a, b), (b, a), (~a, ~b), (~b, ~a))
+            found = [[p.cells for p in search_rccs(space, x, y, n)] for x, y in forms]
+            assert found[1:] == found[:1] * 3, (space, a, b, n)
+            cases += 1
+            hits += len(found[0])
+        assert hits > 1000
+
+
 def scrambled(rng, points: set) -> list:
     """The points in random order, some of them repeated."""
     members = [*points, *rng.choices(sorted(points), k=len(points))] if points else []

@@ -26,7 +26,9 @@ from .helpers import (
     MIXED_DENOMINATORS,
     MO2,
     Absorbing,
+    GluedIntervals,
     Incompatible,
+    four_meet_independent,
     iv,
     pairwise_partition_fault,
     random_event,
@@ -376,6 +378,66 @@ class TestPartitionOracle:
             assert _refusal(cells) == want, cells
             refusals.add(want and want.split(" ")[-1])
         assert {None, "overlap", "space", "spaces"} <= refusals
+
+
+class TestLogicalIndependenceOracle:
+    """``logically_independent`` reads the four atoms of the compatibility split; the four-meet test it
+    replaced, kept in the helpers, is its oracle on both shipped models and on both non-Boolean ones.  On
+    compatible pairs of the non-Boolean models it also agrees with the order characterization."""
+
+    @staticmethod
+    def _with_edge_pairs(a, b) -> list:
+        return [(a, b), (a, a), (a, a.complement()), (a.meet(b), a), (a, a.join(b)), (a, b.complement())]
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one-denominator", "mixed-denominators"])
+    def test_interval_pairs(self, mixed):
+        rng = random.Random(f"independence-oracle/{mixed}")
+        answers = set()
+        for _ in range(150):
+            a, b = random_event(rng, max_parts=4, mixed=mixed), random_event(rng, max_parts=4, mixed=mixed)
+            for x, y in self._with_edge_pairs(a, b):
+                answers.add(logically_independent(x, y))
+                assert logically_independent(x, y) == four_meet_independent(x, y), (x, y)
+        assert answers == {False, True}
+
+    def test_finite_pairs(self):
+        rng = random.Random("independence-oracle/finite")
+        answers = set()
+        for _ in range(300):
+            space = random_space(rng, rng.randint(1, 10))
+            for x, y in self._with_edge_pairs(random_subset(rng, space), random_subset(rng, space)):
+                answers.add(logically_independent(x, y))
+                assert logically_independent(x, y) == four_meet_independent(x, y), (x, y)
+        assert answers == {False, True}
+
+    def test_mo2_pairs(self):
+        elements = [MO2(name) for name in ("0", "1", "p", "p'", "q", "q'")]
+        for x in elements:
+            for y in elements:
+                assert logically_independent(x, y) is four_meet_independent(x, y) is False
+                if compatible(x, y):
+                    assert logical_independence_equiv(x, y) is False
+
+    def test_glued_interval_pairs(self):
+        rng = random.Random("independence-oracle/glued")
+        seen = set()
+        for _ in range(300):
+            x, y = (GluedIntervals(rng.randint(0, 1), random_event(rng, max_parts=3)) for _ in range(2))
+            independent = logically_independent(x, y)
+            assert independent == four_meet_independent(x, y), (x, y)
+            if compatible(x, y):
+                assert logical_independence_equiv(x, y) == independent, (x, y)
+            seen.add((x.block == y.block, compatible(x, y), independent))
+        assert {(True, True, True), (True, True, False), (False, False, False)} <= seen
+
+    def test_a_broken_model_is_refused_where_the_four_meets_said_no(self):
+        # the split's sides disagree for Absorbing against Incompatible; the four meets never asked
+        assert four_meet_independent(Absorbing(), Incompatible()) is False
+        with pytest.raises(InternalInvariantError, match="asymmetric"):
+            logically_independent(Absorbing(), Incompatible())
+        assert logically_independent(Incompatible(), Incompatible()) is four_meet_independent(
+            Incompatible(), Incompatible()
+        ) is False
 
 
 class TestNonBooleanModel:

@@ -138,13 +138,12 @@ MUTANTS = (
         "            if not cells[i].meet(cells[j]).is_zero:", _LATTICE,
     ),
     Mutant("partition-two-models", "lattice.py", "            _require_one_model(cells[0], cell)\n", "", _LATTICE),
-    # the models' one-pass partition checks: interval endpoint sets, finite masks
+    # the hook dispatch: a model with a one-pass hook is not given the generic path
+    Mutant("split-hook-dispatch", "lattice.py", 'getattr(a, "_atoms", None)', "None", _LATTICE),
+    Mutant("tiles-hook-dispatch", "lattice.py", 'getattr(cells[0], "_tiles", None)', "None", _LATTICE),
+    # the interval model's one-pass partition check, on its intervals' endpoint sets
     Mutant("tiles-interval-size", "events.py", "len(los) == len(his) == size // 4 and ", "", _LATTICE),
     Mutant("tiles-interval-ends", "events.py", "los ^ his == {(0, 1), (1, 1)}", "los - his == {(0, 1)}", _LATTICE),
-    Mutant("tiles-finite-size", "finite.py", " and count == len(space)", "", _LATTICE),
-    Mutant(
-        "tiles-finite-cover", "finite.py", "return union == (1 << len(space)) - 1 and count", "return count", _LATTICE,
-    ),
     # engine: the integer kernel, the verification core and the pair's cell table, the preconditions and the pair gate
     Mutant(
         "screening-equality", "engine.py",
@@ -186,6 +185,10 @@ MUTANTS = (
         "memo-wrong-cell", "engine.py", "        quad = table.get(cell)", "        quad = table.get(cells[0])", _ENGINE,
     ),
     Mutant("memo-grows", "engine.py", "    table.clear()\n", "", _ENGINE),
+    Mutant(  # breaks the symmetry: (b, a) may be answered from the entry of (a, b), whose a and b are swapped
+        "memo-unordered-pair", "engine.py",
+        "    return _pair(a, b)\n", "    return _pair(*sorted((a, b), key=hash))\n", _ENGINE,
+    ),
     Mutant("correlated-strict", "engine.py", "    if excess <= 0:", "    if excess < 0:", _ENGINE),
     Mutant(
         "construction-independence", "engine.py",

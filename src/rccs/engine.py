@@ -54,7 +54,7 @@ def _pair(a: LatticeEvent, b: LatticeEvent) -> _Entry:
     """The atoms of a compatible pair (a, b), m(a), m(b), m(a&b) and the joint excess, and its cell table.
 
     The lattice's compatibility split gives the pair's atoms a&b, a&~b,
-    ~a&b and ~a&~b, from the model's own split for a shipped model.  a is
+    ~a&b and ~a&~b, from the model's ``_atoms`` where it has one.  a is
     the disjoint join of a&b and a&~b, and b that of a&b and ~a&b, so m(a)
     and m(b) are sums of three atom measures, and the excess is
     m(a&b) - m(a)m(b).

@@ -38,7 +38,7 @@ RationalLike = Fraction | int | str
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce an int, a Fraction, or a 'p/q' string to an exact Fraction."""
+    """Coerce an int, a Fraction, or any string ``fractions.Fraction`` reads ('p/q', '0.25', '1e-3') to a Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -269,12 +269,10 @@ class _Value:
 
 
 class _Event(_Value):
-    """An event of either model: ``&``, ``|``, ``~`` are ``meet``, ``join``, ``complement``.
+    """An event of either shipped model: ``&``, ``|``, ``~`` are ``meet``, ``join``, ``complement``.
 
-    Each model also has two private hooks the lattice dispatches to:
-    ``_atoms`` splits a pair into its four atoms in one pass, and
-    ``_tiles(cells)`` decides in one pass whether nonzero cells of its
-    model partition the space.
+    The engine reads this class as the mark of a Boolean model, whose
+    cells it need not test for compatibility.
     """
 
     __slots__ = ()

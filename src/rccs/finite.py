@@ -126,26 +126,6 @@ class FiniteEvent(_Event):
         self._require_same_space(other)
         return self.mask & ~other.mask == 0
 
-    def _atoms(self, other: "FiniteEvent") -> tuple["FiniteEvent", ...]:
-        """The atoms self&other, self&~other, ~self&other and ~self&~other, as four masks."""
-        self._require_same_space(other)
-        a, b, full = self.mask, other.mask, (1 << len(self.space)) - 1
-        return tuple(FiniteEvent._trusted(self.space, m) for m in (a & b, a & ~b, b & ~a, full ^ (a | b)))
-
-    def _tiles(self, cells: tuple["FiniteEvent", ...]) -> bool:
-        """Whether nonzero cells, this one among them, partition the space.
-
-        They do when all are of one space, their masks cover it, and their
-        point counts sum to its size, so no point is in two cells.
-        """
-        space, union, count = self.space, 0, 0
-        for cell in cells:
-            if cell.space is not space and cell.space != space:
-                return False
-            union |= cell.mask
-            count += cell.mask.bit_count()
-        return union == (1 << len(space)) - 1 and count == len(space)
-
     def __str__(self) -> str:
         return "{" + ", ".join(str(i) for i in self.members) + "}"
 

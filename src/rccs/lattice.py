@@ -7,9 +7,10 @@ small surface: ``meet``, ``join``, ``complement``, the induced order
 Everything here is written against that surface only, so the predicates
 work for either model and any other, orthomodular ones included.  Each
 public predicate refuses a non-event or a pair of two models once, then
-splits the pair: a shipped model splits its own pairs into atoms and
-checks its own partitions in one pass, and the two-sided compatibility
-test and the pairwise orthogonality test serve any other model.
+splits the pair with the two-sided compatibility test, and a partition's
+cells are tested pair by pair for orthogonality.  A model whose events
+offer the optional one-pass hooks of :class:`LatticeEvent` (the interval
+model does) gets those in their place.
 
 Only finite lattice operations appear in the contract.  Every algorithm
 in the package manipulates finitely many events, so countable joins are
@@ -23,18 +24,21 @@ from functools import reduce
 from typing import Iterable, Protocol, TypeVar
 
 from .errors import InputError, InternalInvariantError, PreconditionError, echo
-from .events import _Event, _require_iterable, _Value, format_rational
+from .events import _require_iterable, _Value, format_rational
 
 
 class LatticeEvent(Protocol):
     """Structural protocol for the events of a probability model.
 
     Events are immutable and hashable, with equal events hashing alike:
-    the engine memoizes work on a pair keyed on the two events.  The
-    shipped models are Boolean and split their own pairs; a model with
-    only this surface gets the two-sided compatibility test.  The engine
-    assumes every cell of a partition compatible with both events of the
-    pair, as in a Boolean model; in any other model it tests each cell.
+    the engine memoizes work on a pair keyed on the two events.  A model
+    may add two optional one-pass hooks that the lattice calls in place of
+    its generic paths: ``a._atoms(b)``, the atoms a&b, a&~b, ~a&b and ~a&~b
+    of a pair of a Boolean model, and ``cell._tiles(cells)``, whether
+    nonzero cells of the model partition the space.  The interval model
+    has both.  The engine assumes every cell of a partition compatible
+    with both events of the pair, as in a Boolean model; in any other
+    model it tests each cell.
     """
 
     def meet(self, other): ...
@@ -76,16 +80,18 @@ def _require_one_model(a: E, b: E) -> None:
 def _split(a: E, b: E) -> tuple[bool, E, E, E, E]:
     """The compatibility verdict on a pair, with its atoms a&b, a&~b, ~a&b and ~a&~b.
 
-    The caller has refused a pair of two models.  In a shipped model, a
-    Boolean algebra, every pair is compatible: the verdict is True and the
-    atoms are those the model's ``_atoms`` gives.  Any other model gets the
-    two-sided test, a = (a and b) or (a and not-b) and its mirror
-    b = (a and b) or (not-a and b), with a&b serving both sides.  It is
-    symmetric in any orthomodular lattice, so a disagreement between the
-    sides is raised as an internal invariant failure.
+    The caller has refused a pair of two models.  A model whose events
+    offer ``_atoms`` is Boolean, so every pair is compatible: the verdict
+    is True and the atoms are those ``_atoms`` gives.  Any other model,
+    the finite one included, gets the two-sided test, a = (a and b) or
+    (a and not-b) and its mirror b = (a and b) or (not-a and b), with a&b
+    serving both sides.  It is symmetric in any orthomodular lattice, so a
+    disagreement between the sides is raised as an internal invariant
+    failure.
     """
-    if isinstance(a, _Event) and isinstance(b, _Event):
-        return (True, *a._atoms(b))
+    atoms = getattr(a, "_atoms", None)
+    if atoms is not None:
+        return (True, *atoms(b))
     not_b, not_a = b.complement(), a.complement()
     a_and_b, a_not_b, not_a_b = a.meet(b), a.meet(not_b), b.meet(not_a)
     a_side = a_and_b.join(a_not_b) == a
@@ -100,7 +106,7 @@ def _split(a: E, b: E) -> tuple[bool, E, E, E, E]:
 def compatible(a: E, b: E) -> bool:
     """Check a = (a and b) or (a and not-b), the two-sided compatibility test.
 
-    After the surface check, the Boolean models shipped here only split
+    After the surface check, a model with the ``_atoms`` hook only splits
     the pair, and the result is always True.  For any other model both
     sides are evaluated, and a disagreement is raised as an internal
     invariant failure.
@@ -195,12 +201,11 @@ class Partition(_Value):
     not an event at all; so does unpickling.  Partitions that are valid by
     construction are built by ``_trusted``, which skips the check.
 
-    The check is one pass over the cells in a shipped model: after the
-    per-cell checks, the model's ``_tiles`` decides.  Only when it says no,
-    or for any other model, are the cells compared pair by pair: cell i
+    After the per-cell checks, the cells are compared pair by pair: cell i
     must lie below the complement of cell j (orthogonality, which is
-    disjointness in a Boolean algebra), and their join must be 1.  That
-    loop words the refusal.
+    disjointness in a Boolean algebra), and their join must be 1.  A model
+    with the ``_tiles`` hook decides in one pass instead, and only when it
+    says no does the loop run, to word the refusal.
     """
 
     __slots__ = ("cells",)
@@ -216,10 +221,10 @@ class Partition(_Value):
             _require_one_model(cells[0], cell)
             if cell.is_zero:
                 raise InputError(f"partition cell {k} is empty")
-        shipped = isinstance(cells[0], _Event)
-        if not (shipped and cells[0]._tiles(cells)):
+        tiles = getattr(cells[0], "_tiles", None)
+        if not (tiles and tiles(cells)):
             _require_orthogonal_cover(cells)
-            if shipped:
+            if tiles:
                 raise InternalInvariantError(
                     "the tiling check refused cells that the pairwise check accepts; the event model is broken"
                 )

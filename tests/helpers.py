@@ -2,30 +2,32 @@
 
 The oracles here deliberately avoid the code paths they are used to
 check.  The set-operation oracle works pointwise on the elementary
-subintervals induced by all endpoints; the Stirling numbers come from the
-standard recurrence; the two-sided split is the lattice's generic
-compatibility test, which the shipped models' one-sweep atoms are checked
-against, and the Fraction carve the left-to-right carve in Fraction
-arithmetic; the conditions oracle scores a list of cells with
-Fraction conditionals, and the search oracle applies it to every
-enumerated partition.  The quadruple oracle decides the conditions on
-per-cell measures in Fraction arithmetic, as the engine did before its
-integer kernel.  The screening-cell oracle scans all 2^m subsets of
-a finite space, and the orbit oracle counts the search's hits in a
-uniform space from the cells' count vectors alone.  With the int-string
-limit lifted, ``str`` is the oracle for exact output of any size.  The
-Fraction reader and the pairwise partition check are the JSON read path
-and the partition check as they were before their one-pass versions: a
-``Fraction`` per endpoint and the constructor's check, and a meet per pair
-of cells and a join of all.  The fake events at the end are
-models in which the compatibility test fails, which no shipped model does;
-like the shipped events they are hashable, since the engine memoizes the
-split of each pair.  ``MO2`` is a genuine orthomodular lattice that is not
-Boolean, the smallest one, and ``GluedIntervals`` an atomless one that
-carves.  The four-meet test is logical independence as the lattice decided
-it before it read the atoms of its split.  The exact Bell witness at the
-very end has its entries in Q(sqrt 3), so its identities hold as
-equalities, not within a tolerance.
+subintervals induced by all endpoints; the Stirling numbers come from
+the standard recurrence; the two-sided split is the lattice's generic
+compatibility test, which the interval model's one-sweep atoms and the
+lattice's split of finite pairs are checked against, and the Fraction
+carve the left-to-right carve in Fraction arithmetic; the conditions
+oracle scores a list of cells with Fraction conditionals, and the search
+oracle applies it to every enumerated partition.  The quadruple oracle
+decides the conditions on per-cell measures in Fraction arithmetic, as
+the engine did before its integer kernel.  The screening-cell oracle
+scans all 2^m subsets of a finite space, and the orbit oracles count the
+search's hits from the cells' count vectors alone: over the atoms of a
+uniform space, or over classes of equal-weight points within an atom.
+With the int-string limit lifted, ``str`` is the oracle for exact output
+of any size.  The Fraction reader and the pairwise partition check are
+the JSON read path and the partition check as they were before their
+one-pass versions: a ``Fraction`` per endpoint and the constructor's
+check, and a meet per pair of cells and a join of all.  The fake events
+at the end are models in which the compatibility test fails, which no
+shipped model does; like the shipped events they are hashable, since the
+engine memoizes the split of each pair.  ``MO2`` is a genuine
+orthomodular lattice that is not Boolean, the smallest one, ``Greechie``
+a larger finite one, two 8-element Boolean blocks sharing an atom, and
+``GluedIntervals`` an atomless one that carves.  The four-meet test is
+logical independence as the lattice decided it before it read the atoms
+of its split.  The exact Bell witness at the very end has its entries in
+Q(sqrt 3), so its identities hold as equalities, not within a tolerance.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial, gcd, prod, sqrt
+from math import comb, gcd, prod, sqrt
 
 from rccs import EMPTY, FULL, FiniteSpace, InputError, IntervalEvent, enumerate_partitions
 from rccs.errors import echo
@@ -554,6 +556,85 @@ class GluedIntervals:
         return f"GluedIntervals({self.block!r}, {self.event})"
 
 
+class Greechie:
+    """An element of the pasting of two 8-element Boolean blocks that share one atom.
+
+    Block A has the atoms x, y, z and block B the atoms z, u, v, and an
+    element is the set of atoms below it in a block that holds it.  The
+    blocks share 0, z, z' and 1, where z' is {x, y} in A and {u, v} in B;
+    a shared element is stored in its A form, so each of the 12 elements
+    has one form.  The order is containment within a block, and meets and
+    joins are read off it by a scan of all 12 elements, so no rule for
+    elements of two blocks is assumed.  The Greechie diagram is two lines
+    meeting in the point z, with no loop, so the lattice is orthomodular;
+    it is not Boolean, since x and u are not compatible.  The state weighs
+    x, y, z as 1/6, 1/3, 1/2 and u, v as 1/5, 3/10: each block sums to 1
+    and z' weighs 1/2 in both, so it is faithful and additive on every
+    orthogonal family, which lies in one block (Kalmbach, Orthomodular
+    Lattices, 1983).
+    """
+
+    BLOCKS = (frozenset("xyz"), frozenset("zuv"))
+    _WEIGHT = {"x": Fraction(1, 6), "y": Fraction(1, 3), "z": Fraction(1, 2), "u": Fraction(1, 5), "v": Fraction(3, 10)}
+    _B_FORM = {frozenset("xy"): frozenset("uv"), frozenset("xyz"): frozenset("zuv")}
+    _A_FORM = {b: a for a, b in _B_FORM.items()}
+    ELEMENTS: tuple["Greechie", ...] = ()
+
+    __slots__ = ("atoms",)
+
+    def __init__(self, atoms) -> None:
+        atoms = frozenset(atoms)
+        if not any(atoms <= block for block in self.BLOCKS):
+            raise ValueError(f"atoms {sorted(atoms)} lie in no block")
+        self.atoms = self._A_FORM.get(atoms, atoms)
+
+    def _forms(self) -> tuple[frozenset, ...]:
+        """The element's atom set in each block that holds it."""
+        return (self.atoms, self._B_FORM[self.atoms]) if self.atoms in self._B_FORM else (self.atoms,)
+
+    def leq(self, other: "Greechie") -> bool:
+        return any(s <= t and t <= block for block in self.BLOCKS for s in self._forms() for t in other._forms())
+
+    def meet(self, other: "Greechie") -> "Greechie":
+        lower = [e for e in self.ELEMENTS if e.leq(self) and e.leq(other)]
+        return next(e for e in lower if all(f.leq(e) for f in lower))
+
+    def join(self, other: "Greechie") -> "Greechie":
+        upper = [e for e in self.ELEMENTS if self.leq(e) and other.leq(e)]
+        return next(e for e in upper if all(e.leq(f) for f in upper))
+
+    def complement(self) -> "Greechie":
+        block = next(block for block in self.BLOCKS if self.atoms <= block)
+        return Greechie(block - self.atoms)
+
+    def measure(self) -> Fraction:
+        return sum((self._WEIGHT[atom] for atom in self.atoms), Fraction(0))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.atoms
+
+    @property
+    def is_one(self) -> bool:
+        return self.atoms == self.BLOCKS[0]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Greechie) and self.atoms == other.atoms
+
+    def __hash__(self) -> int:
+        return hash(self.atoms)
+
+    def __repr__(self) -> str:
+        return f"Greechie({''.join(sorted(self.atoms))!r})"
+
+
+Greechie.ELEMENTS = tuple(
+    dict.fromkeys(
+        Greechie(s) for block in Greechie.BLOCKS for r in range(4) for s in itertools.combinations(sorted(block), r)
+    )
+)
+
+
 def four_meet_independent(a, b) -> bool:
     """Logical independence from four meets of its own: a&b, a&~b, ~a&b and ~a&~b all nonzero."""
     not_a, not_b = a.complement(), b.complement()
@@ -654,35 +735,62 @@ def screening_cells_oracle(point_weight: list[int], mask_a: int, mask_b: int, m:
 def orbit_count(sizes: tuple[int, int, int, int], n: int) -> int:
     """The number of size-n systems in a uniform space, from count vectors alone.
 
-    ``sizes`` are the point counts of the atoms a&b, a&~b, ~a&b and ~a&~b.
-    With equal weights a cell's conditions depend only on its count vector
-    (k1, k2, k3, k4): it screens off when k1 k4 == k2 k3, and two cells meet
-    the strict cross condition when their differences in P(a|c) and P(b|c)
-    have a positive product, so no two cells of a system share a vector.
-    Each set of n distinct vectors that passes and adds up to ``sizes``
-    stands for prod K_i! / prod over cells of prod k_i! partitions: the
-    ways to deal each atom's points out to the cells.
+    ``sizes`` are the point counts of the atoms a&b, a&~b, ~a&b and ~a&~b:
+    :func:`class_orbit_count` with one class of weight 1 per atom.
     """
-    vectors = [
-        k for k in itertools.product(*(range(size + 1) for size in sizes))
-        if any(k) and k[0] * k[3] == k[1] * k[2]
-    ]
+    return class_orbit_count(tuple(((size, 1),) for size in sizes), n)
 
-    def crosses(u, v) -> bool:
-        (wu, au, bu), (wv, av, bv) = ((sum(k), k[0] + k[1], k[0] + k[2]) for k in (u, v))
-        return (au * wv - av * wu) * (bu * wv - bv * wu) > 0
 
-    def count(start: int, rest: tuple[int, ...], chosen: list) -> int:
-        if len(chosen) == n:
-            return prod(map(factorial, sizes)) // prod(factorial(x) for k in chosen for x in k) if not any(rest) else 0
+def class_orbit_count(classes, n: int) -> int:
+    """The number of size-n systems in a space whose points fall into classes of equal weight within one atom.
+
+    ``classes`` has one entry per atom a&b, a&~b, ~a&b and ~a&~b: pairs
+    ``(K, w)``, K points of integer weight w each (any common scale).  A
+    cell is a count vector k over the classes, and its weight x_i in atom
+    i is the sum of k_c w_c over that atom's classes, so its conditions
+    depend on k alone: it screens off when x1 x4 == x2 x3.  The strict
+    cross condition asks every two cells to differ in P(a|c) and P(b|c) in
+    the same direction, so the cells of a system form a chain, each
+    strictly above the one before in both, and no two share a vector.
+    Each such chain of n vectors that adds up to the class sizes stands
+    for prod K_c! / prod over cells of prod k_c! partitions: the ways to
+    deal each class's points out to the cells.  The chain is grown from
+    its lowest cell; the cells still to come lie above the last one taken,
+    and so does their sum, which prunes the growth, and the last cell is
+    the rest, looked up, not searched for.
+    """
+    flat = [(i, size, w) for i, entry in enumerate(classes) for size, w in entry]
+    sizes = tuple(size for _, size, _ in flat)
+
+    def profile(k) -> tuple[int, int, int, int]:  # (w, w_a, w_b, w_ab)
+        x = [0, 0, 0, 0]
+        for (i, _, w), count in zip(flat, k):
+            x[i] += count * w
+        return sum(x), x[0] + x[1], x[0] + x[2], x[0]
+
+    def below(u, v) -> bool:  # P(a|u) < P(a|v) and P(b|u) < P(b|v), from (w, w_a, w_b) profiles
+        return u[1] * v[0] < v[1] * u[0] and u[2] * v[0] < v[2] * u[0]
+
+    vectors = {}
+    for k in itertools.product(*(range(size + 1) for size in sizes)):
+        w, w_a, w_b, w_ab = profile(k)
+        if w and w * w_ab == w_a * w_b:
+            vectors[k] = (w, w_a, w_b)
+
+    def count(rest: tuple[int, ...], last, need: int) -> int:
+        if need == 1:  # the rest is the last cell
+            top = vectors.get(rest)
+            return int(top is not None and (last is None or below(last, top)))
         total = 0
-        for j in range(start, len(vectors)):
-            k = vectors[j]
-            if all(x <= r for x, r in zip(k, rest)) and all(crosses(k, c) for c in chosen):
-                total += count(j + 1, tuple(r - x for x, r in zip(k, rest)), chosen + [k])
+        for k, here in vectors.items():
+            if (last is None or below(last, here)) and all(x <= r for x, r in zip(k, rest)):
+                left = tuple(r - x for x, r in zip(k, rest))
+                if any(left) and below(here, profile(left)):
+                    ways = prod(comb(r, x) for x, r in zip(k, rest))
+                    total += ways * count(left, here, need - 1)
         return total
 
-    return count(0, tuple(sizes), [])
+    return count(sizes, None, n)
 
 
 class Q3:

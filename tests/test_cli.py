@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import rccs.cli
 import rccs.engine
-from rccs import FiniteSpace, InputError, InternalInvariantError, construction_steps
+from rccs import FiniteSpace, InputError, InternalInvariantError, construction_steps, correlation
 from rccs.cli import main
 from rccs.serialize import interval_event_from_obj
 
@@ -378,6 +379,32 @@ class TestOutputs:
         outputs.append(json.loads(out))
         for obj in outputs:
             jsonschema.validate(obj, schema)
+
+
+class TestSearchSymmetry:
+    """``search --json`` prints the same bytes for (a, b), (b, a), (~a, ~b) and (~b, ~a): a partition is a
+    system for one form exactly when it is one for all four, and the hits come in one order."""
+
+    def test_four_forms_print_the_same_bytes(self):
+        rng = random.Random("cli-search-symmetry")
+        cases = hits = 0
+        while cases < 40:
+            m = rng.randint(6, 9)
+            raw = [1] * m if cases % 2 else [rng.randint(1, 3) for _ in range(m)]
+            weights = [str(Fraction(w, sum(raw))) for w in raw]
+            a, b = ({i for i in range(m) if rng.random() < 0.5} for _ in range(2))
+            space = FiniteSpace(weights)
+            if correlation(space.event(a), space.event(b)) <= 0:
+                continue
+            not_a, not_b = set(range(m)) - a, set(range(m)) - b
+            outputs = []
+            for x, y in ((a, b), (b, a), (not_a, not_b), (not_b, not_a)):
+                payload = {"space": {"weights": weights}, "a": {"members": sorted(x)}, "b": {"members": sorted(y)}}
+                outputs.append(run_cli(["search", json.dumps(payload | {"n": 2 + cases % 3}), "--json"]))
+            assert outputs[0][0] == 0 and outputs[1:] == outputs[:1] * 3, outputs
+            cases += 1
+            hits += json.loads(outputs[0][1])["count"]
+        assert hits > 200, hits
 
 
 def _one_line(err: str, prefix: str) -> bool:

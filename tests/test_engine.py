@@ -1,5 +1,6 @@
 """Verification and the size-3 construction, pinned to hand-derived values."""
 
+import itertools
 import pickle
 import random
 import sys
@@ -44,8 +45,10 @@ from rccs.serialize import (
 
 from .helpers import (
     MIXED_DENOMINATORS,
+    MO2,
     Absorbing,
     GluedIntervals,
+    Greechie,
     Incompatible,
     assert_canonical,
     fraction_conditions,
@@ -373,9 +376,14 @@ class TestDecomposition:
 
 
 def _counted_event_calls(monkeypatch, model: type) -> Counter:
-    """A counter, by name, of the calls to the model's meet, join, measure, complement and _atoms from now on."""
+    """A counter, by name, of the calls to the model's meet, join, measure, complement and _atoms from now on.
+
+    A name the model does not define, such as the optional ``_atoms``, is not counted.
+    """
     calls = Counter()
     for name in ("meet", "join", "measure", "complement", "_atoms"):
+        if not hasattr(model, name):
+            continue
         def counted(self, *args, _name=name, _original=getattr(model, name)):
             calls[_name] += 1
             return _original(self, *args)
@@ -1305,3 +1313,106 @@ class TestIncompatibleCells:
         glued = construct_size3(glued_a, glued_b).cells
         assert verify_rccs(glued_a, glued_b, glued).verdict
         assert calls == Counter(compatible=2 * 2 * 3)  # the construction's check and the verification's
+
+
+class TestVerifySymmetry:
+    """A partition is a system for (a, b) exactly when it is one for (b, a), (~a, ~b) and (~b, ~a).
+
+    The conditions are symmetric in a and b, and complementing both maps P(a|c) to 1 - P(a|c) and P(ab|c)
+    to 1 - P(a|c) - P(b|c) + P(ab|c): each cell's screening-off equation is kept, both cross-differences
+    change sign and the joint excess is unchanged.  So the four reports agree in everything but their
+    conditionals, which swap under (b, a) and map as above under the complements.
+    """
+
+    @staticmethod
+    def check(a, b, partition) -> bool:
+        """Hold the four forms' reports on ``partition`` to those relations, and return the verdict."""
+        base, swapped, negated, both = (verify_rccs(x, y, partition) for x, y in ((a, b), (b, a), (~a, ~b), (~b, ~a)))
+        unconditional = dict(cond_a=None, cond_b=None, cond_ab=None)
+        for report in (swapped, negated, both):
+            assert report._replace(**unconditional) == base._replace(**unconditional)
+        not_a, not_b = (tuple(1 - p for p in row) for row in (base.cond_a, base.cond_b))
+        neither = tuple(1 - pa - pb + pab for pa, pb, pab in zip(base.cond_a, base.cond_b, base.cond_ab))
+        assert (swapped.cond_a, swapped.cond_b, swapped.cond_ab) == (base.cond_b, base.cond_a, base.cond_ab)
+        assert (negated.cond_a, negated.cond_b, negated.cond_ab) == (not_a, not_b, neither)
+        assert (both.cond_a, both.cond_b, both.cond_ab) == (not_b, not_a, neither)
+        return base.verdict
+
+    def test_interval_candidates(self):
+        # the construction, its two merged-cell covers and a random two-cell cover; then each form's construction
+        rng = random.Random("verify-symmetry")
+        verdicts, failures = Counter(), set()
+        for _ in range(300):
+            a, b = random_correlated_independent_pair(rng)
+            cells = construct_size3(a, b).cells.cells
+            cut = random_nonzero_event(rng)
+            candidates = (
+                Partition(cells),
+                Partition((cells[0] | cells[1], cells[2])),
+                Partition((cells[0], cells[1] | cells[2])),
+                Partition((cut, ~cut)),
+            )
+            for partition in candidates:
+                verdicts[self.check(a, b, partition)] += 1
+                failures.add(verify_rccs(a, b, partition).failure)
+            for x, y in ((b, a), (~a, ~b), (~b, ~a)):
+                assert verify_rccs(a, b, construct_size3(x, y).cells).verdict
+        assert verdicts[True] >= 300 and verdicts[False] >= 300, verdicts
+        assert {None, "screening-off fails on cell 0"} <= failures, failures
+
+    def test_finite_search_hits_and_random_covers(self):
+        rng = random.Random("verify-symmetry/finite")
+        verdicts = Counter()
+        while verdicts[True] < 300:
+            m = rng.randint(6, 9)
+            space = FiniteSpace((Fraction(1, m),) * m) if rng.random() < 0.5 else random_space(rng, m)
+            a, b = random_subset(rng, space), random_subset(rng, space)
+            if correlation(a, b) <= 0:
+                continue
+            for partition in search_rccs(space, a, b, rng.randint(2, 3))[:8]:
+                assert self.check(a, b, partition)
+                verdicts[True] += 1
+            labels = [rng.randrange(3) for _ in range(m)]
+            cells = [space.event(i for i in range(m) if labels[i] == k) for k in range(3)]
+            verdicts[self.check(a, b, Partition(cell for cell in cells if not cell.is_zero))] += 1
+        assert verdicts[False] >= 50, verdicts
+
+
+class TestNoGoOffTheBooleanCase:
+    """The no-go result in the finite orthomodular lattices of the helpers, exhaustively: a correlated pair that
+    is not logically independent has no system of 3 or more cells among the orthogonal decompositions of 1
+    whose cells are all compatible with both events."""
+
+    @pytest.mark.parametrize("model", ["greechie", "mo2"])
+    def test_no_decomposition_of_three_or_more_cells_passes(self, model):
+        if model == "greechie":
+            elements = Greechie.ELEMENTS
+        else:
+            elements = tuple(MO2(name) for name in ("0", "1", "p", "p'", "q", "q'"))
+        decompositions = []
+        for size in range(3, len(elements)):
+            for cells in itertools.combinations([e for e in elements if not e.is_zero], size):
+                try:
+                    decompositions.append(Partition(cells))
+                except InputError:
+                    pass
+        pairs = checked = 0
+        for a in elements:
+            for b in elements:
+                if not compatible(a, b) or logically_independent(a, b) or correlation(a, b) <= 0:
+                    continue
+                pairs += 1
+                for partition in decompositions:
+                    if all(compatible(x, cell) for x in (a, b) for cell in partition.cells):
+                        assert not verify_rccs(a, b, partition).verdict, (a, b, partition)
+                        checked += 1
+        if model == "greechie":  # the atoms of each block, the only decompositions of 3 cells or more
+            assert sorted(sorted(map(repr, p.cells)) for p in decompositions) == [
+                ["Greechie('u')", "Greechie('v')", "Greechie('z')"],
+                ["Greechie('x')", "Greechie('y')", "Greechie('z')"],
+            ]
+            # 18 correlated pairs in each block, where no pair is logically independent: the 6 events other than 0
+            # and 1 each with itself and the 12 nested pairs; (z, z) and (z', z') are in both blocks and get both
+            assert (pairs, checked) == (34, 36), (pairs, checked)
+        else:  # each block has two atoms
+            assert decompositions == [] and pairs == 4, pairs

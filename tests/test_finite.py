@@ -22,12 +22,13 @@ from rccs import (
     search_rccs,
     verify_rccs,
 )
-
+from rccs import lattice
 from rccs.events import format_rational
 from rccs.finite import _screening_cells
 
 from .helpers import (
     brute_force_search,
+    class_orbit_count,
     integer_brute_force,
     iv,
     label_vector,
@@ -602,6 +603,47 @@ class TestOrbitOracle:
             assert self.search_count(sizes, n, seed=16) == want
 
 
+class TestWeightedOrbitOracle:
+    """Beyond uniform spaces: with a few weights per atom, the hits follow from count vectors over the classes
+    of equal-weight points within one atom (``helpers.class_orbit_count``), which shares no idea of the cover."""
+
+    @staticmethod
+    def draw(rng: random.Random):
+        """A correlated pair on a shuffled 9-16 point space; no atom empty, each atom of 2+ points with 2-3 weights."""
+        while True:
+            m = rng.randint(9, 16)
+            sizes = [1, 1, 1, 1]
+            for _ in range(m - 4):
+                sizes[rng.randrange(4)] += 1
+            classes = []
+            for size in sizes:
+                weights = rng.sample(range(1, 6), min(size, rng.randint(2, 3)))
+                counts = [1] * len(weights)
+                for _ in range(size - len(weights)):
+                    counts[rng.randrange(len(weights))] += 1
+                classes.append(tuple(zip(counts, weights)))
+            points = [(i, w) for i, entry in enumerate(classes) for count, w in entry for _ in range(count)]
+            rng.shuffle(points)
+            total = sum(w for _, w in points)
+            space = FiniteSpace(tuple(Fraction(w, total) for _, w in points))
+            a = space.event(p for p, (i, _) in enumerate(points) if i < 2)
+            b = space.event(p for p, (i, _) in enumerate(points) if i % 2 == 0)
+            if correlation(a, b) > 0:
+                return space, a, b, tuple(classes)
+
+    def test_seeded_weighted_spaces(self):
+        rng = random.Random("weighted-orbits")
+        sizes, hits = set(), [0, 0, 0]
+        for _ in range(20):
+            space, a, b, classes = self.draw(rng)
+            sizes.add(len(space))
+            for n in (2, 3, 4):
+                want = class_orbit_count(classes, n)
+                assert len(search_rccs(space, a, b, n, max_points=16)) == want, (classes, n)
+                hits[n - 2] += want
+        assert min(sizes) <= 10 and max(sizes) >= 15 and min(hits) > 0, (sizes, hits)
+
+
 class TestHitOrder:
     """Hits come in restricted growth order of their label vectors, also beyond brute-force reach."""
 
@@ -701,7 +743,8 @@ class TestBitmaskKernel:
             assert (x == y) == (sx == sy)
 
     def test_atoms_match_set_oracle(self):
-        # the four masks against sets, and against the two-sided split from meets, joins and complements
+        # the lattice's split of a finite pair, the generic one from meets, joins and complements: its four
+        # masks against sets, and the whole split against the two-sided split kept in the helpers
         rng = random.Random(1213)
         for _ in range(400):
             m = rng.randint(1, 12)
@@ -710,19 +753,19 @@ class TestBitmaskKernel:
             sx, sy = ({i for i in range(m) if rng.random() < p} for p in (rng.random(), rng.random()))
             sy = rng.choice((sy, sx, universe - sx, sx & sy, set(), universe))
             x, y = space.event(sx), space.event(sy)
-            atoms = x._atoms(y)
+            verdict, *atoms = lattice._split(x, y)
             assert [atom.members for atom in atoms] == [
                 tuple(sorted(want)) for want in (sx & sy, sx - sy, sy - sx, universe - sx - sy)
             ]
             assert all(atom.space is space for atom in atoms)
             a_side, b_side, split = two_sided_split(x, y)
-            assert a_side and b_side and atoms == split
+            assert verdict is a_side is b_side is True and tuple(atoms) == split
 
     def test_atoms_of_two_spaces_refused(self):
         a, other = uniform_space(4).event((0, 1)), uniform_space(2).event((0,))
         for x, y in ((a, other), (other, a)):
             with pytest.raises(InputError, match=r"^events belong to different spaces$"):
-                x._atoms(y)
+                lattice._split(x, y)
 
     def test_trusted_paths_run_no_member_check(self, monkeypatch):
         space = uniform_space(8)

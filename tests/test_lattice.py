@@ -1,7 +1,10 @@
 """Structural predicates and the shared lattice contract, on both models."""
 
+import ast
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,7 @@ from .helpers import (
     MO2,
     Absorbing,
     GluedIntervals,
+    Greechie,
     Incompatible,
     four_meet_independent,
     iv,
@@ -478,6 +482,94 @@ class TestNonBooleanModel:
     def test_orthogonal_cells_that_do_not_cover_are_refused(self):
         with pytest.raises(InputError, match=r"^partition cells do not cover the whole space$"):
             Partition((self.p,))
+
+
+_GREECHIE_BLOCKS = tuple(
+    tuple(e for e in Greechie.ELEMENTS if any(form <= block for form in e._forms())) for block in Greechie.BLOCKS
+)
+
+
+class TestGreechieLattice:
+    """Two 8-element Boolean blocks sharing the atom z (``helpers.Greechie``): the lattice itself, then the
+    predicates and the partition check on it."""
+
+    elements, blocks = Greechie.ELEMENTS, _GREECHIE_BLOCKS
+    only_a, only_b = (tuple(e for e in _GREECHIE_BLOCKS[k] if e not in _GREECHIE_BLOCKS[1 - k]) for k in (0, 1))
+
+    def test_an_orthomodular_lattice_with_a_faithful_state(self):
+        assert len(self.elements) == 12 and [len(block) for block in self.blocks] == [8, 8]
+        assert len(self.only_a) == len(self.only_b) == 4
+        for x in self.elements:
+            assert x.complement().complement() == x and x.meet(x.complement()).is_zero
+            assert x.join(x.complement()).is_one and x.measure() + x.complement().measure() == 1
+            assert (x.measure() > 0) != x.is_zero
+            for y in self.elements:
+                assert x.meet(y).leq(x) and x.leq(x.join(y)) and (x.leq(y) == (x.meet(y) == x))
+                assert x.meet(y).complement() == x.complement().join(y.complement())  # De Morgan
+                if x.leq(y):  # the orthomodular law
+                    assert y == x.join(x.complement().meet(y))
+                if x.leq(y.complement()):  # the state is additive on orthogonal pairs
+                    assert x.join(y).measure() == x.measure() + y.measure()
+
+    def test_compatible_within_a_block_not_across(self):
+        for block in self.blocks:
+            for x in block:
+                for y in block:
+                    assert compatible(x, y)
+        for x in self.only_a:
+            for y in self.only_b:
+                assert not compatible(x, y) and not compatible(y, x)
+
+    def test_partition_takes_a_block_atom_triple_and_refuses_a_mixed_one(self):
+        atoms = {name: Greechie(name) for name in "xyzuv"}
+        for names in itertools.permutations("xyzuv", 3):
+            cells = tuple(atoms[name] for name in names)
+            if set(names) in ({"x", "y", "z"}, {"z", "u", "v"}):
+                assert Partition(cells).cells == cells
+            else:
+                with pytest.raises(InputError, match=r"^partition cells \d and \d overlap$"):
+                    Partition(cells)
+        # x and u meet in 0 and, with z, join to 1, yet u is not below x' = {y, z}
+        assert pairwise_partition_fault((atoms["x"], atoms["u"], atoms["z"])) is None
+        with pytest.raises(InputError, match=r"^partition cells do not cover the whole space$"):
+            Partition((atoms["x"], atoms["y"]))
+
+    def test_product_inequality_on_compatible_triples(self):
+        mo2 = [MO2(name) for name in ("0", "1", "p", "p'", "q", "q'")]
+        rng = random.Random("product-inequality/glued")
+        glued = []
+        for _ in range(3000):  # mostly three events of one block; an event may also be 0 or 1, which both hold
+            block = rng.randint(0, 1)
+            blocks = [block if rng.random() < 0.9 else 1 - block for _ in range(3)]
+            glued.append([GluedIntervals(k, random_event(rng)) for k in blocks])
+        counts = []
+        for triples in (itertools.product(self.elements, repeat=3), itertools.product(mo2, repeat=3), glued):
+            counts.append(0)
+            for x, y, z in triples:
+                if compatible(x, y) and compatible(x, z) and compatible(y, z):
+                    assert check_product_inequality(x, y, z)
+                    counts[-1] += 1
+        # a compatible triple lies in one block: 2 * 8^3 less the 4^3 in both, and 2 * 4^3 less the 2^3 in both
+        assert counts[:2] == [960, 120] and counts[2] > 2000, counts
+
+
+@pytest.mark.parametrize(
+    "module, banned",
+    [("lattice", {"IntervalEvent", "FiniteEvent", "_Event"}), ("engine", {"IntervalEvent", "FiniteEvent"})],
+)
+def test_the_lattice_and_the_engine_name_no_event_model(module, banned):
+    # both dispatch on what a model offers, never on its class; the engine's Boolean gate names only the shared base
+    tree = ast.parse((Path(lattice.__file__).parent / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(name for alias in node.names for name in (alias.name, alias.asname))
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "_require_one_model" in names  # the walk reads the names the module uses
+    assert not names & banned, names & banned
 
 
 class _Named:

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rccs import FiniteSpace, InputError, Partition
+from rccs import FiniteSpace, InputError, Partition, as_fraction
+from rccs.cli import _parse_lam
 from rccs.serialize import (
     dumps,
     finite_event_from_obj,
@@ -84,6 +85,22 @@ class TestRationals:
     def test_rejects_non_strings(self):
         with pytest.raises(InputError):
             parse_rational(0.5)
+
+    def test_the_library_and_the_json_grammars_differ(self):
+        # as_fraction reads any string fractions.Fraction reads; JSON and --lambda take only "p/q" or "n"
+        for text, value in (("0.25", Fraction(1, 4)), ("1e-3", Fraction(1, 1000)), ("1_000/3_000", Fraction(1, 3))):
+            assert as_fraction(text) == value
+            assert FiniteSpace((text, 1 - value)).weights == (value, 1 - value)
+            for read in (parse_rational, _parse_lam):
+                with pytest.raises(InputError, match=r"^malformed rational '.+'; expected 'p/q' or an integer string$"):
+                    read(text)
+            with pytest.raises(InputError, match=r"^malformed rational"):
+                finite_space_from_obj({"weights": [text, str(1 - value)]})
+        for text in ("3/4", " 3/4 ", "-2", "06/08", "+1/3"):
+            assert as_fraction(text) == parse_rational(text)
+        for text in ("1/0", "x", "", "1/2/3"):
+            with pytest.raises(InputError):
+                as_fraction(text)
 
 
 class TestEvents:

@@ -12,10 +12,13 @@ First it runs every module the chosen mutants name on an unmutated copy:
 if that fails, no mutant could survive, so the probe stops with exit 1.
 
 A mutant is killed when the run fails, and survives when it passes.  A
-mutant marked equivalent changes no answer, and the table gives the
-reason; it is expected to survive.  The probe prints one line per mutant
-(killed or survived, the seconds taken, and the reason for an equivalent
-one), then the score.  It exits 1 if a mutant that is not marked
+run that takes longer than ``TIMEOUT`` seconds is stopped, and its mutant
+counts as killed ("timed out"): a fault that makes a test loop forever is
+caught, not waited on.  The unmutated run must finish within the same
+limit, or the probe stops with exit 1.  A mutant marked equivalent
+changes no answer, and the table gives the reason; it is expected to
+survive.  The probe prints one line per mutant (killed or survived, the
+seconds taken, and the reason for an equivalent one), then the score.  It exits 1 if a mutant that is not marked
 equivalent survives, or one that is marked equivalent is killed.
 
     python3 bench/mutant_probe.py                 # every mutant, a few minutes
@@ -43,6 +46,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rccs"
+TIMEOUT = 240  # seconds per pytest run: over twice a full tier-1 run, so only a run that hangs reaches it
 
 
 class Mutant(NamedTuple):
@@ -229,6 +233,11 @@ MUTANTS = (
         "it is at most 0 and the cross test refuses it; the budget only prunes",
     ),
     Mutant("edge-both-kept", "finite.py", "if (kind := f | g) < 3:", "if (kind := f | g) <= 3:", _FINITE),
+    Mutant("atom-bound-equal", "finite.py", "    if n - 2 > min(", "    if n - 2 >= min(", _FINITE),
+    Mutant("atom-bound-largest", "finite.py", "    if n - 2 > min(", "    if n - 2 > max(", _FINITE),
+    Mutant(  # changes no answer, yet is not equivalent: TestAtomCountBound pins that the bound alone answers n = 3
+        "atom-bound-loose", "finite.py", "    if n - 2 > min(", "    if n - 3 > min(", _FINITE,
+    ),
     Mutant(
         "no-interior-guard", "finite.py",
         "    if n >= 3 and not any(by_lowest[0]):", "    if not any(by_lowest[0]):", _FINITE,
@@ -329,8 +338,11 @@ def check_table(package: Path = PACKAGE) -> list[str]:
     return problems
 
 
-def run_tests(modules: tuple[str, ...], m: Mutant | None = None) -> tuple[bool, float]:
-    """Run ``modules`` on a temporary copy of the tree, with ``m`` applied if given; return (failed, seconds)."""
+def run_tests(modules: tuple[str, ...], m: Mutant | None = None) -> tuple[str, float]:
+    """Run ``modules`` on a temporary copy of the tree, with ``m`` applied if given.
+
+    Returns the outcome, "passed", "failed" or "timed out" (after ``TIMEOUT`` seconds), and the seconds taken.
+    """
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
@@ -344,8 +356,11 @@ def run_tests(modules: tuple[str, ...], m: Mutant | None = None) -> tuple[bool, 
         cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
         cmd += [f"tests/{module}.py" for module in modules]
         start = time.perf_counter()
-        done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, check=False)
-        return done.returncode != 0, time.perf_counter() - start
+        try:
+            done = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True, check=False, timeout=TIMEOUT)
+        except subprocess.TimeoutExpired:
+            return "timed out", time.perf_counter() - start
+        return "failed" if done.returncode else "passed", time.perf_counter() - start
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -363,14 +378,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"no such mutant: {', '.join(sorted(unknown))}")
     chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
     modules = tuple(dict.fromkeys(module for m in chosen for module in m.tests))
-    failed, seconds = run_tests(modules)
-    if failed:
-        print(f"the unmutated tree fails {', '.join(modules)} ({seconds:.1f} s); no mutant can be judged", file=sys.stderr)
+    outcome, seconds = run_tests(modules)
+    if outcome != "passed":
+        print(f"the unmutated run of {', '.join(modules)} {outcome} ({seconds:.1f} s); no mutant can be judged",
+              file=sys.stderr)
         return 1
     wrong = []  # a survivor not marked equivalent, or a killed one that is
     for m in chosen:
-        dead, seconds = run_tests(m.tests, m)
-        note = ""
+        outcome, seconds = run_tests(m.tests, m)
+        dead = outcome != "passed"
+        note = "  timed out" if outcome == "timed out" else ""
         if m.equivalent:
             note = "  marked equivalent, yet killed" if dead else f"  equivalent: {m.equivalent}"
         if dead == bool(m.equivalent):

@@ -12,7 +12,10 @@ systems into finite checks.  Its cells, the subsets that screen off, are
 listed and filed by kind in one join over the four atoms of the pair, not
 a scan of all 2^m.  A system has at most one cell missing a&b and one
 missing ~a&~b, so the cover spends each kind once; for three or more
-cells, no screening-off cell meeting both atoms means no system.
+cells, no screening-off cell meeting both atoms means no system.  Its
+other n - 2 cells each meet all four atoms, so a search whose smallest
+atom has fewer than n - 2 points is answered, empty, from the atom sizes
+before any cell is listed.
 """
 
 from __future__ import annotations
@@ -245,12 +248,16 @@ def search_rccs(
     (no other cell can be lower in the coordinate that is 0) and a top
     cell strictly above.  Hence a system of two or more cells has at most
     one bottom cell, at most one top cell and no cell that is both; the
-    last lie inside a&~b or ~a&b and are dropped.  A system of three or
-    more cells therefore has an interior cell, one that meets both a&b
-    and ~a&~b, and without one the answer is [] before any cover.  Every
-    logically dependent pair is such a case (an empty a&b or ~a&~b
-    leaves no cell meeting both, an empty a&~b or ~a&b forces x1 * x4 =
-    0), which is the no-go theorem for systems of size three or more.
+    last lie inside a&~b or ~a&b and are dropped.  So a system of n >= 3
+    cells has at least n - 2 interior cells, cells that meet both a&b
+    and ~a&~b.  An interior cell has x1, x4 > 0, so x2 * x3 = x1 * x4 > 0
+    and it meets all four atoms; the interior cells are disjoint, so n - 2
+    is at most the point count of the smallest atom.  When n - 2 exceeds
+    it the answer is [] from the four atom sizes, before any cell is
+    listed, and it is still a proof.  An empty atom is the no-go theorem:
+    a logically dependent pair has no system of size three or more.  When
+    the atoms are large enough but no interior cell screens off, the
+    answer is [] after the listing, before any cover.
 
     Hits come in the order of :func:`enumerate_partitions` (restricted
     growth order of the cell labels), cells ordered by smallest member.
@@ -283,6 +290,9 @@ def search_rccs(
             "a common cause system explains only positive correlations"
         )
     _require_cell_count(n, m)
+    atoms = (mask_ab, mask_a ^ mask_ab, mask_b ^ mask_ab, ((1 << m) - 1) ^ (mask_a | mask_b))
+    if n - 2 > min(s.bit_count() for s in atoms):  # n - 2 interior cells, each meeting all four atoms
+        return []
 
     cell, by_lowest = _screening_cells(point_weight, mask_a, mask_b, m)
     if n >= 3 and not any(by_lowest[0]):  # at most one bottom and one top cell: no room for a third

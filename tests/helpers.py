@@ -266,22 +266,29 @@ def random_event(rng: random.Random, max_parts: int = 3, mixed: bool = False) ->
     return IntervalEvent(pairs)
 
 
+# Rejection samplers give up after this many draws, so a broken kernel that refuses every draw fails a test
+# with an AssertionError instead of hanging it.
+DRAW_BUDGET = 10_000
+
+
 def random_nonzero_event(rng: random.Random, max_parts: int = 3, mixed: bool = False) -> IntervalEvent:
-    while True:
+    for _ in range(DRAW_BUDGET):
         ev = random_event(rng, max_parts, mixed)
         if not ev.is_zero and not ev.is_one:
             return ev
+    raise AssertionError(f"no event other than 0 and 1 in {DRAW_BUDGET} draws")
 
 
 def random_correlated_independent_pair(rng: random.Random) -> tuple[IntervalEvent, IntervalEvent]:
     """Rejection-sample a compatible, logically independent, correlated pair."""
     from rccs import correlation, logically_independent
 
-    while True:
+    for _ in range(DRAW_BUDGET):
         a = random_nonzero_event(rng)
         b = random_nonzero_event(rng)
         if logically_independent(a, b) and correlation(a, b) > 0:
             return a, b
+    raise AssertionError(f"no correlated, logically independent pair in {DRAW_BUDGET} draws")
 
 
 def random_space(rng: random.Random, points: int) -> FiniteSpace:

@@ -22,7 +22,7 @@ from rccs import (
     search_rccs,
     verify_rccs,
 )
-from rccs import lattice
+from rccs import finite, lattice
 from rccs.events import format_rational
 from rccs.finite import _screening_cells
 
@@ -642,6 +642,99 @@ class TestWeightedOrbitOracle:
                 assert len(search_rccs(space, a, b, n, max_points=16)) == want, (classes, n)
                 hits[n - 2] += want
         assert min(sizes) <= 10 and max(sizes) >= 15 and min(hits) > 0, (sizes, hits)
+
+
+def atom_pair(sizes, seed: int, weights=None):
+    """A pair whose atoms a&b, a&~b, ~a&b, ~a&~b have ``sizes`` points, on shuffled points of a space with
+    ``weights`` (integer, in atom order; uniform if None); returns the space, a, b and the scaled weights and masks."""
+    m = sum(sizes)
+    weights = weights or [1] * m
+    atom = [k for k, size in enumerate(sizes) for _ in range(size)]
+    order = random.Random(seed).sample(range(m), m)
+    point_weight = [weights[k] for k in order]
+    mask_a = sum(1 << i for i, k in enumerate(order) if atom[k] < 2)
+    mask_b = sum(1 << i for i, k in enumerate(order) if atom[k] % 2 == 0)
+    space = FiniteSpace(tuple(Fraction(w, sum(point_weight)) for w in point_weight))
+    a, b = (space.event(i for i in range(m) if mask >> i & 1) for mask in (mask_a, mask_b))
+    return space, a, b, point_weight, mask_a, mask_b
+
+
+def correlated_shapes(m: int):
+    """Every vector of atom sizes on m uniform points whose pair is correlated."""
+    for sizes in itertools.product(range(m + 1), repeat=4):
+        k1, k2, k3, _ = sizes
+        if sum(sizes) == m and k1 * m > (k1 + k2) * (k1 + k3):
+            yield sizes
+
+
+class TestAtomCountBound:
+    """A system of n >= 3 cells has n - 2 interior cells, each meeting all four atoms of the pair, so a search
+    with n - 2 above the smallest atom's point count is answered [] from the atom sizes.  The oracles here count
+    systems without that bound."""
+
+    def test_answered_without_listing_a_cell(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the screening-off cells were listed")
+
+        monkeypatch.setattr(finite, "_screening_cells", refuse)
+        cases = [((1, 0, 1, 4), 3), ((1, 0, 1, 4), 4), ((2, 1, 0, 3), 3), ((2, 1, 0, 3), 4), ((3, 1, 1, 3), 4)]
+        for sizes, n in cases:  # two dependent pairs at n = 3 and 4, and an independent one with a one-point atom
+            space, a, b, *_ = atom_pair(sizes, seed=n)
+            assert correlation(a, b) > 0
+            assert search_rccs(space, a, b, n) == [], (sizes, n)
+        space, a, b, *_ = atom_pair((15, 1, 9, 15), seed=40)
+        assert logically_independent(a, b) and correlation(a, b) > 0
+        assert search_rccs(space, a, b, 4, max_points=40) == []
+        with pytest.raises(AssertionError, match="listed"):  # at n = 3 a one-point atom leaves room for a system
+            search_rccs(space, a, b, 3, max_points=40)
+
+    def test_uniform_shapes_have_no_system_past_the_bound(self):
+        checked = 0
+        for m in range(2, 11):
+            for sizes in correlated_shapes(m):
+                for n in range(3 + min(sizes), m + 1):
+                    assert orbit_count(sizes, n) == 0, (sizes, n)
+                    checked += 1
+        assert checked == 2285
+
+    def test_weighted_spaces_have_no_system_past_the_bound(self):
+        rng = random.Random("atom-count-bound")
+        counted = brute = attained = 0
+        for case in range(24):
+            smallest = 1 + case % 2
+            sizes = [smallest] + [rng.randint(smallest, 4) for _ in range(3)]
+            rng.shuffle(sizes)
+            classes = []
+            for size in sizes:  # distinct weights within an atom, but now and then two points of one weight
+                entry = [(1, w) for w in rng.sample(range(1, 7), size)]
+                if size > 1 and rng.random() < 0.5:
+                    entry[:2] = [(2, entry[0][1])]
+                classes.append(tuple(entry))
+            weights = [w for entry in classes for count, w in entry for _ in range(count)]
+            space, a, b, point_weight, mask_a, mask_b = atom_pair(sizes, case, weights)
+            if correlation(a, b) <= 0:
+                continue
+            m = len(space)
+            for n in range(3 + smallest, min(m, 5 + smallest) + 1):
+                assert class_orbit_count(classes, n) == 0, (classes, n)
+                counted += 1
+            if m <= 9:
+                assert integer_brute_force(point_weight, mask_a, mask_b, 3 + smallest) == [], (classes, smallest)
+                brute += 1
+            attained += class_orbit_count(classes, 2 + smallest) > 0
+        assert (counted, brute, attained) == (45, 8, 5)
+
+    def test_the_bound_is_attained(self):
+        space, a, b, *_ = atom_pair((2, 1, 1, 2), seed=3)
+        assert len(search_rccs(space, a, b, 3)) == orbit_count((2, 1, 1, 2), 3) == 4
+        # a smallest atom of 2 points takes weights: no uniform space up to 12 points has a system of 4 cells there
+        assert not [s for m in range(8, 13) for s in correlated_shapes(m) if min(s) == 2 and orbit_count(s, 4)]
+        weights = [35, 28, 29, 7, 49, 10, 12, 2, 21, 6]  # atom by atom; 35, 7, 10, 2 are a planted quadruple
+        space, a, b, point_weight, mask_a, mask_b = atom_pair((3, 2, 2, 3), seed=4, weights=weights)
+        hits = search_rccs(space, a, b, 4)
+        assert [label_vector(p) for p in hits] == integer_brute_force(point_weight, mask_a, mask_b, 4)
+        assert len(hits) == 1
+        assert search_rccs(space, a, b, 5) == []
 
 
 class TestHitOrder:

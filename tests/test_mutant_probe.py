@@ -28,3 +28,10 @@ def test_a_moved_text_is_reported(tmp_path):
     first = probe.MUTANTS[0]
     (tmp_path / first.file).write_text((tmp_path / first.file).read_text().replace(first.old, first.new))
     assert probe.check_table(tmp_path) == [f"{first.name}: old text occurs 0 times in {first.file}"]
+
+
+def test_a_run_past_the_timeout_is_reported_timed_out(monkeypatch):
+    probe = _load_probe()
+    monkeypatch.setattr(probe, "TIMEOUT", 0.01)
+    outcome, seconds = probe.run_tests(("test_mutant_probe",))
+    assert outcome == "timed out" and seconds < 30

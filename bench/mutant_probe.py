@@ -23,7 +23,7 @@ equivalent survives, or one that is marked equivalent is killed.
 
     python3 bench/mutant_probe.py                 # every mutant, a few minutes
     python3 bench/mutant_probe.py cover-prune     # the named mutants only
-    python3 bench/mutant_probe.py --check         # each old text occurs once; runs no test
+    python3 bench/mutant_probe.py --check         # each old text occurs once and each mutant parses; runs no test
 
 ``--check`` is what the tier-1 test ``tests/test_mutant_probe.py`` runs, so
 an edit that moves a kernel's text cannot leave the table silently stale.
@@ -35,6 +35,7 @@ IEEE Computer 11(4), 1978.
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import shutil
 import subprocess
@@ -180,7 +181,14 @@ MUTANTS = (
         "    for i, j, ok in cross:\n        if not ok:", "    for i, j, ok in cross:\n        if ok is None:", _ENGINE,
     ),
     Mutant("verify-zero-cell", "engine.py", "            if weight == 0:", "            if weight < 0:", _ENGINE),
-    Mutant("verify-cell-compatibility", "engine.py", "    if not isinstance(both, _Event):", "    if False:", _ENGINE),
+    Mutant(
+        "verify-cell-compatibility", "engine.py",
+        "        if not (boolean or compatible(a, cell) and compatible(b, cell)):", "        if False:", _ENGINE,
+    ),
+    Mutant(  # verify_common_cause tests the cause against b only here
+        "verify-cell-compat-b-side", "engine.py",
+        "compatible(a, cell) and compatible(b, cell)", "compatible(a, cell)", _ENGINE,
+    ),
     Mutant(
         "memo-across-pairs", "engine.py",
         "m_ab - m_a * m_b), {}", 'm_ab - m_a * m_b), globals().setdefault("_shared_table", {})', _ENGINE,
@@ -265,6 +273,17 @@ MUTANTS = (
         "label-skip-cell-one", "finite.py", "        for k in range(1, n):", "        for k in range(2, n):", _FINITE,
     ),
     Mutant("correlation-strict", "finite.py", "    if scaled_excess <= 0:", "    if scaled_excess < 0:", _FINITE),
+    Mutant("excess-expression", "finite.py", "x[0] * x[3] - x[1] * x[2]", "scale * x[0] - x[1] * x[2]", _FINITE),
+    Mutant(
+        "atom-handoff-order", "finite.py",
+        "atoms = (mask_a & mask_b, mask_a & ~mask_b,", "atoms = (mask_a & ~mask_b, mask_a & mask_b,", _FINITE,
+    ),
+    Mutant(
+        "atom-handoff-symmetric", "finite.py",
+        "mask_a & ~mask_b, mask_b & ~mask_a,", "mask_b & ~mask_a, mask_a & ~mask_b,", _FINITE,
+        equivalent="swapping a&~b with ~a&b is the (b, a) symmetry: each cell's w_a and w_b swap, which the kinds "
+        "and the cross test's product ignore, and the hits are sorted by their labels",
+    ),
     Mutant("cutoff", "finite.py", "    if m > max_points:", "    if m >= max_points:", ("test_finite", "test_cli")),
     # serialize: the rational parser, its reduction, the list fields and the writer
     Mutant(
@@ -290,6 +309,7 @@ MUTANTS = (
         '("," + inner).join(parts) + newline + "]"', '(", " + inner).join(parts) + newline + "]"', _SERIALIZE,
     ),
     Mutant("writer-key-sort", "serialize.py", "in sorted(value.items())", "in value.items()", _SERIALIZE),
+    Mutant("writer-float", "serialize.py", "json.dumps(value)", "float.__repr__(value)", _SERIALIZE),
     # bell: the Kronecker product, the Bell combination, the scalar identity and its tolerance test
     Mutant(
         "kron-row-order", "bell.py",
@@ -325,16 +345,22 @@ MUTANTS = (
 
 
 def check_table(package: Path = PACKAGE) -> list[str]:
-    """The faults of the table: a name used twice, a mutant that changes nothing, or an old text not found once."""
+    """The faults of the table: a name used twice, a mutant that changes nothing, an old text not found once,
+    or a mutated file that does not parse, which any test would kill on import alone."""
     problems = []
     names = [m.name for m in MUTANTS]
     problems += [f"{name}: name used twice" for name in sorted({n for n in names if names.count(n) > 1})]
     for m in MUTANTS:
-        count = (package / m.file).read_text().count(m.old)
+        text = (package / m.file).read_text()
+        count = text.count(m.old)
         if count != 1:
             problems.append(f"{m.name}: old text occurs {count} times in {m.file}")
         if m.old == m.new:
             problems.append(f"{m.name}: new text equals old text")
+        try:
+            ast.parse(text.replace(m.old, m.new, 1))
+        except SyntaxError:
+            problems.append(f"{m.name}: new text does not parse")
     return problems
 
 

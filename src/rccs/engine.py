@@ -38,13 +38,6 @@ from .lattice import LatticeEvent, Partition, _require_one_model, _split, compat
 
 # the atoms a&b, a&~b, ~a&b, ~a&~b of a compatible pair (a, b)
 _Atoms = tuple[LatticeEvent, LatticeEvent, LatticeEvent, LatticeEvent]
-
-
-def _require_compat_pair(a: LatticeEvent, b: LatticeEvent) -> None:
-    if not compatible(a, b):
-        raise PreconditionError("events are not compatible")
-
-
 _Measures = tuple[Fraction, Fraction, Fraction, Fraction]
 _Entry = tuple[_Atoms, _Measures, dict]
 
@@ -230,34 +223,30 @@ def _cells(partition: Partition) -> tuple[LatticeEvent, ...]:
     return partition.cells
 
 
-def _verify(pair: _Entry, cells: tuple[LatticeEvent, ...]) -> VerificationReport:
-    """The report on ``cells`` for a pair, given its :func:`_pair` entry.
+def _verify(a: LatticeEvent, b: LatticeEvent, pair: _Entry, cells: tuple[LatticeEvent, ...]) -> VerificationReport:
+    """The report on ``cells`` for the pair (a, b), given its :func:`_pair` entry.
 
-    The one verification core: every engine entry point reads its answer
-    off this report.  A cell of another model than the atoms' is refused
-    before it is measured, a cell of measure zero after.  Each cell is met
-    with the three atoms: m(a&b&cell), plus m(a&~b&cell) for a and
-    m(~a&b&cell) for b.  An equal pair reuses its split and the
+    The one verification core: every engine entry point reads its answer off
+    this report, and passes the a and b it holds.  One walk over the cells
+    refuses, in turn, a cell of another model than the atoms', a cell not
+    compatible with a and b, and a cell of measure zero.  The conditions
+    assume every cell compatible with a and b; a Boolean model's cells
+    always are, so only a pair of another model has its cells tested.  Each
+    cell is met with the three atoms: m(a&b&cell), plus m(a&~b&cell) for a
+    and m(~a&b&cell) for b.  An equal pair reuses its split and the
     last-verified cells' measures from the entry's table, which then holds
-    this call's cells (a refused cell is never stored), and every
-    condition is decided on every call.
-
-    The conditions assume every cell compatible with a and b.  A Boolean
-    model's cells always are, so only a pair of another model has its
-    cells tested, and the first that fails is named.
+    this call's cells (a refused cell is never stored), and every condition
+    is decided on every call.
     """
     (both, a_only, b_only, _), measures, table = pair
-    if not isinstance(both, _Event):
-        a, b = both.join(a_only), both.join(b_only)  # a compatible pair is the join of its atoms
-        for k, cell in enumerate(cells):
-            if isinstance(cell, both.__class__) and not (compatible(a, cell) and compatible(b, cell)):
-                raise PreconditionError(
-                    f"cell {k} is not compatible with a and b; the defining conditions need every cell compatible"
-                )
-    quads = []
+    boolean, quads = isinstance(both, _Event), []
     for k, cell in enumerate(cells):
         if not isinstance(cell, both.__class__):
             raise InputError(f"cell {k} is not an event of the same model as the pair")
+        if not (boolean or compatible(a, cell) and compatible(b, cell)):
+            raise PreconditionError(
+                f"cell {k} is not compatible with a and b; the defining conditions need every cell compatible"
+            )
         quad = table.get(cell)
         if quad is None:
             weight = cell.measure()
@@ -299,7 +288,7 @@ def verify_rccs(a: LatticeEvent, b: LatticeEvent, partition: Partition) -> Verif
     the last-verified cells' measures (see :func:`_pair`), and every
     precondition and condition is decided on every call.
     """
-    return _verify(_require_correlated(_checked_pair(a, b)), _cells(partition))
+    return _verify(a, b, _require_correlated(_checked_pair(a, b)), _cells(partition))
 
 
 def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -> VerificationReport:
@@ -312,17 +301,20 @@ def verify_common_cause(a: LatticeEvent, b: LatticeEvent, cause: LatticeEvent) -
 
     A cause that screens off a correlated pair raises both events or
     lowers both: the joint excess is then m(c) m(~c) times the product of
-    the two differences.  So only the first event's test can fail.
+    the two differences.  So only the first event's test can fail.  The
+    cause is split against a only, which also refuses one from another
+    finite space; :func:`_verify` tests it against b with every cell, and
+    in a Boolean model that test cannot fail.
     """
     pair = _checked_pair(a, b)
-    _require_compat_pair(a, cause)
-    _require_compat_pair(b, cause)
+    if not compatible(a, cause):
+        raise PreconditionError("events are not compatible")
     cause_measure = cause.measure()
     if not 0 < cause_measure < 1:
         raise PreconditionError(
             f"a common cause must have measure strictly between 0 and 1, got {format_rational(cause_measure)}"
         )
-    report = _verify(_require_correlated(pair), (cause, cause.complement()))
+    report = _verify(a, b, _require_correlated(pair), (cause, cause.complement()))
     raises_a, raises_b = (cond[0] > cond[1] for cond in (report.cond_a, report.cond_b))
     # with screening-off on both cells the report's identity reads excess = m(c) m(~c) *
     # (P(a|c) - P(a|~c)) (P(b|c) - P(b|~c)) > 0, so a cause that raises a raises b too
@@ -350,7 +342,7 @@ def correlation_decomposition(
     Screening-off is a precondition and its failure raises, naming the
     offending cell.
     """
-    report = _verify(_checked_pair(a, b), _cells(partition))
+    report = _verify(a, b, _checked_pair(a, b), _cells(partition))
     for k, ok in enumerate(report.screening_off_ok):
         if not ok:
             raise PreconditionError(
@@ -460,7 +452,7 @@ def construction_steps(
     null_cell = atoms[3].carve((1 - lam) * excess / (m_ab - full_measure))
     mixed_cell = full_cell.join(null_cell).complement()
     cells = Partition._trusted((full_cell, null_cell, mixed_cell))
-    report = _verify(pair, cells.cells)
+    report = _verify(a, b, pair, cells.cells)
     if not report.verdict:
         raise InternalInvariantError(f"constructed system failed verification: {report.failure}")
     return ConstructionSteps(

@@ -175,19 +175,19 @@ def enumerate_partitions(space: FiniteSpace, n: int) -> Iterator[Partition]:
     return walk(0, 0)
 
 
-def _screening_cells(point_weight: list[int], mask_a: int, mask_b: int, m: int) -> tuple[dict, list]:
+def _screening_cells(point_weight: list[int], atoms: tuple[int, int, int, int]) -> tuple[dict, list]:
     """The subsets that screen off (a, b), filed by kind and lowest point as the join finds them.
 
     Returns ``cells``, mask -> scaled ``(w, w_a, w_b, kind)``, and
     ``by_lowest[kind][i]``, the masks of that kind with lowest point i.  A
-    subset screens off when x1 * x4 == x2 * x3 for its weights in the
-    atoms; with x4 in the largest atom (k points), x4 = x2 * x3 / x1 is
-    looked up for each of the 2^(m - k) triples of subsets of the other
-    three, and at x1 = 0 every x4 fits or none.  Kinds 0 interior, 1 bottom
-    (misses a&b) and 2 top (misses ~a&~b) are the OR of flags on the empty
-    subsets of a&b (1) and ~a&~b (2); kind 3, the empty set too, is dropped.
+    subset screens off when x1 * x4 == x2 * x3 for its weights in ``atoms``,
+    the masks of a&b, a&~b, ~a&b and ~a&~b; with x4 in the largest (k
+    points), x4 = x2 * x3 / x1 is looked up for each of the 2^(m - k)
+    triples of subsets of the other three, and at x1 = 0 every x4 fits or
+    none.  Kinds 0 interior, 1 bottom (misses a&b) and 2 top (misses ~a&~b)
+    are the OR of flags on the empty subsets of a&b (1) and ~a&~b (2); kind
+    3, the empty set too, is dropped.
     """
-    atoms = [mask_a & mask_b, mask_a & ~mask_b, mask_b & ~mask_a, ((1 << m) - 1) & ~(mask_a | mask_b)]
     big = max(range(4), key=lambda k: atoms[k].bit_count())
     listed = []
     for k in (big ^ 3, big ^ 2, big ^ 1, big):  # atom k lies in a when k < 2, in b when k is even
@@ -196,7 +196,8 @@ def _screening_cells(point_weight: list[int], mask_a: int, mask_b: int, m: int) 
             if atoms[k] >> i & 1:
                 sums += [(s | 1 << i, w + x, wa + x * (k < 2), wb + x * (k % 2 == 0), 0) for s, w, wa, wb, _ in sums]
         listed.append(sums)
-    (sums1, sums2, sums3, sums4), by_x4, cells, by_lowest = listed, {}, {}, [[[] for _ in range(m)] for _ in range(3)]
+    (sums1, sums2, sums3, sums4), by_x4, cells = listed, {}, {}
+    by_lowest = [[[] for _ in point_weight] for _ in range(3)]
     for t in sums4:
         by_x4.setdefault(t[1], []).append(t)
     for s1, x1, a1, b1, f1 in sums1:
@@ -262,10 +263,11 @@ def search_rccs(
     Hits come in the order of :func:`enumerate_partitions` (restricted
     growth order of the cell labels), cells ordered by smallest member.
 
-    The pair must be correlated (positive joint excess), decided in the
-    same integers before any cell is listed.  Spaces larger than
-    ``max_points`` are refused: the screening-off subsets, and the cover's
-    work with them, can still number about 2^m.
+    The pair must be correlated, decided in the same integers before any
+    cell is listed: the joint excess x1 * x4 - x2 * x3 of the atoms'
+    weights, how far the whole space fails to screen off, is positive.
+    Spaces larger than ``max_points`` are refused: the screening-off
+    subsets, and the cover's work with them, can still number about 2^m.
     """
     if not all(isinstance(e, FiniteEvent) and e.space == space for e in (a, b)):
         raise InputError("events do not belong to the given space")
@@ -280,9 +282,11 @@ def search_rccs(
     scale = lcm(*(w.denominator for w in space.weights))
     point_weight = [w.numerator * (scale // w.denominator) for w in space.weights]
     mask_a, mask_b = a.mask, b.mask
-    mask_ab = mask_a & mask_b
-    w_a, w_b, w_ab = (sum(w for i, w in enumerate(point_weight) if s >> i & 1) for s in (mask_a, mask_b, mask_ab))
-    scaled_excess = scale * w_ab - w_a * w_b  # scale^2 * joint excess
+    atoms = (mask_a & mask_b, mask_a & ~mask_b, mask_b & ~mask_a, ((1 << m) - 1) & ~(mask_a | mask_b))
+    x = [0, 0, 0, 0]  # the atoms' scaled weights x1..x4, summing to scale
+    for i, w in enumerate(point_weight):
+        x[3 - 2 * (mask_a >> i & 1) - (mask_b >> i & 1)] += w
+    scaled_excess = x[0] * x[3] - x[1] * x[2]  # x1 x4 - x2 x3, scale^2 * joint excess
     if scaled_excess <= 0:
         excess = Fraction(scaled_excess, scale * scale)
         raise PreconditionError(
@@ -290,11 +294,10 @@ def search_rccs(
             "a common cause system explains only positive correlations"
         )
     _require_cell_count(n, m)
-    atoms = (mask_ab, mask_a ^ mask_ab, mask_b ^ mask_ab, ((1 << m) - 1) ^ (mask_a | mask_b))
     if n - 2 > min(s.bit_count() for s in atoms):  # n - 2 interior cells, each meeting all four atoms
         return []
 
-    cell, by_lowest = _screening_cells(point_weight, mask_a, mask_b, m)
+    cell, by_lowest = _screening_cells(point_weight, atoms)
     if n >= 3 and not any(by_lowest[0]):  # at most one bottom and one top cell: no room for a third
         return []
 

@@ -20,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd, inf
+from math import gcd
 from typing import TYPE_CHECKING, Any
 
 from .errors import InputError, echo
@@ -185,17 +185,6 @@ def steps_to_obj(steps: ConstructionSteps) -> dict:
     }
 
 
-def _float_text(value: float) -> str:
-    """A float as ``json`` writes it: NaN and the infinities by name, any other by its shortest round-trip repr."""
-    if value != value:
-        return "NaN"
-    if value == inf:
-        return "Infinity"
-    if value == -inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
 def _key_text(key: Any) -> str:
     """A dict key as ``json`` converts it: a string as it is; a float, int, bool or None as its JSON text."""
     if isinstance(key, str):
@@ -235,7 +224,7 @@ def _write(value: Any, newline: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return _float_text(value)
+        return json.dumps(value)
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
@@ -244,9 +233,11 @@ def dumps(obj: Any) -> str:
 
     The standard encoder ignores its C accelerator when it indents and
     builds the text through nested generators; this writer joins each
-    container's parts directly, quoting strings with ``json``'s C quoter.
-    Keys are sorted before they are converted, as ``json`` sorts them.  A
-    value that contains itself is not looked for: it ends in RecursionError
-    where ``json`` raises ValueError.
+    container's parts directly, quoting strings with ``json``'s C quoter
+    and handing each float to ``json.dumps``, so its text, NaN and the
+    infinities included, is the module's own.  Keys are sorted before
+    they are converted, as ``json`` sorts them.  A value that contains
+    itself is not looked for: it ends in RecursionError where ``json``
+    raises ValueError.
     """
     return _write(obj, "\n")

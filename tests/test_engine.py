@@ -292,6 +292,21 @@ class TestTwoModelPair:
             with pytest.raises(InputError, match=r"^events belong to different spaces$"):
                 call()
 
+    def test_a_cause_from_another_space_is_refused_before_its_measure_and_the_correlation(self):
+        # verify_common_cause splits the cause against a first: that split refuses the other space, whatever the
+        # cause's measure and whether or not the pair is correlated; a cause of this space keeps its measure refusal
+        uncorrelated = (_QUARTERS.event((0, 1)), _QUARTERS.event((0, 2)))
+        assert correlation(_FINITE_A, _FINITE_B) > 0 and correlation(*uncorrelated) == 0
+        other = FiniteSpace((Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)))
+        for a, b in ((_FINITE_A, _FINITE_B), uncorrelated):
+            for cause in (other.empty, other.event((0,)), other.full):
+                with pytest.raises(InputError, match=r"^events belong to different spaces$"):
+                    verify_common_cause(a, b, cause)
+            for cause, text in ((_QUARTERS.empty, "0"), (_QUARTERS.full, "1")):
+                with pytest.raises(PreconditionError, match=rf"^a common cause must have measure strictly "
+                                   rf"between 0 and 1, got {text}$"):
+                    verify_common_cause(a, b, cause)
+
 
 class TestPlainValues:
     """A value that is not an event, or not a Partition, is refused with InputError at the public entry."""
@@ -1291,6 +1306,20 @@ class TestIncompatibleCells:
             for call in (verify_rccs, correlation_decomposition):
                 with pytest.raises(PreconditionError, match=_INCOMPATIBLE_CELL):
                     call(glued_a, glued_b, moved)
+
+    def test_a_cause_compatible_with_a_only_is_named_like_a_cell(self):
+        # verify_common_cause tests the cause against a alone; against b it is tested as cell 0 of (cause, ~cause),
+        # after the measure and correlation checks, so every entry point names such a cause in the same words
+        triples = 0
+        for a, b, cause in itertools.product(Greechie.ELEMENTS, repeat=3):
+            if not compatible(a, b) or correlation(a, b) <= 0 or not compatible(a, cause) or compatible(b, cause):
+                continue
+            with pytest.raises(PreconditionError, match=_INCOMPATIBLE_CELL):
+                verify_common_cause(a, b, cause)
+            with pytest.raises(PreconditionError, match=_INCOMPATIBLE_CELL):
+                verify_rccs(a, b, Partition((cause, cause.complement())))
+            triples += 1
+        assert triples == 32
 
     def test_a_glued_cell_is_compatible_with_both(self):
         one = GluedIntervals(None, FULL)

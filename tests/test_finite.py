@@ -5,6 +5,7 @@ import itertools
 import pickle
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from rccs.events import format_rational
 from rccs.finite import _screening_cells
 
 from .helpers import (
+    MIXED_DENOMINATORS,
     brute_force_search,
     class_orbit_count,
     integer_brute_force,
@@ -220,6 +222,28 @@ class TestEnumeration:
         assert str(err.value) == f"cell count must be an integer, got {n!r}"
 
 
+def check_correlation_gate(a, b, counts) -> int:
+    """Hold ``search_rccs`` at each cell count to lattice.correlation, and return the sign of the excess.
+
+    It refuses exactly the pairs at or below 0, naming their excess, and checks the cell count only after that.
+    """
+    excess = correlation(a, b)
+    for n in counts:
+        if excess <= 0:
+            with pytest.raises(PreconditionError) as err:
+                search_rccs(a.space, a, b, n)
+            assert str(err.value) == (
+                f"events are not correlated (joint excess {format_rational(excess)}); "
+                "a common cause system explains only positive correlations"
+            )
+        elif n == 1:
+            assert search_rccs(a.space, a, b, n) == []
+        else:
+            with pytest.raises(InputError, match="^cell count"):
+                search_rccs(a.space, a, b, n)
+    return (excess > 0) - (excess < 0)
+
+
 class TestSearch:
     def test_uncorrelated_pair_rejected(self):
         space = uniform_space(4)
@@ -371,22 +395,22 @@ class TestSearch:
                 if m in (4, 8):  # independent halves of a uniform space
                     pairs.append((uniform_space(m).event(range(m // 2)), uniform_space(m).event([0, m - 1])))
                 for a, b in pairs:
-                    excess = correlation(a, b)
-                    signs.add((excess > 0) - (excess < 0))
-                    for n in (0, 1, 2.5, m + 1):
-                        if excess <= 0:
-                            with pytest.raises(PreconditionError) as err:
-                                search_rccs(a.space, a, b, n)
-                            assert str(err.value) == (
-                                f"events are not correlated (joint excess {format_rational(excess)}); "
-                                "a common cause system explains only positive correlations"
-                            )
-                        elif n == 1:
-                            assert search_rccs(a.space, a, b, n) == []
-                        else:  # the cell count is checked only after the correlation
-                            with pytest.raises(InputError, match="^cell count"):
-                                search_rccs(a.space, a, b, n)
+                    signs.add(check_correlation_gate(a, b, (0, 1, 2.5, m + 1)))
         assert signs == {-1, 0, 1}
+
+    def test_excess_on_mixed_denominators_against_the_lattice_oracle(self):
+        # the search reads the joint excess as x1 x4 - x2 x3 off the atoms' scaled weights: here on 2-14 points
+        # whose weights have unlike denominators, with n = 0, which only the cell count check refuses
+        rng = random.Random(3417)
+        seen = Counter()
+        for m in range(2, 15):
+            for _ in range(60):
+                weights = [Fraction(rng.randint(1, d), d * m) for d in rng.choices(MIXED_DENOMINATORS, k=m - 1)]
+                space = FiniteSpace((*weights, 1 - sum(weights)))
+                x = random_subset(rng, space)
+                for a, b in ((random_subset(rng, space), random_subset(rng, space)), (x, x), (x, ~x), (x, space.full)):
+                    seen[check_correlation_gate(a, b, (0,))] += 1
+        assert seen == {1: 1098, -1: 1036, 0: 986}, seen
 
     def test_single_cell_never_screens_off_a_correlation(self):
         space = uniform_space(6)
@@ -495,8 +519,9 @@ class TestScreeningCells:
             for kind, (mask_a, mask_b) in self.pairs(rng, m).items():
                 want = screening_cells_oracle(weights, mask_a, mask_b, m)
                 a_b, rest = mask_a & mask_b, ((1 << m) - 1) & ~(mask_a | mask_b)
+                atoms = (a_b, mask_a & ~mask_b, mask_b & ~mask_a, rest)
                 edge = {s: (not s & a_b) | (not s & rest) << 1 for s in want}  # 1 misses a&b, 2 misses ~a&~b
-                cells, by_lowest = _screening_cells(weights, mask_a, mask_b, m)
+                cells, by_lowest = _screening_cells(weights, atoms)
                 case_id = (kind, weights, mask_a, mask_b)
                 # key for key and weight for weight, without the cells that are both bottom and top
                 assert {s: v[:3] for s, v in cells.items()} == {s: v for s, v in want.items() if edge[s] < 3}, case_id
@@ -505,7 +530,7 @@ class TestScreeningCells:
                 assert sorted(filed) == sorted((v[3], (s & -s).bit_length() - 1, s) for s, v in cells.items()), case_id
                 assert len(by_lowest) == 3 and all(len(row) == m for row in by_lowest)
                 # the join puts the largest atom (the first of the largest) last; its flags must follow the atom
-                sizes = [x.bit_count() for x in (a_b, mask_a & ~mask_b, mask_b & ~mask_a, rest)]
+                sizes = [x.bit_count() for x in atoms]
                 largest.add((sizes.index(max(sizes)), sizes.count(max(sizes)) > 1))
                 zero = sum(
                     (not s & a_b or not s & rest) and (not s & mask_a & ~mask_b or not s & mask_b & ~mask_a)

@@ -30,6 +30,15 @@ def test_a_moved_text_is_reported(tmp_path):
     assert probe.check_table(tmp_path) == [f"{first.name}: old text occurs 0 times in {first.file}"]
 
 
+def test_a_mutant_that_does_not_parse_is_reported(monkeypatch):
+    # such a mutant would count as killed by the import failure alone, whatever the tests check
+    probe = _load_probe()
+    first = probe.MUTANTS[0]
+    assert first.old.endswith(":")
+    monkeypatch.setattr(probe, "MUTANTS", (first._replace(new=first.old[:-1]),))  # the colon dropped
+    assert probe.check_table() == [f"{first.name}: new text does not parse"]
+
+
 def test_a_run_past_the_timeout_is_reported_timed_out(monkeypatch):
     probe = _load_probe()
     monkeypatch.setattr(probe, "TIMEOUT", 0.01)
